@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import Sequence
 
 
@@ -338,6 +339,10 @@ class KnowledgeObject:
         return self.zone is MemoryZone.DORMANT
 
 
+def embedding_norm(embedding: Sequence[float]) -> float:
+    return math.sqrt(sum(x * x for x in embedding))
+
+
 @dataclass(frozen=True)
 class GraphSnapshot:
     """Immutable view of all knowledge objects and edges at a cycle boundary.
@@ -345,11 +350,46 @@ class GraphSnapshot:
     ``cycle_at`` is the timestamp of the cycle that produced this snapshot
     (None before the first cycle); it is the lower bound of the next cycle's
     "new edge" window.
+
+    The cached properties below form the snapshot's index. Each is built on
+    first use and stored on the instance without being a field, so
+    equality, ``repr`` and ``replace`` ignore it; a snapshot must therefore
+    not be mutated once it has been used.
     """
 
     kos: dict[str, KnowledgeObject] = field(default_factory=dict)
     edges: tuple[Edge, ...] = ()
     cycle_at: int | None = None
+
+    @cached_property
+    def zones(self) -> dict[str, MemoryZone]:
+        """Every id, in sorted order, with its zone."""
+        return {ko_id: self.kos[ko_id].zone for ko_id in sorted(self.kos)}
+
+    @cached_property
+    def neighbors(self) -> dict[str, tuple[str, ...]]:
+        """The undirected adjacency, each node's neighbours sorted."""
+        linked: dict[str, set[str]] = {}
+        for e in self.edges:
+            linked.setdefault(e.source_id, set()).add(e.target_id)
+            linked.setdefault(e.target_id, set()).add(e.source_id)
+        return {node: tuple(sorted(ids)) for node, ids in linked.items()}
+
+    @cached_property
+    def embedding_norms(self) -> dict[str, float]:
+        return {ko_id: embedding_norm(ko.embedding)
+                for ko_id, ko in self.kos.items() if ko.embedding is not None}
+
+    @cached_property
+    def first_ids(self) -> dict[object, str]:
+        """The smallest id holding each exact coordinate (a ``Koc`` key) and
+        each (entity, domain), (entity, None) and (None, domain) pair."""
+        first: dict[object, str] = {}
+        for ko_id in reversed(self.zones):
+            koc = self.kos[ko_id].koc
+            for key in (koc, (koc.entity, koc.domain), (koc.entity, None), (None, koc.domain)):
+                first[key] = ko_id
+        return first
 
     def validate(self) -> None:
         """Raise if any edge endpoint is missing (store corruption)."""

@@ -5,11 +5,17 @@ The final rank score is R = H * K_eff, where H blends the three similarity
 layers and K_eff multiplies the object's global k-score by floored contextual
 attention. Everything is read-only over a snapshot, so concurrent queries are
 safe.
+
+Queries read the snapshot's cached index (see ``GraphSnapshot``). Threads
+racing to build it is harmless, as it is a pure function of the snapshot; a
+snapshot must not be mutated once used (``CorpusStore.snapshot()`` copies).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,6 +25,7 @@ from .model import (
     KnowledgeObject,
     Koc,
     MemoryZone,
+    embedding_norm,
     koc_similarity,
 )
 
@@ -117,22 +124,24 @@ def semantic_available(q: Query, ko: KnowledgeObject) -> bool:
     return q.embedding is not None and ko.embedding is not None
 
 
+def _rescaled_cosine(a: tuple[float, ...], na: float,
+                     ko: KnowledgeObject, nb: float) -> float:
+    """Cosine of ``a`` and ``ko``'s embedding from their norms, in [0, 1]."""
+    b = ko.embedding
+    if len(a) != len(b):
+        raise RetrievalError(
+            f"embedding dimension mismatch: query {len(a)} vs ko {ko.id!r} {len(b)}")
+    cosine = 0.0 if na == 0.0 or nb == 0.0 else sum(map(operator.mul, a, b)) / (na * nb)
+    return (cosine + 1.0) / 2.0
+
+
 def semantic_sim(q: Query, ko: KnowledgeObject) -> float:
     """Cosine similarity rescaled to [0, 1]; 0 when either embedding is
     missing (the caller flags the result degraded)."""
     if not semantic_available(q, ko):
         return 0.0
-    a, b = q.embedding, ko.embedding
-    if len(a) != len(b):
-        raise RetrievalError(
-            f"embedding dimension mismatch: query {len(a)} vs ko {ko.id!r} {len(b)}")
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
-    if na == 0.0 or nb == 0.0:
-        cosine = 0.0
-    else:
-        cosine = sum(x * y for x, y in zip(a, b)) / (na * nb)
-    return (cosine + 1.0) / 2.0
+    return _rescaled_cosine(q.embedding, embedding_norm(q.embedding),
+                            ko, embedding_norm(ko.embedding))
 
 
 def resolve_focus(q: Query, snapshot: GraphSnapshot,
@@ -144,12 +153,18 @@ def resolve_focus(q: Query, snapshot: GraphSnapshot,
     """
     if not snapshot.kos:
         return None
-    if q.anchor_koc is not None:
-        for ko_id in sorted(snapshot.kos):
-            if snapshot.kos[ko_id].koc == q.anchor_koc:
-                return ko_id
+    if q.anchor_koc is None:
+        e, d = q.primary_entity, q.domain
+        for keys in (((e, d),), ((e, None), (None, d))):
+            found = [snapshot.first_ids[k] for k in keys if k in snapshot.first_ids]
+            if found:
+                return min(found)
+        return next(iter(snapshot.zones))
+    exact = snapshot.first_ids.get(q.anchor_koc)
+    if exact is not None:
+        return exact
     best_id, best_sim = None, -1.0
-    for ko_id in sorted(snapshot.kos):
+    for ko_id in snapshot.zones:
         sim = structural_sim(q, snapshot.kos[ko_id], koc_weights)
         if sim > best_sim:
             best_id, best_sim = ko_id, sim
@@ -158,39 +173,16 @@ def resolve_focus(q: Query, snapshot: GraphSnapshot,
 
 def hop_distances(snapshot: GraphSnapshot, focus_id: str) -> dict[str, int]:
     """Undirected BFS hop distances from the focus node."""
-    adjacency: dict[str, set[str]] = {}
-    for e in snapshot.edges:
-        adjacency.setdefault(e.source_id, set()).add(e.target_id)
-        adjacency.setdefault(e.target_id, set()).add(e.source_id)
     distances = {focus_id: 0}
     queue = deque([focus_id])
     while queue:
         node = queue.popleft()
-        for neighbor in sorted(adjacency.get(node, ())):
+        hops = distances[node] + 1
+        for neighbor in snapshot.neighbors.get(node, ()):
             if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
+                distances[neighbor] = hops
                 queue.append(neighbor)
     return distances
-
-
-def topological_sim(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot) -> float:
-    """Inverse hop distance from the query's focus node: 1 / (1 + h).
-
-    Unreachable objects score 0; the focus itself scores 1.
-    """
-    focus = resolve_focus(q, snapshot)
-    if focus is None:
-        return 0.0
-    h = hop_distances(snapshot, focus).get(ko.id)
-    return 0.0 if h is None else 1.0 / (1.0 + h)
-
-
-def hybrid_score(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot,
-                 w: RetrievalWeights) -> float:
-    """alpha * S_struct + beta * S_sem + gamma * S_topo."""
-    return (w.alpha * structural_sim(q, ko)
-            + w.beta * semantic_sim(q, ko)
-            + w.gamma * topological_sim(q, ko, snapshot))
 
 
 def contextual_attention(q: Query, ko: KnowledgeObject, w: RetrievalWeights) -> float:
@@ -207,6 +199,51 @@ def k_eff(ko: KnowledgeObject, phi: float, w: RetrievalWeights) -> float:
     return ko.scores.k * max(w.k_eff_floor, phi)
 
 
+def _scorer(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
+            koc_weights: Sequence[float] | None):
+    """The one scorer. The focus, its hop distances and the query norm are
+    computed once; the returned function scores one object, given its
+    embedding norm and zone, as a tuple in ``RankedResult`` field order."""
+    focus = resolve_focus(q, snapshot, koc_weights)
+    distances = {} if focus is None else hop_distances(snapshot, focus)
+    qe = q.embedding
+    qn = None if qe is None else embedding_norm(qe)
+
+    def score(ko: KnowledgeObject, nb: float | None, zone: MemoryZone) -> tuple:
+        s_struct = structural_sim(q, ko, koc_weights)
+        degraded = qe is None or nb is None
+        s_sem = 0.0 if degraded else _rescaled_cosine(qe, qn, ko, nb)
+        h = distances.get(ko.id)
+        s_topo = 0.0 if h is None else 1.0 / (1.0 + h)
+        hybrid = w.alpha * s_struct + w.beta * s_sem + w.gamma * s_topo
+        phi = contextual_attention(q, ko, w)
+        eff = k_eff(ko, phi, w)
+        return (ko.id, hybrid, eff, hybrid * eff, s_struct, s_sem, s_topo, phi,
+                ko.scores.k, ko.scores.urgency, zone, degraded)
+    return score
+
+
+def _score_one(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot,
+               w: RetrievalWeights) -> RankedResult:
+    nb = None if ko.embedding is None else embedding_norm(ko.embedding)
+    return RankedResult(*_scorer(q, snapshot, w, None)(ko, nb, ko.zone))
+
+
+def topological_sim(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot) -> float:
+    """Inverse hop distance from the query's focus node: 1 / (1 + h).
+
+    Unreachable objects score 0; the focus itself scores 1. Each call runs
+    one BFS, where ``rank`` runs one for the whole corpus.
+    """
+    return _score_one(q, ko, snapshot, RetrievalWeights()).s_topo
+
+
+def hybrid_score(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot,
+                 w: RetrievalWeights) -> float:
+    """alpha * S_struct + beta * S_sem + gamma * S_topo, as ``rank`` scores it."""
+    return _score_one(q, ko, snapshot, w).hybrid
+
+
 def rank(q: Query, snapshot: GraphSnapshot,
          w: RetrievalWeights | None = None,
          koc_weights: Sequence[float] | None = None) -> list[RankedResult]:
@@ -216,31 +253,11 @@ def rank(q: Query, snapshot: GraphSnapshot,
     are eligible by default (their low k buries them) with an opt-out. Sorted
     by rank score descending, ties by id ascending, truncated to top_k.
     """
-    if w is None:
-        w = RetrievalWeights()
-    if not snapshot.kos:
-        return []
-    focus = resolve_focus(q, snapshot, koc_weights)
-    distances = hop_distances(snapshot, focus) if focus is not None else {}
-
-    results: list[RankedResult] = []
-    for ko_id in sorted(snapshot.kos):
-        ko = snapshot.kos[ko_id]
-        if ko.zone is MemoryZone.DORMANT and not q.include_dormant:
-            continue
-        if ko.zone is MemoryZone.PERIPHERAL and q.exclude_peripheral:
-            continue
-        s_struct = structural_sim(q, ko, koc_weights)
-        s_sem = semantic_sim(q, ko)
-        h = distances.get(ko_id)
-        s_topo = 0.0 if h is None else 1.0 / (1.0 + h)
-        hybrid = w.alpha * s_struct + w.beta * s_sem + w.gamma * s_topo
-        phi = contextual_attention(q, ko, w)
-        eff = k_eff(ko, phi, w)
-        results.append(RankedResult(
-            ko_id=ko_id, hybrid=hybrid, k_eff=eff, rank_score=hybrid * eff,
-            s_struct=s_struct, s_sem=s_sem, s_topo=s_topo, phi_ctx=phi,
-            k_global=ko.scores.k, urgency=ko.scores.urgency, zone=ko.zone,
-            degraded=not semantic_available(q, ko)))
-    results.sort(key=lambda r: (-r.rank_score, r.ko_id))
-    return results[:q.top_k]
+    score = _scorer(q, snapshot, RetrievalWeights() if w is None else w, koc_weights)
+    kos, norms = snapshot.kos, snapshot.embedding_norms
+    rows = (score(kos[ko_id], norms.get(ko_id), zone)
+            for ko_id, zone in snapshot.zones.items()
+            if (zone is not MemoryZone.DORMANT or q.include_dormant)
+            and (zone is not MemoryZone.PERIPHERAL or not q.exclude_peripheral))
+    best = heapq.nsmallest(q.top_k, rows, key=lambda row: (-row[3], row[0]))
+    return [RankedResult(*row) for row in best]

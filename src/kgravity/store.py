@@ -542,8 +542,13 @@ def _event_to_dict(event: EventRecord) -> dict:
 
 
 def _event_from_dict(data: dict) -> EventRecord:
-    return EventRecord(seq=int(data["seq"]), at=iso_to_ts(data["at"]),
-                       kind=EventKind(data["kind"]), payload=data["payload"])
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    seq, at, payload = data["seq"], data["at"], data["payload"]
+    if type(seq) is not int or not isinstance(at, str) or not isinstance(payload, dict):
+        raise ValueError("seq must be an integer, at a string and payload an object")
+    return EventRecord(seq=seq, at=iso_to_ts(at), kind=EventKind(data["kind"]),
+                       payload=payload)
 
 
 def append_events(path: str | Path, events: Iterable[EventRecord]) -> None:

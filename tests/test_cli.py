@@ -324,3 +324,14 @@ def test_cycle_csv_format(cli, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "cycle,core,working,peripheral,dormant,max_delta_k"
     assert len(lines) == 3
+
+
+def test_query_on_non_object_log_line_is_a_contract_error(cli, tmp_path, capsys):
+    write_input(tmp_path / "in.jsonl", [ko_rec(0)])
+    cli("ingest", str(tmp_path / "in.jsonl"))
+    with open(tmp_path / "events.jsonl", "a", encoding="utf-8") as f:
+        f.write("[1,2]\n")
+    code = main(["--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--log", str(tmp_path / "events.jsonl"), "query", "x"])
+    assert code == 1
+    assert "error: corrupt event log line 2" in capsys.readouterr().err

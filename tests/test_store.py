@@ -363,6 +363,23 @@ def test_event_log_rejects_corrupt_line(tmp_path):
         read_events(path)
 
 
+@pytest.mark.parametrize("line", [
+    '[1, 2]', '7', '"text"', 'null',
+    '{"seq":"1","at":"2024-01-01T00:00:00Z","kind":"PARAMS_CHANGED","payload":{}}',
+    '{"seq":1,"at":0,"kind":"PARAMS_CHANGED","payload":{}}',
+    '{"seq":1,"at":"2024-01-01T00:00:00Z","kind":["KO_CREATED"],"payload":{}}',
+    '{"seq":1,"at":"2024-01-01T00:00:00Z","kind":"PARAMS_CHANGED","payload":[]}',
+])
+def test_event_log_rejects_mistyped_line(tmp_path, line):
+    store = seeded_store()
+    path = tmp_path / "events.jsonl"
+    append_events(path, store.events[:1])
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
+    with pytest.raises(ReplayError, match="line 2"):
+        read_events(path)
+
+
 def test_ingest_rejects_non_finite_embedding():
     store = CorpusStore()
     with pytest.raises(ValidationError, match="non-finite"):
