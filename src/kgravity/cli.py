@@ -33,7 +33,7 @@ from .store import (
     ReplayError,
     ValidationError,
     append_events,
-    iso_to_ts,
+    parse_field_ts,
     read_corpus,
     read_events,
     write_corpus,
@@ -167,7 +167,7 @@ def cmd_ingest(args, params, weights, params_explicit) -> int:
 
 
 def _iso_ts(value) -> int:
-    return 0 if value is None else iso_to_ts(value)
+    return 0 if value is None else parse_field_ts("created_at", value)
 
 
 def cmd_cycle(args, params, weights, params_explicit) -> int:

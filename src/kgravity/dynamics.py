@@ -18,14 +18,13 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 from .engine import (
-    SECONDS_PER_DAY,
     EngineParams,
-    _build_inbound_index,
-    _gravity_neighborhood,
+    cycle_index,
+    cycle_inputs,
     fixed_point,
+    gravity_neighborhood,
     kge_update,
     run_cycle,
-    usage_force,
 )
 from .model import (
     EDGE_COEFFICIENTS,
@@ -105,7 +104,8 @@ def gershgorin_check(snapshot: GraphSnapshot, params: EngineParams) -> Convergen
     off-diagonal mass is bounded by eta * a_g * |coeff| * g_scale / d^2
     summed over the gravity neighborhood.
     """
-    active = {ko_id for ko_id, ko in snapshot.kos.items() if not ko.dormant}
+    index = cycle_index(snapshot, None)
+    active = snapshot.kos.keys() - index.dormant
     degree: dict[str, int] = {ko_id: 0 for ko_id in active}
     for e in snapshot.edges:
         if e.source_id in active and e.target_id in active:
@@ -116,15 +116,13 @@ def gershgorin_check(snapshot: GraphSnapshot, params: EngineParams) -> Convergen
     bound = params.g_scale / STATED_MAX_ABS_COEFF
     bound_vocab = params.g_scale / VOCABULARY_MAX_ABS_COEFF
 
-    inbound = _build_inbound_index(snapshot, None)
     diagonals: list[float] = []
     offdiag: list[float] = []
     for ko_id in sorted(active):
         ko = snapshot.kos[ko_id]
         lam = params.lambda_for(ko.cls, resolved=ko.resolved)
         diagonals.append((1.0 - params.eta) - lam * params.delta_t)
-        neighborhood = _gravity_neighborhood(ko_id, inbound, snapshot,
-                                             params.gravity_radius)
+        neighborhood = gravity_neighborhood(ko_id, index, params.gravity_radius)
         offdiag.append(sum(
             params.eta * params.a_g * abs(coeff) * params.g_scale / (d * d)
             for d, coeff in neighborhood.values()))
@@ -151,28 +149,20 @@ def empirical_convergence(snapshot: GraphSnapshot, params: EngineParams,
         raise ValueError(f"tol must be positive, got {tol}")
     report = gershgorin_check(snapshot, params)
 
-    active = [ko_id for ko_id in sorted(snapshot.kos)
-              if not snapshot.kos[ko_id].dormant]
+    prev_cycle = snapshot.cycle_at
+    now = (prev_cycle if prev_cycle is not None else 0) + params.cycle_period_s
+    index = cycle_index(snapshot, now)
+    active = [ko_id for ko_id in snapshot.zones if ko_id not in index.dormant]
     if not active:
         report.empirical_converged = True
         report.iterations_to_converge = 0
         return report
 
-    prev_cycle = snapshot.cycle_at
-    now = (prev_cycle if prev_cycle is not None else 0) + params.cycle_period_s
-    inbound = _build_inbound_index(snapshot, now)
     frozen_usage: dict[str, float] = {}
     frozen_evidence: dict[str, float] = {}
     for ko_id in active:
-        ko = snapshot.kos[ko_id]
-        ages = [(now - t) / SECONDS_PER_DAY for t in ko.retrieved_at if t <= now]
-        frozen_usage[ko_id] = usage_force(ages, params)
-        new_supports = sum(
-            1 for e in inbound.get(ko_id, ())
-            if e.edge_type is EdgeType.SUPPORTS
-            and (prev_cycle is None or e.created_at > prev_cycle)
-            and not snapshot.kos[e.source_id].dormant)
-        frozen_evidence[ko_id] = params.a_e * new_supports
+        frozen_usage[ko_id], frozen_evidence[ko_id] = cycle_inputs(
+            snapshot.kos[ko_id], index, params)
 
     current = snapshot
     for iteration in range(1, max_iters + 1):

@@ -12,6 +12,21 @@ penalty. Under stationary forces the update has the closed-form fixed point
 
 The cycle is synchronous: all forces read the previous snapshot, so two runs
 over equal snapshots are bit-identical.
+
+A cycle first builds its ``CycleIndex``: the dormant set from one zone lookup
+per object, each target's inbound edges, its non-dormant sources sorted by
+id with their coefficients summed, and the outbound BLOCKS counts.
+``run_cycle``, ``gravity_force``, ``cycle_inputs`` and the convergence
+checks in ``dynamics`` all read it, so no object's zone is recomputed and no
+node's edges are re-sorted per force. The neighbourhood mean is
+``fsum(ks) / n``, as ``statistics.fmean`` computes it. Sigma skips the exact
+``statistics.pstdev`` when the neighbourhood's k values span less than twice
+``sigma_floor``: a population standard deviation is at most half the span
+(Popoviciu), so the floor wins; under the default floor of 0.5 that holds
+for every neighbourhood, as non-dormant k lies in [0.05, 1]. Updated objects
+are built by ``KnowledgeObject.rescored``, a trusted constructor that skips
+re-validation (k is clamped and quantized, urgency clamped); an object whose
+k and urgency did not change is reused as it is.
 """
 
 from __future__ import annotations
@@ -20,7 +35,8 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping
 
 from .model import (
@@ -33,6 +49,7 @@ from .model import (
     EpistemicClass,
     GraphSnapshot,
     KnowledgeObject,
+    MemoryZone,
     class_profile,
 )
 
@@ -156,7 +173,7 @@ class EngineParams:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForceBreakdown:
     """Full audit record of one k-score update.
 
@@ -206,48 +223,12 @@ def contradiction_penalty(inbound: list[Edge], params: EngineParams) -> float:
     return params.a_c * count
 
 
-def _gravity_neighborhood(
-    ko_id: str,
-    inbound_index: Mapping[str, list[Edge]],
-    snapshot: GraphSnapshot,
-    radius: int,
-) -> dict[str, tuple[int, float]]:
-    """Non-dormant sources acting on ``ko_id`` within ``radius`` inbound hops.
-
-    Returns neighbor id -> (hop distance, signed coefficient). Direct
-    neighbors sum the coefficients of their edges; deeper neighbors carry the
-    signed product along the first id-ordered shortest path.
-    """
-    found: dict[str, tuple[int, float]] = {}
-    frontier: list[tuple[str, float]] = [(ko_id, 1.0)]
-    seen = {ko_id}
-    for depth in range(1, radius + 1):
-        nxt: list[tuple[str, float]] = []
-        for node, path_coeff in frontier:
-            edges = sorted(inbound_index.get(node, ()),
-                           key=lambda e: (e.source_id, e.edge_type.value))
-            by_source: dict[str, float] = {}
-            for e in edges:
-                if snapshot.kos[e.source_id].dormant:
-                    continue
-                by_source[e.source_id] = by_source.get(e.source_id, 0.0) + e.coefficient
-            for src in sorted(by_source):
-                if src in seen:
-                    continue
-                seen.add(src)
-                coeff = by_source[src] * path_coeff
-                found[src] = (depth, coeff)
-                nxt.append((src, coeff))
-        frontier = nxt
-    return found
-
-
 def gravity_force(
     ko_id: str,
     snapshot: GraphSnapshot,
     params: EngineParams,
     now: int | None = None,
-    _inbound_index: Mapping[str, list[Edge]] | None = None,
+    _index: CycleIndex | None = None,
 ) -> float:
     """Signed importance propagation from the neighborhood.
 
@@ -256,19 +237,24 @@ def gravity_force(
     standard deviation, floored at sigma_floor). A single neighbor always
     contributes 0 because it defines the neighborhood mean.
     """
-    if _inbound_index is None:
-        _inbound_index = _build_inbound_index(snapshot, now)
-    neighborhood = _gravity_neighborhood(ko_id, _inbound_index, snapshot,
-                                         params.gravity_radius)
+    index = cycle_index(snapshot, now) if _index is None else _index
+    neighborhood = gravity_neighborhood(ko_id, index, params.gravity_radius)
     if not neighborhood:
         return 0.0
-    ks = [snapshot.kos[j].scores.k for j in neighborhood]
-    mu = statistics.fmean(ks)
-    sigma = max(statistics.pstdev(ks, mu=mu), params.sigma_floor)
+    k = index.k
+    ks = [k[j] for j in neighborhood]
+    mu = math.fsum(ks) / len(ks)
+    floor = params.sigma_floor
+    # Popoviciu: a population sigma is at most half the values' span, so a
+    # span below twice the floor (less a margin for rounding) leaves the floor.
+    if max(ks) - min(ks) < 2.0 * floor * (1.0 - 1e-9):
+        sigma = floor
+    else:
+        sigma = max(statistics.pstdev(ks, mu=mu), floor)
     total = 0.0
     for j in sorted(neighborhood):
         distance, coeff = neighborhood[j]
-        z = (snapshot.kos[j].scores.k - mu) / sigma
+        z = (k[j] - mu) / sigma
         k_norm = max(0.0, z)
         total += coeff * math.tanh(params.g_scale * k_norm / distance)
     return params.a_g * total
@@ -344,14 +330,93 @@ def fixed_point(profile: ClassProfile,
 # Whole-graph cycles
 # ---------------------------------------------------------------------------
 
-def _build_inbound_index(snapshot: GraphSnapshot,
-                         now: int | None) -> dict[str, list[Edge]]:
-    index: dict[str, list[Edge]] = {}
+# ``_value_`` is the enum member's plain value attribute; ``value`` is a
+# Python-level property, too slow for a per-edge sort key.
+_SOURCE_THEN_TYPE = attrgetter("source_id", "edge_type._value_")
+
+
+@dataclass(frozen=True)
+class CycleIndex:
+    """A cycle's inputs that depend only on its snapshot and time, built once.
+
+    ``inbound`` keeps each target's edges created by ``now`` in snapshot
+    order, for the evidence and contradiction counts. ``sources`` keeps each
+    target's non-dormant sources sorted by id, each with the coefficients of
+    its edges summed in edge-type order. ``now=None`` admits every edge.
+    """
+
+    now: int | None
+    prev: int | None
+    dormant: frozenset[str]
+    k: dict[str, float]
+    inbound: dict[str, list[Edge]]
+    sources: dict[str, tuple[tuple[str, float], ...]]
+    outbound_blocks: dict[str, int]
+
+
+def cycle_index(snapshot: GraphSnapshot, now: int | None) -> CycleIndex:
+    """Index the snapshot for a cycle at ``now``, reading each zone once."""
+    dormant = frozenset(ko_id for ko_id, zone in snapshot.zones.items()
+                        if zone is MemoryZone.DORMANT)
+    inbound: dict[str, list[Edge]] = {}
+    outbound_blocks: dict[str, int] = {}
     for e in snapshot.edges:
         if now is not None and e.created_at > now:
             continue
-        index.setdefault(e.target_id, []).append(e)
-    return index
+        inbound.setdefault(e.target_id, []).append(e)
+        if e.edge_type is EdgeType.BLOCKS:
+            outbound_blocks[e.source_id] = outbound_blocks.get(e.source_id, 0) + 1
+    sources: dict[str, tuple[tuple[str, float], ...]] = {}
+    for target, edges in inbound.items():
+        by_source: dict[str, float] = {}
+        for e in sorted(edges, key=_SOURCE_THEN_TYPE):
+            if e.source_id not in dormant:
+                by_source[e.source_id] = by_source.get(e.source_id, 0.0) + e.coefficient
+        sources[target] = tuple(by_source.items())
+    k = {ko_id: ko.scores.k for ko_id, ko in snapshot.kos.items()}
+    return CycleIndex(now=now, prev=snapshot.cycle_at, dormant=dormant, k=k,
+                      inbound=inbound, sources=sources,
+                      outbound_blocks=outbound_blocks)
+
+
+def gravity_neighborhood(ko_id: str, index: CycleIndex,
+                         radius: int) -> dict[str, tuple[int, float]]:
+    """Non-dormant sources acting on ``ko_id`` within ``radius`` inbound hops.
+
+    Returns neighbor id -> (hop distance, signed coefficient). Direct
+    neighbors sum the coefficients of their edges; deeper neighbors carry the
+    signed product along the first id-ordered shortest path.
+    """
+    found: dict[str, tuple[int, float]] = {}
+    frontier: list[tuple[str, float]] = [(ko_id, 1.0)]
+    seen = {ko_id}
+    for depth in range(1, radius + 1):
+        nxt: list[tuple[str, float]] = []
+        for node, path_coeff in frontier:
+            for src, coeff in index.sources.get(node, ()):
+                if src in seen:
+                    continue
+                seen.add(src)
+                coeff *= path_coeff
+                found[src] = (depth, coeff)
+                nxt.append((src, coeff))
+        frontier = nxt
+    return found
+
+
+def cycle_inputs(ko: KnowledgeObject, index: CycleIndex,
+                 params: EngineParams) -> tuple[float, float]:
+    """The usage and evidence forces on ``ko`` in the indexed cycle: its
+    retrievals up to ``now``, and its inbound SUPPORTS edges from non-dormant
+    sources created since the previous cycle."""
+    now, prev = index.now, index.prev
+    ages = [(now - t) / SECONDS_PER_DAY for t in ko.retrieved_at if t <= now]
+    new_supports = sum(
+        1 for e in index.inbound.get(ko.id, ())
+        if e.edge_type is EdgeType.SUPPORTS
+        and (prev is None or e.created_at > prev)
+        and e.source_id not in index.dormant)
+    return usage_force(ages, params), evidence_force(new_supports, params)
 
 
 def run_cycle(
@@ -374,40 +439,28 @@ def run_cycle(
     held inputs.
     """
     snapshot.validate()
-    prev = snapshot.cycle_at
-    inbound = _build_inbound_index(snapshot, now)
-    outbound_blocks: dict[str, int] = {}
-    for e in snapshot.edges:
-        if e.created_at <= now and e.edge_type is EdgeType.BLOCKS:
-            outbound_blocks[e.source_id] = outbound_blocks.get(e.source_id, 0) + 1
+    index = cycle_index(snapshot, now)
+    prev, dormant = index.prev, index.dormant
+    held = frozen_usage is not None and frozen_evidence is not None
 
     new_kos: dict[str, KnowledgeObject] = {}
     breakdowns: list[ForceBreakdown] = []
-    for ko_id in sorted(snapshot.kos):
+    for ko_id in snapshot.zones:
         ko = snapshot.kos[ko_id]
-        fresh_retrievals = [t for t in ko.retrieved_at
-                            if (prev is None or t > prev) and t <= now]
-        if ko.dormant and not fresh_retrievals:
+        if ko_id in dormant and not any((prev is None or t > prev) and t <= now
+                                        for t in ko.retrieved_at):
             new_kos[ko_id] = ko
             continue
 
+        if not held:
+            u, e_force = cycle_inputs(ko, index, params)
         if frozen_usage is not None:
             u = frozen_usage.get(ko_id, 0.0)
-        else:
-            ages = [(now - t) / SECONDS_PER_DAY for t in ko.retrieved_at if t <= now]
-            u = usage_force(ages, params)
         if frozen_evidence is not None:
             e_force = frozen_evidence.get(ko_id, 0.0)
-        else:
-            new_supports = sum(
-                1 for e in inbound.get(ko_id, ())
-                if e.edge_type is EdgeType.SUPPORTS
-                and (prev is None or e.created_at > prev)
-                and not snapshot.kos[e.source_id].dormant)
-            e_force = evidence_force(new_supports, params)
-        active_inbound = [e for e in inbound.get(ko_id, ())
-                          if not snapshot.kos[e.source_id].dormant]
-        g = gravity_force(ko_id, snapshot, params, _inbound_index=inbound)
+        active_inbound = [e for e in index.inbound.get(ko_id, ())
+                          if e.source_id not in dormant]
+        g = gravity_force(ko_id, snapshot, params, _index=index)
         c = contradiction_penalty(active_inbound, params)
 
         fb = kge_step(ko, (u, e_force, g, c), params)
@@ -416,12 +469,14 @@ def run_cycle(
         if ko.cls is EpistemicClass.QUESTION:
             urgency = question_urgency(
                 (now - ko.created_at) / SECONDS_PER_DAY,
-                outbound_blocks.get(ko_id, 0),
+                index.outbound_blocks.get(ko_id, 0),
                 ko.stakes,
                 resolved=ko.resolved)
         else:
             urgency = 0.0
-        new_scores = replace(ko.scores, k=fb.k_after, urgency=urgency)
-        new_kos[ko_id] = replace(ko, scores=new_scores)
+        if fb.k_after == ko.scores.k and urgency == ko.scores.urgency:
+            new_kos[ko_id] = ko
+        else:
+            new_kos[ko_id] = ko.rescored(fb.k_after, urgency)
 
     return GraphSnapshot(kos=new_kos, edges=snapshot.edges, cycle_at=now), breakdowns

@@ -3,7 +3,8 @@ typed edges, score vectors, and memory zones.
 
 Everything here is an immutable value. Score updates happen in the engine,
 which produces fresh objects rather than mutating existing ones, so snapshots
-can be shared freely across threads.
+can be shared freely across threads. The per-object values (edges, score
+vectors, knowledge objects) are slotted: a replayed log holds many of them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 class ModelError(ValueError):
@@ -165,6 +166,12 @@ def koc_similarity(a: Koc, b: Koc, weights: Sequence[float] | None = None) -> fl
     and exactly 1.0 for identical coordinates (the matched weight is divided
     by the total weight, sidestepping float drift in the weight sum).
     """
+    return koc_matcher(a, weights)(b)
+
+
+def koc_matcher(anchor: Koc, weights: Sequence[float] | None = None) -> Callable[[Koc], float]:
+    """``koc_similarity(anchor, b, weights)`` as a function of ``b``, with the
+    weights checked and summed and the anchor's axes taken once."""
     if weights is None:
         weights = UNIFORM_KOC_WEIGHTS
     elif len(weights) != 7:
@@ -172,8 +179,11 @@ def koc_similarity(a: Koc, b: Koc, weights: Sequence[float] | None = None) -> fl
     total = math.fsum(weights)
     if total <= 0:
         raise ModelError("axis weights must have a positive sum")
-    matched = math.fsum(w for w, x, y in zip(weights, a.axes(), b.axes()) if x == y)
-    return matched / total
+    pairs = tuple(zip(weights, anchor.axes()))
+
+    def similarity(b: Koc) -> float:
+        return math.fsum(w for (w, x), y in zip(pairs, b.axes()) if x == y) / total
+    return similarity
 
 
 UNIFORM_KOC_WEIGHTS: tuple[float, ...] = (1.0 / 7.0,) * 7
@@ -219,7 +229,7 @@ def edge_coefficient(edge_type: EdgeType) -> float:
     return EDGE_COEFFICIENTS[edge_type]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """Directed typed relationship: source acts on target.
 
@@ -245,7 +255,7 @@ class Edge:
 # Scores and zones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreVector:
     """Five-component score state, each component in [0, 1].
 
@@ -296,7 +306,7 @@ def zone_for(k: float) -> MemoryZone:
 # Knowledge objects and snapshots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeObject:
     """A typed epistemic unit. Never deleted; it only moves between zones.
 
@@ -337,6 +347,39 @@ class KnowledgeObject:
     @property
     def dormant(self) -> bool:
         return self.zone is MemoryZone.DORMANT
+
+    def rescored(self, k: float, urgency: float) -> "KnowledgeObject":
+        """This object with a new k and urgency, built without re-validation.
+
+        The trusted constructor of the engine's cycle: the engine clamps and
+        quantizes k and clamps urgency (zero outside QUESTION), so every
+        check of ``__post_init__`` holds by construction. Any other caller
+        uses ``dataclasses.replace``, which validates.
+        """
+        s = self.scores
+        scores = _new(ScoreVector)
+        _set(scores, "k", k)
+        _set(scores, "confidence", s.confidence)
+        _set(scores, "freshness", s.freshness)
+        _set(scores, "urgency", urgency)
+        _set(scores, "contradiction", s.contradiction)
+        ko = _new(KnowledgeObject)
+        _set(ko, "id", self.id)
+        _set(ko, "koc", self.koc)
+        _set(ko, "cls", self.cls)
+        _set(ko, "content", self.content)
+        _set(ko, "scores", scores)
+        _set(ko, "created_at", self.created_at)
+        _set(ko, "retrieved_at", self.retrieved_at)
+        _set(ko, "resolved", self.resolved)
+        _set(ko, "stakes", self.stakes)
+        _set(ko, "anchors", self.anchors)
+        _set(ko, "embedding", self.embedding)
+        return ko
+
+
+_new = object.__new__
+_set = object.__setattr__  # bypasses the frozen dataclass's __setattr__
 
 
 def embedding_norm(embedding: Sequence[float]) -> float:

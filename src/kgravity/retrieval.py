@@ -18,7 +18,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import (
     GraphSnapshot,
@@ -26,7 +26,7 @@ from .model import (
     Koc,
     MemoryZone,
     embedding_norm,
-    koc_similarity,
+    koc_matcher,
 )
 
 
@@ -114,10 +114,17 @@ def structural_sim(q: Query, ko: KnowledgeObject,
     With an anchor coordinate this is the full seven-axis similarity;
     otherwise only the entity and domain axes are compared, uniformly.
     """
+    return _structural(q, koc_weights)(ko)
+
+
+def _structural(q: Query, koc_weights: Sequence[float] | None
+                ) -> Callable[[KnowledgeObject], float]:
+    """``structural_sim`` for one query, with its per-query work done once."""
     if q.anchor_koc is not None:
-        return koc_similarity(q.anchor_koc, ko.koc, koc_weights)
-    matches = (q.primary_entity == ko.koc.entity) + (q.domain == ko.koc.domain)
-    return matches / 2.0
+        similarity = koc_matcher(q.anchor_koc, koc_weights)
+        return lambda ko: similarity(ko.koc)
+    entity, domain = q.primary_entity, q.domain
+    return lambda ko: ((entity == ko.koc.entity) + (domain == ko.koc.domain)) / 2.0
 
 
 def semantic_available(q: Query, ko: KnowledgeObject) -> bool:
@@ -163,9 +170,10 @@ def resolve_focus(q: Query, snapshot: GraphSnapshot,
     exact = snapshot.first_ids.get(q.anchor_koc)
     if exact is not None:
         return exact
+    structural = _structural(q, koc_weights)
     best_id, best_sim = None, -1.0
     for ko_id in snapshot.zones:
-        sim = structural_sim(q, snapshot.kos[ko_id], koc_weights)
+        sim = structural(snapshot.kos[ko_id])
         if sim > best_sim:
             best_id, best_sim = ko_id, sim
     return best_id
@@ -189,7 +197,8 @@ def contextual_attention(q: Query, ko: KnowledgeObject, w: RetrievalWeights) -> 
     """Query-local relevance: entity match, domain match, anchor overlap."""
     entity = 1.0 if ko.koc.entity == q.primary_entity else 0.0
     domain = 1.0 if ko.koc.domain == q.domain else 0.0
-    overlap = len(ko.anchors & q.active_anchors) / max(len(q.active_anchors), 1)
+    anchors = q.active_anchors
+    overlap = len(ko.anchors & anchors) / len(anchors) if anchors else 0.0
     return w.w_e * entity + w.w_d * domain + w.w_a * overlap
 
 
@@ -206,11 +215,12 @@ def _scorer(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
     embedding norm and zone, as a tuple in ``RankedResult`` field order."""
     focus = resolve_focus(q, snapshot, koc_weights)
     distances = {} if focus is None else hop_distances(snapshot, focus)
+    structural = _structural(q, koc_weights)
     qe = q.embedding
     qn = None if qe is None else embedding_norm(qe)
 
     def score(ko: KnowledgeObject, nb: float | None, zone: MemoryZone) -> tuple:
-        s_struct = structural_sim(q, ko, koc_weights)
+        s_struct = structural(ko)
         degraded = qe is None or nb is None
         s_sem = 0.0 if degraded else _rescaled_cosine(qe, qn, ko, nb)
         h = distances.get(ko.id)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .engine import (
     EngineParams,
@@ -37,6 +38,7 @@ from .model import (
     GraphSnapshot,
     KnowledgeObject,
     Koc,
+    ModelError,
     ScoreVector,
     class_profile,
 )
@@ -79,7 +81,7 @@ class EventKind(Enum):
     PARAMS_CHANGED = "PARAMS_CHANGED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """One entry in the append-only log. seq is gap-free from 1."""
 
@@ -89,21 +91,25 @@ class EventRecord:
     payload: dict
 
 
-def _parse_class(name: str) -> EpistemicClass:
+def _parse_class(name: EpistemicClass | str) -> EpistemicClass:
     try:
         return EpistemicClass(name)
     except ValueError:
         raise ValidationError(f"unknown epistemic class {name!r}") from None
 
 
-def _parse_edge_type(name: str) -> EdgeType:
+def _parse_edge_type(name: EdgeType | str) -> EdgeType:
     try:
         return EdgeType(name)
     except ValueError:
         raise ValidationError(f"unknown edge type {name!r}") from None
 
 
-def _parse_koc(data: dict) -> Koc:
+def _parse_koc(data: Koc | dict) -> Koc:
+    if isinstance(data, Koc):
+        return data
+    if not isinstance(data, dict):
+        raise ValidationError(f"koc must be an object, got {data!r}")
     try:
         return Koc(entity=data["entity"], domain=data["domain"],
                    cls=_parse_class(data["class"]), epoch=data["epoch"],
@@ -111,6 +117,30 @@ def _parse_koc(data: dict) -> Koc:
                    variant=data["variant"])
     except KeyError as missing:
         raise ValidationError(f"koc missing axis {missing}") from None
+    except ModelError as exc:
+        raise ValidationError(str(exc)) from None
+
+
+def parse_field_ts(name: str, value) -> int:
+    """A record's ISO-8601 timestamp field as UTC seconds; anything else is
+    a ValidationError naming the field."""
+    try:
+        return iso_to_ts(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{name} must be a timestamp like 2024-01-01T00:00:00Z, got {value!r}") from None
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, Iterable) and not isinstance(value, (str, bytes, dict))
+
+
+def _field_number(record: dict, name: str, default: float) -> float:
+    value = record.get(name, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
 
 
 def _koc_to_dict(koc: Koc) -> dict:
@@ -170,8 +200,10 @@ class CorpusStore:
         taxonomy and rejects class/coordinate mismatches. The object starts
         at its class seed score, with urgency computed for questions.
         """
-        cls_ = _parse_class(cls) if isinstance(cls, str) else cls
-        koc_ = _parse_koc(koc) if isinstance(koc, dict) else koc
+        cls_ = _parse_class(cls)
+        koc_ = _parse_koc(koc)
+        if not _is_list(anchors):
+            raise ValidationError(f"anchors must be a list of strings, got {anchors!r}")
         anchors = tuple(anchors)
         if koc_.cls is not cls_:
             raise ValidationError(
@@ -182,6 +214,8 @@ class CorpusStore:
             raise ValidationError(f"duplicate knowledge object id {ko_id!r}")
         if not 0.0 <= stakes <= 1.0:
             raise ValidationError(f"stakes {stakes} outside [0, 1]")
+        if embedding is not None and not _is_list(embedding):
+            raise ValidationError(f"embedding must be a list of numbers, got {embedding!r}")
         if embedding is not None and not all(
                 isinstance(x, (int, float)) and math.isfinite(x) for x in embedding):
             raise ValidationError(f"embedding for {ko_id!r} has non-finite values")
@@ -203,28 +237,39 @@ class CorpusStore:
         return ko_id
 
     def ingest_record(self, record: dict) -> str:
-        """Ingest a parsed corpus-file record (see README for the schema)."""
+        """Ingest a parsed corpus-file record (see README for the schema).
+
+        A missing, unknown or wrongly typed field is a ValidationError that
+        names the field.
+        """
         if record.get("kind") != "ko":
             raise ValidationError(f"not a ko record: kind={record.get('kind')!r}")
         scores = record.get("scores", {})
+        if not isinstance(scores, dict):
+            raise ValidationError(f"scores must be an object, got {scores!r}")
+        ko_id, content = record.get("id"), record.get("content", "")
+        if ko_id is not None and not isinstance(ko_id, str):
+            raise ValidationError(f"id must be a string, got {ko_id!r}")
+        if not isinstance(content, str):
+            raise ValidationError(f"content must be a string, got {content!r}")
         return self.ingest_ko(
             cls=record.get("class", ""),
             koc=record.get("koc", {}),
-            content=record.get("content", ""),
-            ko_id=record.get("id"),
-            created_at=iso_to_ts(record["created_at"]) if "created_at" in record else 0,
-            stakes=float(record.get("stakes", 0.0)),
+            content=content,
+            ko_id=ko_id,
+            created_at=(parse_field_ts("created_at", record["created_at"])
+                        if "created_at" in record else 0),
+            stakes=_field_number(record, "stakes", 0.0),
             anchors=record.get("anchors", ()),
             embedding=record.get("embedding"),
-            confidence=float(scores.get("confidence", 1.0)),
-            freshness=float(scores.get("freshness", 1.0)))
+            confidence=_field_number(scores, "confidence", 1.0),
+            freshness=_field_number(scores, "freshness", 1.0))
 
     def add_edge(self, source: str, target: str, edge_type: EdgeType | str,
                  at: int) -> Edge:
         """Create a typed edge; duplicates, self-loops, and dangling
         endpoints are rejected so per-cycle edge counts stay well-defined."""
-        edge_type_ = (_parse_edge_type(edge_type) if isinstance(edge_type, str)
-                      else edge_type)
+        edge_type_ = _parse_edge_type(edge_type)
         self._check_edge(source, target, edge_type_)
         payload = {"source": source, "target": target,
                    "type": edge_type_.value, "at": at}
@@ -275,7 +320,9 @@ class CorpusStore:
 
         Without an explicit timestamp the cycle time advances from the last
         cycle (or the latest event) by the configured period, keeping
-        repeated invocations deterministic.
+        repeated invocations deterministic. A time earlier than the last
+        cycle's is a ValidationError: it would invert the "since the last
+        cycle" window.
         """
         if now is None:
             base = self._last_cycle_at if self._last_cycle_at is not None \
@@ -347,6 +394,10 @@ class CorpusStore:
             return None
         if kind is EventKind.CYCLE_APPLIED:
             now = int(payload["at"])
+            if self._last_cycle_at is not None and now < self._last_cycle_at:
+                raise ValidationError(
+                    f"cycle at {now} is earlier than the last cycle at "
+                    f"{self._last_cycle_at}; cycle time never runs backwards")
             new_snapshot, breakdowns = run_cycle(self.snapshot(), now, self._params)
             self._kos = dict(new_snapshot.kos)
             self._last_cycle_at = now
@@ -548,7 +599,14 @@ def _event_from_dict(data: dict) -> EventRecord:
     if type(seq) is not int or not isinstance(at, str) or not isinstance(payload, dict):
         raise ValueError("seq must be an integer, at a string and payload an object")
     return EventRecord(seq=seq, at=iso_to_ts(at), kind=EventKind(data["kind"]),
-                       payload=payload)
+                       payload=_interned(payload))
+
+
+def _interned(payload: dict) -> dict:
+    # A parsed log holds one payload per event; sharing the key strings
+    # between them keeps a long log's footprint down.
+    return {sys.intern(key): _interned(value) if type(value) is dict else value
+            for key, value in payload.items()}
 
 
 def append_events(path: str | Path, events: Iterable[EventRecord]) -> None:
@@ -560,12 +618,12 @@ def append_events(path: str | Path, events: Iterable[EventRecord]) -> None:
 
 def read_events(path: str | Path) -> list[EventRecord]:
     events: list[EventRecord] = []
-    for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(_event_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise ReplayError(f"corrupt event log line {lineno}: {exc}") from exc
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                events.append(_event_from_dict(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                raise ReplayError(f"corrupt event log line {lineno}: {exc}") from exc
     return events

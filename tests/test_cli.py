@@ -84,6 +84,22 @@ def test_ingest_with_edges(cli, tmp_path):
     assert "2 KOs, 1 edges ingested; 0 rejected" in out
 
 
+def test_ingest_reports_mistyped_fields_per_line(cli, tmp_path):
+    bad_koc = dict(ko_rec(1), koc="e1/ops")
+    records = [ko_rec(0), dict(ko_rec(1), created_at=1700000000), bad_koc,
+               dict(ko_rec(2), **{"class": 4}), dict(ko_rec(3), stakes="high"),
+               ko_rec(4), dict(edge_rec("k000", "k004"), created_at=5),
+               dict(edge_rec("k000", "k004"), type=3)]
+    write_input(tmp_path / "in.jsonl", records)
+    summary = json.loads(cli("--format", "records", "ingest", str(tmp_path / "in.jsonl")))
+    assert (summary["kos"], summary["edges"]) == (2, 0)
+    errors = {r["line"]: r["error"] for r in summary["rejections"]}
+    assert sorted(errors) == [3, 4, 5, 6, 8, 9]
+    for line, field in [(3, "created_at"), (4, "koc"), (5, "class"),
+                        (6, "stakes"), (8, "created_at"), (9, "edge type")]:
+        assert field in errors[line]
+
+
 def test_ingest_missing_file_is_contract_violation(cli, tmp_path):
     cli("ingest", str(tmp_path / "nope.jsonl"), expect=1)
 

@@ -1,0 +1,376 @@
+"""The indexed cycle against an oracle of the unindexed one.
+
+``oracle_cycle`` is the cycle as it was before the per-cycle index: it
+rebuilds the inbound lists, re-sorts every node's edges, asks each object
+for its zone, takes sigma from ``statistics.pstdev`` and rebuilds objects
+with ``dataclasses.replace``. ``run_cycle`` must agree with it exactly:
+snapshots and force breakdowns are compared with ``==``, never ``approx``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import random
+import statistics
+
+import pytest
+
+from kgravity.dynamics import random_graph
+from kgravity.engine import (
+    SECONDS_PER_DAY,
+    EngineParams,
+    ForceBreakdown,
+    contradiction_penalty,
+    cycle_index,
+    evidence_force,
+    gravity_force,
+    gravity_neighborhood,
+    kge_step,
+    question_urgency,
+    run_cycle,
+    usage_force,
+)
+from kgravity.model import (
+    Edge,
+    EdgeType,
+    EpistemicClass,
+    GraphSnapshot,
+    KnowledgeObject,
+    ModelError,
+    ScoreVector,
+)
+from kgravity.store import EventKind, EventRecord
+
+from tests.conftest import make_ko
+
+PROD = EngineParams.production()
+
+
+# ---------------------------------------------------------------------------
+# The oracle: the cycle without an index
+# ---------------------------------------------------------------------------
+
+def oracle_inbound(snapshot, now):
+    index = {}
+    for e in snapshot.edges:
+        if now is not None and e.created_at > now:
+            continue
+        index.setdefault(e.target_id, []).append(e)
+    return index
+
+
+def oracle_neighborhood(ko_id, inbound, snapshot, radius):
+    found = {}
+    frontier = [(ko_id, 1.0)]
+    seen = {ko_id}
+    for depth in range(1, radius + 1):
+        nxt = []
+        for node, path_coeff in frontier:
+            edges = sorted(inbound.get(node, ()),
+                           key=lambda e: (e.source_id, e.edge_type.value))
+            by_source = {}
+            for e in edges:
+                if snapshot.kos[e.source_id].dormant:
+                    continue
+                by_source[e.source_id] = by_source.get(e.source_id, 0.0) + e.coefficient
+            for src in sorted(by_source):
+                if src in seen:
+                    continue
+                seen.add(src)
+                coeff = by_source[src] * path_coeff
+                found[src] = (depth, coeff)
+                nxt.append((src, coeff))
+        frontier = nxt
+    return found
+
+
+def oracle_gravity(ko_id, snapshot, params, inbound):
+    neighborhood = oracle_neighborhood(ko_id, inbound, snapshot, params.gravity_radius)
+    if not neighborhood:
+        return 0.0
+    ks = [snapshot.kos[j].scores.k for j in neighborhood]
+    mu = statistics.fmean(ks)
+    sigma = max(statistics.pstdev(ks, mu=mu), params.sigma_floor)
+    total = 0.0
+    for j in sorted(neighborhood):
+        distance, coeff = neighborhood[j]
+        z = (snapshot.kos[j].scores.k - mu) / sigma
+        total += coeff * math.tanh(params.g_scale * max(0.0, z) / distance)
+    return params.a_g * total
+
+
+def oracle_cycle(snapshot, now, params, frozen_usage=None, frozen_evidence=None):
+    snapshot.validate()
+    prev = snapshot.cycle_at
+    inbound = oracle_inbound(snapshot, now)
+    outbound_blocks = {}
+    for e in snapshot.edges:
+        if e.created_at <= now and e.edge_type is EdgeType.BLOCKS:
+            outbound_blocks[e.source_id] = outbound_blocks.get(e.source_id, 0) + 1
+    new_kos = {}
+    breakdowns = []
+    for ko_id in sorted(snapshot.kos):
+        ko = snapshot.kos[ko_id]
+        fresh = [t for t in ko.retrieved_at if (prev is None or t > prev) and t <= now]
+        if ko.dormant and not fresh:
+            new_kos[ko_id] = ko
+            continue
+        if frozen_usage is not None:
+            u = frozen_usage.get(ko_id, 0.0)
+        else:
+            ages = [(now - t) / SECONDS_PER_DAY for t in ko.retrieved_at if t <= now]
+            u = usage_force(ages, params)
+        if frozen_evidence is not None:
+            e_force = frozen_evidence.get(ko_id, 0.0)
+        else:
+            new_supports = sum(
+                1 for e in inbound.get(ko_id, ())
+                if e.edge_type is EdgeType.SUPPORTS
+                and (prev is None or e.created_at > prev)
+                and not snapshot.kos[e.source_id].dormant)
+            e_force = evidence_force(new_supports, params)
+        active = [e for e in inbound.get(ko_id, ())
+                  if not snapshot.kos[e.source_id].dormant]
+        g = oracle_gravity(ko_id, snapshot, params, inbound)
+        c = contradiction_penalty(active, params)
+        fb = kge_step(ko, (u, e_force, g, c), params)
+        breakdowns.append(fb)
+        if ko.cls is EpistemicClass.QUESTION:
+            urgency = question_urgency((now - ko.created_at) / SECONDS_PER_DAY,
+                                       outbound_blocks.get(ko_id, 0), ko.stakes,
+                                       resolved=ko.resolved)
+        else:
+            urgency = 0.0
+        scores = dataclasses.replace(ko.scores, k=fb.k_after, urgency=urgency)
+        new_kos[ko_id] = dataclasses.replace(ko, scores=scores)
+    return GraphSnapshot(kos=new_kos, edges=snapshot.edges, cycle_at=now), breakdowns
+
+
+# ---------------------------------------------------------------------------
+# Graphs
+# ---------------------------------------------------------------------------
+
+DAY = SECONDS_PER_DAY
+CYCLE_AT = 10 * DAY  # the last cycle before the ones under test
+
+
+def churned_graph(seed: int, n: int = 60) -> GraphSnapshot:
+    """A ``random_graph`` with dormant objects (one revived by a fresh
+    retrieval), retrieval histories, resolved and open QUESTIONs, several
+    edge types between one pair and edges created after the cycles run."""
+    base = random_graph(n, seed, edge_factor=3.0, negative_fraction=0.3)
+    rng = random.Random(seed)
+    kos = {}
+    for ko_id, ko in base.kos.items():
+        roll = rng.random()
+        k = ko.scores.k
+        if roll < 0.2:
+            k = round(rng.uniform(0.0, 0.049), 9)
+        elif roll < 0.5:
+            k = round(rng.uniform(0.05, 1.0), 9)
+        changes = {}
+        if ko.cls is EpistemicClass.QUESTION:
+            changes.update(stakes=round(rng.random(), 3), resolved=rng.random() < 0.5)
+        retrievals = sorted(rng.randrange(0, CYCLE_AT + DAY)
+                            for _ in range(rng.choice((0, 0, 1, 3))))
+        changes["retrieved_at"] = tuple(retrievals)
+        kos[ko_id] = dataclasses.replace(ko, scores=ScoreVector(k=k), **changes)
+    dormant = sorted(i for i, ko in kos.items() if ko.dormant)
+    revived, stays = dormant[0], dormant[1]
+    kos[revived] = dataclasses.replace(kos[revived], retrieved_at=(CYCLE_AT + 60,))
+    kos[stays] = dataclasses.replace(kos[stays], retrieved_at=(CYCLE_AT - 60,))
+
+    times = (0, CYCLE_AT - DAY, CYCLE_AT, CYCLE_AT + 600, 40 * DAY)
+    edges = [Edge(e.source_id, e.target_id, e.edge_type, rng.choice(times))
+             for e in base.edges]
+    a, b = [i for i in sorted(kos) if i not in (revived, stays)][:2]
+    have = {(e.source_id, e.target_id, e.edge_type) for e in edges}
+    # Summed in edge-type order these give 1.5000000000000002; other orders
+    # can give 1.5, so the order is observable.
+    for edge_type in (EdgeType.PRECEDES, EdgeType.BASED_ON, EdgeType.ENABLES):
+        if (a, b, edge_type) not in have:
+            edges.append(Edge(a, b, edge_type, CYCLE_AT + 600))
+    edges.append(Edge(stays, b, EdgeType.SUPPORTS, CYCLE_AT + 600))
+    return GraphSnapshot(kos=kos, edges=tuple(edges), cycle_at=CYCLE_AT)
+
+
+def assert_cycles_agree(snapshot, params, cycles=4, **frozen):
+    now = CYCLE_AT + params.cycle_period_s
+    for _ in range(cycles):
+        got, got_fb = run_cycle(snapshot, now, params, **frozen)
+        want, want_fb = oracle_cycle(snapshot, now, params, **frozen)
+        assert got == want
+        assert got_fb == want_fb
+        assert [fb.ko_id for fb in got_fb] == [fb.ko_id for fb in want_fb]
+        snapshot = got
+        now += params.cycle_period_s
+
+
+# ---------------------------------------------------------------------------
+# Equivalence
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_cycle_matches_oracle(seed):
+    snapshot = churned_graph(seed)
+    assert_cycles_agree(snapshot, PROD)
+
+
+def test_churned_graph_covers_its_cases():
+    snapshot = churned_graph(1)
+    now = CYCLE_AT + PROD.cycle_period_s
+    dormant = {i for i, ko in snapshot.kos.items() if ko.dormant}
+    updated = {fb.ko_id for fb in run_cycle(snapshot, now, PROD)[1]}
+    assert dormant - updated and dormant & updated  # frozen and revived
+    assert any(e.source_id in dormant for e in snapshot.edges)
+    assert any(e.created_at > now for e in snapshot.edges)
+    pairs = [(e.source_id, e.target_id) for e in snapshot.edges]
+    assert max(pairs.count(p) for p in set(pairs)) >= 3
+    questions = [ko for ko in snapshot.kos.values() if ko.cls is EpistemicClass.QUESTION]
+    assert {ko.resolved for ko in questions} == {True, False}
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_cycle_matches_oracle_at_radius_two(seed):
+    assert_cycles_agree(churned_graph(seed), EngineParams.production(gravity_radius=2))
+
+
+def test_cycle_matches_oracle_with_frozen_inputs():
+    snapshot = churned_graph(7)
+    rng = random.Random(7)
+    usage = {i: rng.uniform(0.0, 0.3) for i in sorted(snapshot.kos)[::2]}
+    evidence = {i: rng.choice((0.0, 0.1, 0.2)) for i in sorted(snapshot.kos)[1::3]}
+    assert_cycles_agree(snapshot, PROD, frozen_usage=usage, frozen_evidence=evidence)
+    assert_cycles_agree(snapshot, PROD, frozen_usage=usage)
+    assert_cycles_agree(snapshot, PROD, frozen_evidence=evidence)
+
+
+def count_pstdev_calls(monkeypatch, snapshot, params, cycles=4) -> int:
+    calls = []
+    pstdev = statistics.pstdev
+    with monkeypatch.context() as patch:
+        patch.setattr(statistics, "pstdev",
+                      lambda *a, **kw: calls.append(1) or pstdev(*a, **kw))
+        now = CYCLE_AT + params.cycle_period_s
+        for _ in range(cycles):
+            snapshot, _ = run_cycle(snapshot, now, params)
+            now += params.cycle_period_s
+    return len(calls)
+
+
+def test_cycle_matches_oracle_on_exact_sigma_path(monkeypatch):
+    params = EngineParams.production(sigma_floor=0.1)
+    snapshot = churned_graph(8)
+    assert count_pstdev_calls(monkeypatch, snapshot, params) > 0
+    assert_cycles_agree(snapshot, params)
+
+
+def test_default_floor_never_needs_pstdev(monkeypatch):
+    """Non-dormant k >= 0.05 spans less than 1.0 = 2 * sigma_floor."""
+    snapshot = churned_graph(9)
+    assert count_pstdev_calls(monkeypatch, snapshot, PROD) == 0
+    assert_cycles_agree(snapshot, PROD)
+
+
+def test_cycle_matches_oracle_under_simulation_preset():
+    assert_cycles_agree(churned_graph(10), EngineParams.simulation(), cycles=3)
+
+
+def test_cycle_matches_oracle_on_a_plain_random_graph():
+    snapshot = dataclasses.replace(random_graph(120, 11, edge_factor=3.0), cycle_at=None)
+    now = PROD.cycle_period_s
+    for _ in range(3):
+        got = run_cycle(snapshot, now, PROD)
+        assert got == oracle_cycle(snapshot, now, PROD)
+        snapshot, now = got[0], now + PROD.cycle_period_s
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_gravity_force_view_matches_oracle(radius):
+    params = EngineParams.production(gravity_radius=radius)
+    snapshot = churned_graph(12)
+    inbound = oracle_inbound(snapshot, None)
+    index = cycle_index(snapshot, None)
+    for ko_id in sorted(snapshot.kos):
+        assert gravity_neighborhood(ko_id, index, radius) == \
+            oracle_neighborhood(ko_id, inbound, snapshot, radius)
+        assert gravity_force(ko_id, snapshot, params) == \
+            oracle_gravity(ko_id, snapshot, params, inbound)
+
+
+def test_unchanged_objects_are_reused():
+    ko = make_ko("a", EpistemicClass.CONSTRAINT, k=0.9)
+    snapshot = GraphSnapshot(kos={"a": ko})
+    fresh = make_ko("b", EpistemicClass.CONSTRAINT, k=0.5)
+    moved, _ = run_cycle(GraphSnapshot(kos={"a": ko, "b": fresh}), DAY, PROD)
+    assert run_cycle(snapshot, DAY, PROD)[0].kos["a"] is ko  # at its fixed point
+    assert moved.kos["b"] is not fresh and moved.kos["b"].scores.k != 0.5
+    # k pinned at 1.0 by heavy use while the question's urgency grows
+    question = GraphSnapshot(kos={"q": make_ko("q", EpistemicClass.QUESTION, k=1.0,
+                                               retrieved_at=(DAY - 1,) * 20)})
+    got = run_cycle(question, DAY, PROD)
+    assert got == oracle_cycle(question, DAY, PROD)
+    assert got[0].kos["q"].scores.k == 1.0 and got[0].kos["q"].scores.urgency > 0.0
+
+
+def test_rescored_equals_a_validated_replace():
+    ko = make_ko("q", EpistemicClass.QUESTION, k=0.3, stakes=0.5,
+                 retrieved_at=(5, 9), anchors=frozenset({"x"}), embedding=(1.0, 0.5))
+    ko = dataclasses.replace(ko, scores=ScoreVector(0.3, 0.7, 0.6, 0.2, 0.1))
+    want = dataclasses.replace(
+        ko, scores=dataclasses.replace(ko.scores, k=0.25, urgency=0.4))
+    got = ko.rescored(0.25, 0.4)
+    assert got == want and hash(got) == hash(want)
+    assert [getattr(got, f.name) for f in dataclasses.fields(got)] == \
+        [getattr(want, f.name) for f in dataclasses.fields(want)]
+
+
+# ---------------------------------------------------------------------------
+# Slotted values behave as before
+# ---------------------------------------------------------------------------
+
+SLOTTED = {
+    Edge: ("source_id", "target_id", "edge_type", "created_at"),
+    ScoreVector: ("k", "confidence", "freshness", "urgency", "contradiction"),
+    KnowledgeObject: ("id", "koc", "cls", "content", "scores", "created_at",
+                      "retrieved_at", "resolved", "stakes", "anchors", "embedding"),
+    ForceBreakdown: ("ko_id", "seed", "usage", "evidence", "gravity", "decay_term",
+                     "contradiction", "k_before", "k_after"),
+    EventRecord: ("seq", "at", "kind", "payload"),
+}
+
+
+def slotted_examples():
+    ko = make_ko("a", EpistemicClass.EVIDENCE, k=0.5, anchors=frozenset({"x"}))
+    return {
+        Edge: Edge("a", "b", EdgeType.SUPPORTS, 3),
+        ScoreVector: ScoreVector(0.5, 0.9),
+        KnowledgeObject: ko,
+        ForceBreakdown: ForceBreakdown("a", 0.8, 0.1, 0.0, 0.02, -0.001, 0.0, 0.5, 0.52),
+        EventRecord: EventRecord(1, 0, EventKind.KO_RETRIEVED, {"id": "a", "at": 0}),
+    }
+
+
+@pytest.mark.parametrize("cls", list(SLOTTED), ids=lambda c: c.__name__)
+def test_slotted_dataclasses_keep_their_behaviour(cls):
+    value = slotted_examples()[cls]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == SLOTTED[cls]
+    assert not hasattr(value, "__dict__")
+    copy = dataclasses.replace(value)
+    assert copy == value and copy is not value
+    if cls is not EventRecord:  # its payload is a dict
+        assert hash(copy) == hash(value)
+    first = SLOTTED[cls][0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, first, getattr(value, first))
+
+
+def test_replace_still_validates_slotted_values():
+    ko = slotted_examples()[KnowledgeObject]
+    with pytest.raises(ModelError):
+        dataclasses.replace(ko.scores, k=1.5)
+    with pytest.raises(ModelError):
+        dataclasses.replace(ko, stakes=2.0)
+    with pytest.raises(ModelError):
+        dataclasses.replace(slotted_examples()[Edge], target_id="a")

@@ -396,6 +396,63 @@ def test_ingest_rejects_bad_anchor_tokens():
                         content="bad anchors", anchors=["ok", ""])
 
 
+def valid_record(**fields) -> dict:
+    record = {"kind": "ko", "id": "x", "class": "EVIDENCE",
+              "koc": {"entity": "e", "domain": "d", "class": "EVIDENCE",
+                      "epoch": "q1", "depth": "l1", "author": "ana", "variant": "v1"},
+              "content": "c", "created_at": "2024-01-01T00:00:00Z"}
+    record.update(fields)
+    return record
+
+
+@pytest.mark.parametrize("field, value", [
+    ("created_at", 1700000000), ("created_at", None), ("created_at", "yesterday"),
+    ("koc", "acme/ops"), ("koc", ["acme"]), ("class", 3), ("class", None),
+    ("stakes", "high"), ("stakes", None), ("scores", [0.5]), ("id", 7),
+    ("content", 7), ("anchors", 7), ("anchors", "ab"), ("embedding", 7),
+])
+def test_ingest_record_rejects_mistyped_field(field, value):
+    store = CorpusStore()
+    name = "epistemic class" if field == "class" else field
+    with pytest.raises(ValidationError, match=name):
+        store.ingest_record(valid_record(**{field: value}))
+    assert store.events == ()
+    assert store.ingest_record(valid_record()) == "x"
+
+
+@pytest.mark.parametrize("scores", [{"confidence": "x"}, {"freshness": [1]}])
+def test_ingest_record_rejects_mistyped_score(scores):
+    with pytest.raises(ValidationError, match=next(iter(scores))):
+        CorpusStore().ingest_record(valid_record(scores=scores))
+
+
+def test_ingest_record_rejects_mistyped_koc_axis():
+    koc = dict(valid_record()["koc"], entity=5)
+    with pytest.raises(ValidationError, match="entity"):
+        CorpusStore().ingest_record(valid_record(koc=koc))
+
+
+def test_cycle_time_never_runs_backwards():
+    store = seeded_store()
+    store.apply_cycle(now=100000)
+    events = store.events
+    with pytest.raises(ValidationError, match="earlier than the last cycle"):
+        store.apply_cycle(now=50)
+    assert store.last_cycle_at == 100000 and store.events == events
+    store.apply_cycle(now=100000)  # the same time again is allowed
+    assert store.last_cycle_at == 100000
+
+
+def test_replay_rejects_a_cycle_that_runs_backwards():
+    store = seeded_store()
+    store.apply_cycle(now=100000)
+    events = list(store.events)
+    events.append(dataclasses.replace(events[-1], seq=len(events) + 1,
+                                      at=50, payload={"at": 50}))
+    with pytest.raises(ReplayError, match=f"position {len(events)}"):
+        CorpusStore.replay(events, params=SIM)
+
+
 def test_ingest_record_requires_ko_kind():
     store = CorpusStore()
     with pytest.raises(ValidationError, match="not a ko record"):
