@@ -1,10 +1,14 @@
 """Command-line surface binding the store, engine, convergence lab, and
 retrieval into reproducible runs.
 
-State lives in two files: the append-only event log (authoritative; replayed
-on startup) and the corpus snapshot (exported after every mutating command).
-Every command is a pure function of its inputs: same state + same flags gives
-byte-identical output. No interactive mode.
+State lives in the append-only event log (authoritative) and the corpus
+snapshot, which every mutating command exports together with a checkpoint
+file beside the log (``<log>.checkpoint``). Startup restores the corpus the
+checkpoint vouches for and replays only the log's tail after it; if the
+checkpoint is missing or does not match, it replays the whole log.
+``verify-log`` checks that both ways give the same state. Every command is a
+pure function of its inputs: same state + same flags gives byte-identical
+output. No interactive mode.
 
 Exit codes: 0 success, 1 contract violation, 2 verification failure.
 """
@@ -29,13 +33,20 @@ from .engine import EngineError, EngineParams
 from .model import EpistemicClass, ModelError, MemoryZone
 from .retrieval import Query, RetrievalError, RetrievalWeights, rank
 from .store import (
+    CheckpointError,
     CorpusStore,
+    LogPosition,
     ReplayError,
     ValidationError,
     append_events,
+    checkpoint_path,
+    corpus_lines,
     parse_field_ts,
     read_corpus,
     read_events,
+    read_events_from,
+    restore_checkpoint,
+    write_checkpoint,
     write_corpus,
 )
 
@@ -99,29 +110,44 @@ def build_config(preset: str | None, sets: list[str]) -> tuple[EngineParams, Ret
 
 
 def _open_store(args, params: EngineParams,
-                params_explicit: bool) -> tuple[CorpusStore, int]:
-    """Load state by replaying the event log (the only state source; the
-    corpus file is an export). Returns the store plus the count of events
-    already persisted, so saves append only the new ones."""
+                params_explicit: bool) -> tuple[CorpusStore, int, LogPosition]:
+    """Load the state the event log defines.
+
+    If the checkpoint beside the log matches the log and the corpus file
+    (see ``restore_checkpoint``), the store is restored from the corpus and
+    only the log's tail after the checkpoint is replayed; otherwise the
+    whole log is. Returns the store, the count of events it applied from
+    the log (so saves append only the new ones) and the log's end position.
+    """
     log = Path(args.log)
     if log.exists():
-        persisted = read_events(log)
-        store = CorpusStore.replay(persisted)
+        try:
+            base, start = restore_checkpoint(log, args.corpus)
+        except CheckpointError:
+            base, start = None, LogPosition()
+        persisted, end = read_events_from(log, start)
+        store = CorpusStore.replay(persisted, base=base)
         if params_explicit and store.params.to_dict() != params.to_dict():
             store.set_params(params)
-        return store, len(persisted)
+        return store, len(persisted), end
     store = CorpusStore()
     if params_explicit:
         # log the choice so later invocations replay the same parameters
         store.set_params(params)
-    return store, 0
+    return store, 0, LogPosition()
 
 
-def _save_store(args, store: CorpusStore, events_before: int) -> None:
+def _save_store(args, store: CorpusStore, events_before: int,
+                end: LogPosition) -> None:
+    """Append the new events, export the corpus, then write the checkpoint
+    that lets the next command start from the corpus."""
     new_events = store.events[events_before:]
     if new_events:
         append_events(args.log, new_events)
-    write_corpus(store, args.corpus)
+        end = LogPosition(Path(args.log).stat().st_size, end.lines + len(new_events))
+    corpus_sha256 = write_corpus(store, args.corpus)
+    if store.last_seq:
+        write_checkpoint(args.log, corpus_sha256, store, end)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +155,7 @@ def _save_store(args, store: CorpusStore, events_before: int) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args, params, weights, params_explicit) -> int:
-    store, persisted = _open_store(args, params, params_explicit)
+    store, persisted, end = _open_store(args, params, params_explicit)
     _, records, errors = read_corpus(args.path)
     rejections = [(lineno, message) for lineno, message in errors]
     kos = edges = 0
@@ -152,7 +178,7 @@ def cmd_ingest(args, params, weights, params_explicit) -> int:
         except (ValidationError, ModelError, KeyError, ValueError) as exc:
             rejections.append((lineno, str(exc)))
     rejections.sort()
-    _save_store(args, store, persisted)
+    _save_store(args, store, persisted, end)
 
     if args.format == "records":
         print(json.dumps({"kos": kos, "edges": edges,
@@ -173,7 +199,7 @@ def _iso_ts(value) -> int:
 def cmd_cycle(args, params, weights, params_explicit) -> int:
     if args.n < 0:
         raise ConfigError("cycle count must be >= 0")
-    store, persisted = _open_store(args, params, params_explicit)
+    store, persisted, end = _open_store(args, params, params_explicit)
     summaries = []
     for i in range(args.n):
         snapshot, breakdowns = store.apply_cycle()
@@ -190,7 +216,7 @@ def cmd_cycle(args, params, weights, params_explicit) -> int:
             "top_movers": [{"id": ko_id, "delta_k": round(d, 9)}
                            for d, ko_id in deltas[:3]],
         })
-    _save_store(args, store, persisted)
+    _save_store(args, store, persisted, end)
 
     if args.format == "records":
         for s in summaries:
@@ -215,7 +241,7 @@ def cmd_cycle(args, params, weights, params_explicit) -> int:
 
 
 def cmd_query(args, params, weights, params_explicit) -> int:
-    store, _ = _open_store(args, params, params_explicit)
+    store, _, _ = _open_store(args, params, params_explicit)
     embedding = None
     if args.embedding:
         embedding = tuple(float(x) for x in args.embedding.split(","))
@@ -276,7 +302,7 @@ def cmd_simulate(args, params, weights, params_explicit) -> int:
 
 
 def cmd_check_convergence(args, params, weights, params_explicit) -> int:
-    store, _ = _open_store(args, params, params_explicit)
+    store, _, _ = _open_store(args, params, params_explicit)
     snapshot = store.snapshot()
     if args.empirical:
         report = empirical_convergence(snapshot, store.params,
@@ -326,6 +352,35 @@ def cmd_verify_t2(args, params, weights, params_explicit) -> int:
     print(f"divergence day: {report.divergence_day} (expected 1) "
           f"{'ok' if day_ok else 'FAIL'}")
     return EXIT_VERIFICATION if failed else EXIT_OK
+
+
+def _restored_state(store: CorpusStore) -> tuple:
+    # Everything a checkpoint restores: the corpus bytes, plus the params,
+    # last seq and latest event time the corpus does not carry.
+    return (corpus_lines(store), store.params.to_dict(), store.last_seq,
+            store.latest_event_at())
+
+
+def cmd_verify_log(args, params, weights, params_explicit) -> int:
+    log = Path(args.log)
+    if not (log.exists() and checkpoint_path(log).exists()):
+        print("no checkpoint: nothing to verify")
+        return EXIT_OK
+    events = read_events(log)
+    replayed = CorpusStore.replay(events)
+    try:
+        base, start = restore_checkpoint(log, args.corpus)
+    except CheckpointError as exc:
+        print(f"checkpoint mismatch: {exc}")
+        return EXIT_VERIFICATION
+    checkpoint_seq = base.last_seq
+    tail, _ = read_events_from(log, start)
+    restored = CorpusStore.replay(tail, base=base)
+    same = _restored_state(restored) == _restored_state(replayed)
+    print(f"{'ok' if same else 'checkpoint mismatch'}: the checkpoint at seq "
+          f"{checkpoint_seq} plus {len(tail)} tail events "
+          f"{'equals' if same else 'differs from'} a full replay of {len(events)} events")
+    return EXIT_OK if same else EXIT_VERIFICATION
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-t2", help="smoke-test the divergence diagnostics")
     p.set_defaults(handler=cmd_verify_t2)
+
+    p = sub.add_parser("verify-log",
+                       help="check the checkpointed state against a full log replay")
+    p.set_defaults(handler=cmd_verify_log)
 
     return parser
 

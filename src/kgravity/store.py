@@ -6,20 +6,33 @@ appended to the log as an EventRecord. Replaying the log from empty rebuilds
 the exact state, so the log is simultaneously the audit trail and the
 canonical persistence medium. Knowledge objects are never deleted.
 
-Two file formats (both line-delimited JSON, documented in the README):
+Three file formats (all JSON, documented in the README):
 
 * corpus file - a header line followed by one record per knowledge object
   and per edge; scores are serialized as fixed 9-digit decimal strings so a
-  save/load/save round trip is byte-identical.
+  save/load/save round trip is byte-identical. It is written atomically.
 * event log file - one EventRecord per line in seq order.
+* checkpoint file - ``<log>.checkpoint``, one object naming the last log
+  line whose state the corpus file holds. :func:`restore_checkpoint` checks
+  it cheaply against both files and restores the store through
+  :func:`load_corpus`, so only the log's tail after that line needs
+  replaying; any mismatch raises :class:`CheckpointError`, and the caller
+  replays the whole log instead. The log stays the source of truth.
+
+Every timestamp an operation accepts must survive the log's ISO-8601
+round trip (whole seconds, years 1000 to 9999); anything else is a
+ValidationError before any event is appended.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -54,13 +67,50 @@ class ReplayError(ValueError):
     """Event log corruption: gap, bad seq, or unparseable record."""
 
 
+class CheckpointError(ValueError):
+    """A checkpoint that does not match the log and corpus beside it."""
+
+
+_ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_CANONICAL_ISO = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+_EPOCH_ORDINAL = datetime(1970, 1, 1).toordinal()
+# The first and last seconds the log's ISO form holds: years 1000 to 9999.
+_FIRST_TS, _LAST_TS = -30610224000, 253402300799
+
+
 def ts_to_iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime(_ISO_FORMAT)
 
 
 def iso_to_ts(text: str) -> int:
-    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    """UTC seconds of a timestamp like ``2024-01-01T00:00:00Z``.
+
+    The canonical form, the only one the store writes, is parsed by slicing,
+    with the range checks of ``datetime`` and the arithmetic of
+    ``calendar.timegm`` (the module is not imported: with ``locale`` it adds
+    about 0.6 MB to the process). Any other
+    string goes through ``strptime``, so the strings accepted and rejected
+    are exactly those ``strptime`` accepts and rejects (one-digit fields, a
+    lower-case ``t``, non-ASCII digits).
+    """
+    if _CANONICAL_ISO.fullmatch(text):
+        dt = datetime(int(text[0:4]), int(text[5:7]), int(text[8:10]),
+                      int(text[11:13]), int(text[14:16]), int(text[17:19]))
+        return ((dt.toordinal() - _EPOCH_ORDINAL) * 86400
+                + dt.hour * 3600 + dt.minute * 60 + dt.second)
+    dt = datetime.strptime(text, _ISO_FORMAT).replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
+
+
+def _check_ts(name: str, value) -> None:
+    """Reject, as a ValidationError, a timestamp the event log cannot hold
+    exactly: anything but an integer second from 1000-01-01 to 9999-12-31
+    UTC, the range whose ISO form parses back to itself. No event is then
+    appended that the log or corpus cannot write."""
+    if type(value) is not int or not _FIRST_TS <= value <= _LAST_TS:
+        raise ValidationError(
+            f"{name} {value!r} is not a timestamp the event log can hold "
+            "(whole seconds, years 1000 to 9999)")
 
 
 def _fmt_score(x: float) -> str:
@@ -155,6 +205,9 @@ class CorpusStore:
     Readers work on immutable snapshots from :meth:`snapshot`; all mutation
     goes through the public operations below, each of which appends exactly
     one event. There is no delete or in-place-update path.
+
+    A store restored from a checkpoint holds only the events after it:
+    ``last_seq`` and ``latest_event_at`` carry on from the checkpoint.
     """
 
     def __init__(self, params: EngineParams | None = None) -> None:
@@ -163,6 +216,9 @@ class CorpusStore:
         self._edges: list[Edge] = []
         self._edge_keys: set[tuple[str, str, EdgeType]] = set()
         self._events: list[EventRecord] = []
+        # seq and time of the last event before ``_events`` (a checkpoint's)
+        self._base_seq = 0
+        self._base_at = 0
         self._last_cycle_at: int | None = None
         self._last_breakdowns: list[ForceBreakdown] = []
 
@@ -174,7 +230,13 @@ class CorpusStore:
 
     @property
     def events(self) -> tuple[EventRecord, ...]:
+        """The events this store applied: the whole log for a new or
+        replayed store, the events after the checkpoint for a restored one."""
         return tuple(self._events)
+
+    @property
+    def last_seq(self) -> int:
+        return self._base_seq + len(self._events)
 
     @property
     def last_cycle_at(self) -> int | None:
@@ -185,7 +247,7 @@ class CorpusStore:
                              cycle_at=self._last_cycle_at)
 
     def latest_event_at(self) -> int:
-        return self._events[-1].at if self._events else 0
+        return self._events[-1].at if self._events else self._base_at
 
     # -- operations ---------------------------------------------------------
 
@@ -212,6 +274,7 @@ class CorpusStore:
             ko_id = f"ko{len(self._kos) + 1:06d}"
         if ko_id in self._kos:
             raise ValidationError(f"duplicate knowledge object id {ko_id!r}")
+        _check_ts("created_at", created_at)
         if not 0.0 <= stakes <= 1.0:
             raise ValidationError(f"stakes {stakes} outside [0, 1]")
         if embedding is not None and not _is_list(embedding):
@@ -271,6 +334,7 @@ class CorpusStore:
         endpoints are rejected so per-cycle edge counts stay well-defined."""
         edge_type_ = _parse_edge_type(edge_type)
         self._check_edge(source, target, edge_type_)
+        _check_ts("edge time", at)
         payload = {"source": source, "target": target,
                    "type": edge_type_.value, "at": at}
         return self._append(EventKind.EDGE_CREATED, payload, at=at)
@@ -282,6 +346,7 @@ class CorpusStore:
         cycling and remains retrievable until its score decays away.
         """
         self._check_edge(new_ko, old_ko, EdgeType.SUPERSEDES)
+        _check_ts("supersede time", at)
         payload = {"new": new_ko, "old": old_ko, "at": at}
         return self._append(EventKind.KO_SUPERSEDED, payload, at=at)
 
@@ -300,6 +365,7 @@ class CorpusStore:
         if ko.resolved:
             raise ValidationError(f"question {question!r} already resolved")
         self._check_edge(resolver, question, EdgeType.IMPLEMENTS)
+        _check_ts("resolution time", at)
         payload = {"question": question, "resolver": resolver, "at": at}
         self._append(EventKind.QUESTION_RESOLVED, payload, at=at)
         return self._kos[question]
@@ -309,6 +375,7 @@ class CorpusStore:
         (and can revive a dormant object)."""
         if ko_id not in self._kos:
             raise ValidationError(f"unknown knowledge object {ko_id!r}")
+        _check_ts("retrieval time", at)
         self._append(EventKind.KO_RETRIEVED, {"id": ko_id, "at": at}, at=at)
 
     def set_params(self, params: EngineParams) -> None:
@@ -328,6 +395,7 @@ class CorpusStore:
             base = self._last_cycle_at if self._last_cycle_at is not None \
                 else self.latest_event_at()
             now = base + self._params.cycle_period_s
+        _check_ts("cycle time", now)
         self._append(EventKind.CYCLE_APPLIED, {"at": now}, at=now)
         return self.snapshot(), list(self._last_breakdowns)
 
@@ -344,7 +412,7 @@ class CorpusStore:
                 f"duplicate edge {source!r} -{edge_type.value}-> {target!r}")
 
     def _append(self, kind: EventKind, payload: dict, at: int):
-        event = EventRecord(seq=len(self._events) + 1, at=at, kind=kind,
+        event = EventRecord(seq=self.last_seq + 1, at=at, kind=kind,
                             payload=payload)
         result = self._apply(event)
         self._events.append(event)
@@ -356,22 +424,14 @@ class CorpusStore:
         kind, payload = event.kind, event.payload
         if kind is EventKind.KO_CREATED:
             cls = _parse_class(payload["class"])
-            profile = class_profile(cls)
-            stakes = float(payload["stakes"])
-            urgency = (question_urgency(0.0, 0, stakes)
+            urgency = (question_urgency(0.0, 0, float(payload["stakes"]))
                        if cls is EpistemicClass.QUESTION else 0.0)
-            scores = ScoreVector(k=_q9(profile.seed_k),
+            scores = ScoreVector(k=_q9(class_profile(cls).seed_k),
                                  confidence=float(payload["confidence"]),
                                  freshness=float(payload["freshness"]),
                                  urgency=urgency,
                                  contradiction=0.0)
-            embedding = payload["embedding"]
-            ko = KnowledgeObject(
-                id=payload["id"], koc=_parse_koc(payload["koc"]), cls=cls,
-                content=payload["content"], scores=scores,
-                created_at=int(payload["created_at"]),
-                stakes=stakes, anchors=frozenset(payload["anchors"]),
-                embedding=tuple(embedding) if embedding is not None else None)
+            ko = _ko_from_record(payload, scores, int(payload["created_at"]))
             self._kos[ko.id] = ko
             return ko.id
         if kind is EventKind.EDGE_CREATED:
@@ -426,12 +486,18 @@ class CorpusStore:
 
     @classmethod
     def replay(cls, events: Iterable[EventRecord],
-               params: EngineParams | None = None) -> "CorpusStore":
+               params: EngineParams | None = None, *,
+               base: "CorpusStore | None" = None) -> "CorpusStore":
         """Rebuild a store from its log. Deterministic: replaying the same
         log twice yields bit-identical state. Halts with the offending
-        position on any gap or corrupt record."""
-        store = cls(params=params)
-        for i, event in enumerate(events, start=1):
+        position on any gap or corrupt record.
+
+        With ``base``, a store restored by :func:`restore_checkpoint`, the
+        events are the log's tail: they are applied to ``base`` (``params``
+        is then unused) and their seq must continue its ``last_seq``.
+        """
+        store = base if base is not None else cls(params=params)
+        for i, event in enumerate(events, start=store.last_seq + 1):
             if event.seq != i:
                 raise ReplayError(f"seq gap at position {i}: got seq {event.seq}")
             try:
@@ -445,6 +511,23 @@ class CorpusStore:
 # ---------------------------------------------------------------------------
 # Corpus file format
 # ---------------------------------------------------------------------------
+
+def _ko_from_record(record: dict, scores: ScoreVector, created_at: int,
+                    retrieved_at: tuple[int, ...] = (),
+                    resolved: bool = False) -> KnowledgeObject:
+    """The one record-to-object builder, for a KO_CREATED payload and a
+    corpus record alike: both carry ``id``, ``class``, ``koc``, ``content``,
+    ``stakes``, ``anchors`` and ``embedding`` in the same shape. The caller
+    parses what differs between them: the scores and the timestamps."""
+    embedding = record.get("embedding")
+    return KnowledgeObject(
+        id=record["id"], koc=_parse_koc(record["koc"]),
+        cls=_parse_class(record["class"]), content=record["content"],
+        scores=scores, created_at=created_at, retrieved_at=retrieved_at,
+        resolved=resolved, stakes=float(record["stakes"]),
+        anchors=frozenset(record["anchors"]),
+        embedding=tuple(embedding) if embedding is not None else None)
+
 
 def _ko_record(ko: KnowledgeObject) -> dict:
     return {
@@ -498,8 +581,31 @@ def corpus_lines(store: CorpusStore) -> list[str]:
     return lines
 
 
-def write_corpus(store: CorpusStore, path: str | Path) -> None:
-    Path(path).write_text("\n".join(corpus_lines(store)) + "\n", encoding="utf-8")
+def _write_atomic(path: str | Path, lines: Iterable[str]) -> str:
+    """Replace ``path`` with ``lines``, each ended by a newline, through a
+    temporary file in the same directory, so a reader, or a crash, sees the
+    old file or the new one and never a torn one. Returns the SHA-256 of
+    the bytes written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as f:
+            for line in lines:
+                data = (line + "\n").encode("utf-8")
+                f.write(data)
+                digest.update(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return digest.hexdigest()
+
+
+def write_corpus(store: CorpusStore, path: str | Path) -> str:
+    """Export the store's state as a corpus file, atomically. Returns the
+    SHA-256 of the file's bytes."""
+    return _write_atomic(path, corpus_lines(store))
 
 
 def read_corpus(path: str | Path) -> tuple[dict, list[tuple[int, dict]], list[tuple[int, str]]]:
@@ -508,35 +614,49 @@ def read_corpus(path: str | Path) -> tuple[dict, list[tuple[int, dict]], list[tu
     Unparseable lines are collected as (line number, message) so ingestion
     can proceed with the valid remainder.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    header, items = _parse_corpus(Path(path).read_text(encoding="utf-8"))
+    records: list[tuple[int, dict]] = []
+    errors: list[tuple[int, str]] = []
+    for lineno, item in items:
+        (errors if isinstance(item, str) else records).append((lineno, item))
+    return header, records, errors
+
+
+def _parse_corpus(text: str) -> tuple[dict, Iterator[tuple[int, dict | str]]]:
+    """The header of a corpus text, and its other non-blank lines parsed
+    one at a time, each as (line number, record or error message)."""
     lines = text.splitlines()
     if not lines:
         return {"kind": "header", "format_version": CORPUS_FORMAT_VERSION,
-                "embedding_dim": None}, [], []
+                "embedding_dim": None}, iter(())
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ValidationError(f"line 1: corpus header is not valid JSON: {exc}")
-    if header.get("kind") != "header":
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValidationError("line 1: corpus file must start with a header record")
     if header.get("format_version") != CORPUS_FORMAT_VERSION:
         raise ValidationError(
             f"unsupported corpus format version {header.get('format_version')!r}")
-    records: list[tuple[int, dict]] = []
-    errors: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    return header, _corpus_items(lines)
+
+
+def _corpus_items(lines: list[str]) -> Iterator[tuple[int, dict | str]]:
+    for lineno in range(2, len(lines) + 1):
+        line = lines[lineno - 1]
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            errors.append((lineno, f"invalid JSON: {exc}"))
+            yield lineno, f"invalid JSON: {exc}"
             continue
-        if record.get("kind") not in ("ko", "edge"):
-            errors.append((lineno, f"unknown record kind {record.get('kind')!r}"))
-            continue
-        records.append((lineno, record))
-    return header, records, errors
+        if not isinstance(record, dict):
+            yield lineno, f"expected a JSON object, got {type(record).__name__}"
+        elif record.get("kind") not in ("ko", "edge"):
+            yield lineno, f"unknown record kind {record.get('kind')!r}"
+        else:
+            yield lineno, record
 
 
 def load_corpus(path: str | Path, params: EngineParams | None = None) -> CorpusStore:
@@ -545,34 +665,29 @@ def load_corpus(path: str | Path, params: EngineParams | None = None) -> CorpusS
     This is the snapshot-restore path: the returned store has the saved
     state but an empty event log. Strict: any bad record raises.
     """
-    header, records, errors = read_corpus(path)
-    if errors:
-        lineno, message = errors[0]
-        raise ValidationError(f"line {lineno}: {message}")
+    return _load_corpus_text(Path(path).read_text(encoding="utf-8"), params)
+
+
+def _load_corpus_text(text: str, params: EngineParams | None) -> CorpusStore:
+    header, items = _parse_corpus(text)
     store = CorpusStore(params=params)
     if header.get("last_cycle_at"):
         store._last_cycle_at = iso_to_ts(header["last_cycle_at"])
-    for _, record in records:
+    for lineno, record in items:
+        if isinstance(record, str):
+            raise ValidationError(f"line {lineno}: {record}")
         if record["kind"] == "ko":
             scores = record["scores"]
-            embedding = record.get("embedding")
-            ko = KnowledgeObject(
-                id=record["id"],
-                koc=_parse_koc(record["koc"]),
-                cls=_parse_class(record["class"]),
-                content=record["content"],
-                scores=ScoreVector(
-                    k=float(scores["k"]),
-                    confidence=float(scores["confidence"]),
-                    freshness=float(scores["freshness"]),
-                    urgency=float(scores["urgency"]),
-                    contradiction=float(scores["contradiction"])),
-                created_at=iso_to_ts(record["created_at"]),
-                retrieved_at=tuple(iso_to_ts(t) for t in record["retrieved_at"]),
-                resolved=bool(record["resolved"]),
-                stakes=float(record["stakes"]),
-                anchors=frozenset(record["anchors"]),
-                embedding=tuple(embedding) if embedding is not None else None)
+            ko = _ko_from_record(
+                record,
+                ScoreVector(k=float(scores["k"]),
+                            confidence=float(scores["confidence"]),
+                            freshness=float(scores["freshness"]),
+                            urgency=float(scores["urgency"]),
+                            contradiction=float(scores["contradiction"])),
+                iso_to_ts(record["created_at"]),
+                tuple(map(iso_to_ts, record["retrieved_at"])),
+                bool(record["resolved"]))
             if ko.id in store._kos:
                 raise ValidationError(f"duplicate knowledge object id {ko.id!r}")
             store._kos[ko.id] = ko
@@ -603,9 +718,11 @@ def _event_from_dict(data: dict) -> EventRecord:
 
 
 def _interned(payload: dict) -> dict:
-    # A parsed log holds one payload per event; sharing the key strings
-    # between them keeps a long log's footprint down.
-    return {sys.intern(key): _interned(value) if type(value) is dict else value
+    # A parsed log holds one payload per event; sharing the key strings and
+    # the repeated string values (ids, edge types, coordinate axes) between
+    # them keeps a long log's footprint down.
+    return {sys.intern(key): _interned(value) if type(value) is dict
+            else sys.intern(value) if type(value) is str else value
             for key, value in payload.items()}
 
 
@@ -616,14 +733,131 @@ def append_events(path: str | Path, events: Iterable[EventRecord]) -> None:
             f.write(_dump_line(_event_to_dict(event)) + "\n")
 
 
+@dataclass(frozen=True)
+class LogPosition:
+    """A point in the event log file: the byte offset just after a line, and
+    the number of lines before that offset."""
+
+    offset: int = 0
+    lines: int = 0
+
+
 def read_events(path: str | Path) -> list[EventRecord]:
+    return read_events_from(path, LogPosition())[0]
+
+
+def read_events_from(path: str | Path,
+                     start: LogPosition) -> tuple[list[EventRecord], LogPosition]:
+    """Parse the log from ``start`` to its end; return the events and the
+    end position. Error line numbers count from the top of the file."""
     events: list[EventRecord] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
+    offset, lineno = start.offset, start.lines
+    with open(path, "rb") as f:
+        f.seek(offset)
+        for raw in f:
+            lineno += 1
+            offset += len(raw)
+            if not raw.strip():
                 continue
             try:
-                events.append(_event_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                events.append(_event_from_dict(json.loads(raw.decode("utf-8"))))
+            except (KeyError, ValueError) as exc:
                 raise ReplayError(f"corrupt event log line {lineno}: {exc}") from exc
-    return events
+    return events, LogPosition(offset, lineno)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint file format
+# ---------------------------------------------------------------------------
+
+def checkpoint_path(log: str | Path) -> Path:
+    return Path(f"{log}.checkpoint")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _line_ending_at(f, offset: int) -> bytes:
+    """The log line that ends at byte ``offset`` of the open binary file
+    ``f``, read backwards from there (b"" at offset 0)."""
+    window = 4096
+    while True:
+        lo = max(0, offset - window)
+        f.seek(lo)
+        data = f.read(offset - lo)
+        newline = data.rfind(b"\n", 0, len(data) - 1)
+        if newline >= 0 or lo == 0:
+            return data[newline + 1:]
+        window *= 2
+
+
+def write_checkpoint(log: str | Path, corpus_sha256: str, store: CorpusStore,
+                     position: LogPosition) -> None:
+    """Record, atomically, that the corpus file hashing to ``corpus_sha256``
+    (as returned by :func:`write_corpus`) holds ``store``'s state after the
+    log line ending at ``position``, the line of event ``last_seq``.
+
+    Write it after the log append and the corpus write: a crash between
+    them leaves a checkpoint that no longer matches the corpus, or one whose
+    corpus the log's tail brings up to date.
+    """
+    with open(log, "rb") as f:
+        line = _line_ending_at(f, position.offset)
+    record = {
+        "seq": store.last_seq,
+        "offset": position.offset,
+        "lines": position.lines,
+        "line_sha256": _sha256(line),
+        "latest_event_at": store.latest_event_at(),
+        "params": store.params.to_dict(),
+        "corpus_sha256": corpus_sha256,
+    }
+    _write_atomic(checkpoint_path(log), [_dump_line(record)])
+
+
+def _verified_text(path: str | Path, sha256: str) -> str:
+    # The text parsed is the very bytes hashed, even if the file is
+    # replaced meanwhile.
+    data = Path(path).read_bytes()
+    if _sha256(data) != sha256:
+        raise CheckpointError("the corpus file changed since the checkpoint")
+    return data.decode("utf-8")
+
+
+def restore_checkpoint(log: str | Path,
+                       corpus: str | Path) -> tuple[CorpusStore, LogPosition]:
+    """The store as of ``log``'s checkpoint, restored from ``corpus``, and
+    the log position its tail starts at.
+
+    The checks are cheap: the corpus hashes to the recorded value; the log
+    line ending at the recorded offset (a shorter log has none) hashes to
+    the recorded value and carries the recorded seq; the corpus header's
+    params fingerprint is that of the recorded params. Anything else, or a
+    missing or unreadable checkpoint, raises CheckpointError.
+    """
+    try:
+        record = json.loads(checkpoint_path(log).read_bytes())
+        seq, offset, lines = record["seq"], record["offset"], record["lines"]
+        if not all(type(v) is int and v > 0 for v in (seq, offset, lines)):
+            raise CheckpointError("seq, offset and lines must be positive integers")
+        params = EngineParams.from_dict(record["params"])
+        text = _verified_text(corpus, record["corpus_sha256"])
+        with open(log, "rb") as f:
+            line = _line_ending_at(f, offset)
+        if not line.endswith(b"\n") or _sha256(line) != record["line_sha256"]:
+            raise CheckpointError(f"log line {lines} changed since the checkpoint")
+        if _event_from_dict(json.loads(line)).seq != seq:
+            raise CheckpointError(f"log line {lines} is not event {seq}")
+        header = json.loads(text.partition("\n")[0])
+        if header.get("params_fingerprint") != params.fingerprint():
+            raise CheckpointError("the corpus was written under other params")
+        store = _load_corpus_text(text, params)
+        latest = record["latest_event_at"]
+        _check_ts("latest_event_at", latest)
+    except CheckpointError:
+        raise
+    except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise CheckpointError(f"unusable checkpoint: {exc!r}") from exc
+    store._base_seq, store._base_at = seq, latest
+    return store, LogPosition(offset, lines)

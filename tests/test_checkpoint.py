@@ -1,0 +1,494 @@
+"""Checkpointed startup: restoring the corpus export and replaying only the
+log's tail must be indistinguishable from replaying the whole log."""
+
+from __future__ import annotations
+
+import io
+import json
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+import kgravity.cli as cli
+import kgravity.store as store_module
+from kgravity import (
+    CorpusStore,
+    EdgeType,
+    EngineParams,
+    EpistemicClass,
+    ValidationError,
+    append_events,
+    read_events,
+    write_corpus,
+)
+from kgravity.store import (
+    CheckpointError,
+    LogPosition,
+    checkpoint_path,
+    corpus_lines,
+    read_events_from,
+    restore_checkpoint,
+    write_checkpoint,
+)
+from tests.conftest import make_koc
+
+CLASSES = ["DECISION", "CONSTRAINT", "EVIDENCE", "NARRATIVE", "PLAN",
+           "EVALUATION", "OBSERVATION", "HYPOTHESIS", "QUESTION"]
+
+
+def ko_rec(i: int, cls: str, day: int = 1) -> dict:
+    return {"kind": "ko", "id": f"k{i:03d}", "class": cls,
+            "koc": {"entity": f"e{i % 4}", "domain": "ops", "class": cls,
+                    "epoch": "q1", "depth": "l1", "author": "ana",
+                    "variant": f"v{i}"},
+            "content": f"record {i}", "stakes": 0.6,
+            "created_at": f"2024-01-{day:02d}T00:00:00Z",
+            "anchors": [f"a{i % 3}"], "embedding": [1.0, i / 10]}
+
+
+def edge_rec(source: int, target: int, edge_type: str, day: int = 2) -> dict:
+    return {"kind": "edge", "source": f"k{source:03d}", "target": f"k{target:03d}",
+            "type": edge_type, "created_at": f"2024-01-{day:02d}T00:00:00Z"}
+
+
+def write_input(path: Path, records: list[dict]) -> Path:
+    lines = [json.dumps({"kind": "header", "format_version": 1, "embedding_dim": 2})]
+    path.write_text("\n".join(lines + [json.dumps(r) for r in records]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def first_batch(path: Path) -> Path:
+    records = [ko_rec(i, CLASSES[i % len(CLASSES)]) for i in range(12)]
+    records += [edge_rec(0, 1, "SUPPORTS"), edge_rec(2, 1, "CONTRADICTS"),
+                edge_rec(3, 8, "BLOCKS"), edge_rec(4, 0, "BASED_ON"),
+                edge_rec(5, 6, "SUPPORTS")]
+    return write_input(path, records)
+
+
+def second_batch(path: Path) -> Path:
+    records = [ko_rec(i, CLASSES[i % len(CLASSES)], day=9) for i in range(12, 18)]
+    records += [edge_rec(12, 1, "SUPPORTS", day=9), edge_rec(13, 12, "REFINES", day=9)]
+    return write_input(path, records)
+
+
+def run(workdir: Path, *argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["--corpus", str(workdir / "corpus.jsonl"),
+                         "--log", str(workdir / "events.jsonl"), *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def files(workdir: Path) -> dict[str, bytes]:
+    return {name: (workdir / name).read_bytes()
+            for name in ("corpus.jsonl", "events.jsonl") if (workdir / name).exists()}
+
+
+def without_checkpoint(workdir: Path, tmp_path: Path) -> Path:
+    """A copy of ``workdir`` minus the checkpoint file."""
+    copy = tmp_path / "plain"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(workdir, copy)
+    checkpoint_path(copy / "events.jsonl").unlink(missing_ok=True)
+    return copy
+
+
+def run_both(workdir: Path, tmp_path: Path, *argv: str) -> tuple[int, str, str]:
+    """Run ``argv`` on ``workdir`` and on a copy without its checkpoint;
+    both must print the same and leave the same corpus and log."""
+    plain = without_checkpoint(workdir, tmp_path)
+    result = run(workdir, *argv)
+    assert run(plain, *argv) == result
+    assert files(plain) == files(workdir)
+    return result
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """How each CLI startup went: ("restored", position, tail events) or
+    ("replayed", reason, events)."""
+    seen: list[tuple] = []
+    pending: list[tuple] = []
+    real_restore, real_read = cli.restore_checkpoint, cli.read_events_from
+
+    def restore(log, corpus):
+        try:
+            result = real_restore(log, corpus)
+        except CheckpointError as exc:
+            pending.append(("replayed", str(exc)))
+            raise
+        pending.append(("restored", result[1]))
+        return result
+
+    def read(path, start):
+        events, end = real_read(path, start)
+        if pending:
+            seen.append(pending.pop() + (len(events),))
+        return events, end
+
+    monkeypatch.setattr(cli, "restore_checkpoint", restore)
+    monkeypatch.setattr(cli, "read_events_from", read)
+    return seen
+
+
+@pytest.fixture
+def session(tmp_path) -> Path:
+    workdir = tmp_path / "state"
+    workdir.mkdir()
+    assert run(workdir, "ingest", str(first_batch(tmp_path / "in1.jsonl")))[0] == 0
+    assert run(workdir, "cycle", "2")[0] == 0
+    return workdir
+
+
+def append_by_library(workdir: Path, operate) -> int:
+    """Apply ``operate`` to the replayed store and append its events to the
+    log without touching the corpus or the checkpoint."""
+    log = workdir / "events.jsonl"
+    store = CorpusStore.replay(read_events(log))
+    before = store.last_seq
+    operate(store)
+    append_events(log, store.events[before:])
+    return store.last_seq - before
+
+
+# ---------------------------------------------------------------------------
+# The same bytes with the checkpoint and without it
+# ---------------------------------------------------------------------------
+
+def test_cli_session_is_byte_identical_with_and_without_checkpoint(tmp_path, starts):
+    workdir = tmp_path / "state"
+    workdir.mkdir()
+    query = ("query", "pilot", "--entity", "e1", "--domain", "ops",
+             "--anchors", "a1", "--embedding", "1.0,0.3", "--top-k", "5")
+
+    run_both(workdir, tmp_path, "ingest", str(first_batch(tmp_path / "in1.jsonl")))
+    assert starts == []  # no log yet: nothing to restore
+    outputs = [run_both(workdir, tmp_path, "cycle", "2"),
+               run_both(workdir, tmp_path, *query)]
+
+    at = 1_705_000_000
+    added = append_by_library(workdir, lambda s: (
+        s.resolve_question("k008", "k000", at=at),
+        s.record_retrieval("k001", at=at + 60)))
+    outputs += [run_both(workdir, tmp_path, "--format", "records", *query),
+                run_both(workdir, tmp_path, "--preset", "simulation", "cycle", "1"),
+                run_both(workdir, tmp_path, "--set", "eta=0.2", "ingest",
+                         str(second_batch(tmp_path / "in2.jsonl"))),
+                run_both(workdir, tmp_path, "--set", "eta=0.2", "--format", "csv",
+                         "cycle", "3"),
+                run_both(workdir, tmp_path, "--format", "csv", *query),
+                run_both(workdir, tmp_path, "check-convergence", "--empirical")]
+    assert all(code == 0 and out for code, out, _ in outputs)
+
+    restored = [s for s in starts if s[0] == "restored"]
+    assert len(restored) == 8  # every start after the first ingest
+    assert restored[2][2] == added  # the library's events were the tail
+    assert [s[0] for s in starts].count("replayed") == 8  # every plain copy
+    kinds = [e.kind.value for e in read_events(workdir / "events.jsonl")]
+    assert kinds.count("PARAMS_CHANGED") == 2
+    assert "QUESTION_RESOLVED" in kinds
+    assert run(workdir, "verify-log")[0] == 0
+
+
+def test_library_events_after_the_checkpoint_are_the_tail(session, tmp_path, starts):
+    added = append_by_library(session, lambda s: [
+        s.record_retrieval(f"k{i:03d}", at=1_705_000_000 + i) for i in range(5)])
+    code, out, _ = run_both(session, tmp_path, "--format", "records", "query", "x")
+    assert code == 0
+    assert starts[0][0] == "restored" and starts[0][2] == added == 5
+
+
+# ---------------------------------------------------------------------------
+# Falling back to a full replay
+# ---------------------------------------------------------------------------
+
+def _edit_json(path: Path, **changes) -> None:
+    record = json.loads(path.read_text())
+    record.update(changes)
+    path.write_text(json.dumps(record) + "\n")
+
+
+def _rewrite_last_line(log: Path) -> None:
+    # The same seq, a different cycle time: a restore would disagree with
+    # the log, so it must not be used.
+    lines = log.read_bytes().splitlines(keepends=True)
+    event = json.loads(lines[-1])
+    assert event["kind"] == "CYCLE_APPLIED"
+    event["payload"]["at"] += 3600
+    event["at"] = store_module.ts_to_iso(event["payload"]["at"])
+    lines[-1] = (json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    log.write_bytes(b"".join(lines))
+
+
+def _truncate_log(log: Path) -> None:
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[:-2]))
+
+
+def _edit_corpus(corpus: Path) -> None:
+    corpus.write_text(corpus.read_text().replace('"record 3"', '"record three"'))
+
+
+DOCTORS = {
+    "missing checkpoint": lambda d: checkpoint_path(d / "events.jsonl").unlink(),
+    "corrupt checkpoint JSON": lambda d: checkpoint_path(d / "events.jsonl").write_text("{"),
+    "checkpoint not an object": lambda d: checkpoint_path(d / "events.jsonl").write_text("[]"),
+    "edited corpus": lambda d: _edit_corpus(d / "corpus.jsonl"),
+    "missing corpus": lambda d: (d / "corpus.jsonl").unlink(),
+    "truncated log": lambda d: _truncate_log(d / "events.jsonl"),
+    "log line at the offset rewritten": lambda d: _rewrite_last_line(d / "events.jsonl"),
+    "seq changed": lambda d: _edit_json(checkpoint_path(d / "events.jsonl"), seq=3),
+    "fingerprint mismatch": lambda d: _edit_json(
+        checkpoint_path(d / "events.jsonl"),
+        params=EngineParams.production(eta=0.2).to_dict()),
+}
+
+
+@pytest.mark.parametrize("doctor", sorted(DOCTORS))
+def test_a_checkpoint_that_does_not_match_falls_back_to_full_replay(
+        session, tmp_path, starts, doctor):
+    DOCTORS[doctor](session)
+    for argv in (("--format", "records", "query", "x", "--entity", "e2"),
+                 ("--format", "records", "cycle", "1"),
+                 ("--format", "records", "query", "x", "--entity", "e2")):
+        code, out, err = run_both(session, tmp_path, *argv)
+        assert code == 0, err
+    assert starts[0][0] == "replayed"
+    assert starts[2][0] == "replayed"  # the query alone wrote no checkpoint
+    assert starts[4][0] == "restored" and starts[4][2] == 0  # the cycle did
+    assert run(session, "verify-log")[0] == 0
+
+
+def test_corrupt_tail_line_keeps_its_line_number(session, tmp_path, starts):
+    log = session / "events.jsonl"
+    n_lines = len(log.read_bytes().splitlines())
+    with open(log, "a", encoding="utf-8") as f:
+        f.write("[1,2]\n")
+    code, _, err = run(session, "query", "x")
+    assert code == 1
+    assert f"error: corrupt event log line {n_lines + 1}" in err
+    assert starts == []  # the tail failed to parse
+    assert run(without_checkpoint(session, tmp_path), "query", "x") == (code, "", err)
+
+
+def test_tail_must_continue_the_checkpoint_seq(session, tmp_path):
+    log = session / "events.jsonl"
+    last = json.loads(log.read_bytes().splitlines()[-1])
+    last["seq"] += 2
+    with open(log, "a", encoding="utf-8") as f:
+        f.write(json.dumps(last) + "\n")
+    result = run(session, "query", "x")
+    assert result[0] == 1 and "seq gap at position" in result[2]
+    assert run(without_checkpoint(session, tmp_path), "query", "x") == result
+
+
+# ---------------------------------------------------------------------------
+# Atomic writes
+# ---------------------------------------------------------------------------
+
+class _TornFile:
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, text: str) -> int:
+        self._f.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_corpus_write_keeps_the_previous_corpus(
+        session, tmp_path, monkeypatch, starts, failure):
+    corpus = session / "corpus.jsonl"
+    before = corpus.read_bytes()
+    with monkeypatch.context() as patch:
+        if failure == "write":
+            def torn_open(path, mode="r", *args, **kwargs):
+                f = open(path, mode, *args, **kwargs)
+                return _TornFile(f) if str(path).endswith(".tmp") else f
+            patch.setattr(store_module, "open", torn_open, raising=False)
+        else:
+            def no_replace(src, dst):
+                raise OSError("device busy")
+            patch.setattr(store_module.os, "replace", no_replace)
+        code, _, err = run(session, "cycle", "1")
+    assert code == 1 and "error:" in err
+    assert corpus.read_bytes() == before
+    assert sorted(p.name for p in session.iterdir()) == [
+        "corpus.jsonl", "events.jsonl", "events.jsonl.checkpoint"]
+
+    starts.clear()
+    code, out, _ = run_both(session, tmp_path, "--format", "records", "cycle", "1")
+    assert code == 0
+    # the cycle logged before the failed export is the tail
+    assert starts[0][0] == "restored" and starts[0][2] == 1
+    assert json.loads(out)["cycle"] == 1
+    assert run(session, "verify-log")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# verify-log
+# ---------------------------------------------------------------------------
+
+def test_verify_log_passes_on_a_consistent_checkpoint(session):
+    code, out, _ = run(session, "verify-log")
+    assert code == 0 and out.startswith("ok: the checkpoint at seq")
+
+
+def test_verify_log_without_checkpoint_passes(session, tmp_path):
+    assert run(tmp_path, "verify-log") == (0, "no checkpoint: nothing to verify\n", "")
+    checkpoint_path(session / "events.jsonl").unlink()
+    assert run(session, "verify-log")[0] == 0
+
+
+def _doctor_corpus_and_rehash(workdir: Path) -> None:
+    # The checkpoint vouches for the edited corpus, so only a full replay
+    # shows that it is wrong.
+    corpus = workdir / "corpus.jsonl"
+    _edit_corpus(corpus)
+    _edit_json(checkpoint_path(workdir / "events.jsonl"),
+               corpus_sha256=store_module._sha256(corpus.read_bytes()))
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda d: _edit_json(checkpoint_path(d / "events.jsonl"), latest_event_at=5),
+    lambda d: _edit_json(checkpoint_path(d / "events.jsonl"), seq=2),
+    lambda d: checkpoint_path(d / "events.jsonl").write_text("{"),
+    lambda d: _edit_corpus(d / "corpus.jsonl"),
+    _doctor_corpus_and_rehash,
+], ids=["latest time", "seq", "corrupt", "corpus", "corpus rehashed"])
+def test_verify_log_fails_on_a_doctored_checkpoint_or_corpus(session, doctor):
+    doctor(session)
+    code, out, _ = run(session, "verify-log")
+    assert code == cli.EXIT_VERIFICATION and out.startswith("checkpoint mismatch")
+
+
+# ---------------------------------------------------------------------------
+# Stateful: live == replay == checkpoint restore + tail, after every step
+# ---------------------------------------------------------------------------
+
+def state_of(store: CorpusStore) -> tuple:
+    return (corpus_lines(store), store.params.to_dict(), store.last_seq,
+            store.latest_event_at())
+
+
+class CheckpointedStore(RuleBasedStateMachine):
+    """Drives a live store through every operation, persisting its log as
+    the CLI does and checkpointing now and then."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp(prefix="kgravity-ckpt-"))
+        self.log, self.corpus = self.dir / "events.jsonl", self.dir / "corpus.jsonl"
+        self.store = CorpusStore()
+        self.clock = 1_700_000_000
+        self.end = LogPosition()
+
+    def teardown(self) -> None:
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+    def _ids(self) -> list[str]:
+        return sorted(self.store.snapshot().kos)
+
+    def _pick(self, n: int) -> str:
+        ids = self._ids()
+        return ids[n % len(ids)]
+
+    def _attempt(self, operation) -> None:
+        before = self.store.last_seq
+        try:
+            operation()
+        except ValidationError:
+            assert self.store.last_seq == before
+
+    @rule(cls=st.sampled_from(CLASSES), entity=st.integers(0, 3),
+          advance=st.integers(0, 3 * 86400), stakes=st.sampled_from([0.0, 0.25, 0.9]))
+    def ingest(self, cls, entity, advance, stakes):
+        self.clock += advance
+        n = len(self._ids())
+        self._attempt(lambda: self.store.ingest_ko(
+            cls=cls, koc=make_koc(EpistemicClass(cls), entity=f"e{entity}",
+                                  variant=f"v{n}"),
+            content=f"object {n}", created_at=self.clock, stakes=stakes,
+            anchors=[f"a{entity}"], embedding=[1.0, entity / 4]))
+
+    @rule(a=st.integers(0, 50), b=st.integers(0, 50),
+          edge_type=st.sampled_from(list(EdgeType)), advance=st.integers(0, 86400))
+    def add_edge(self, a, b, edge_type, advance):
+        if self._ids():
+            self.clock += advance
+            self._attempt(lambda: self.store.add_edge(
+                self._pick(a), self._pick(b), edge_type, at=self.clock))
+
+    @rule(a=st.integers(0, 50), at=st.sampled_from(["now", "past", "unloggable"]))
+    def retrieve(self, a, at):
+        if self._ids():
+            ts = {"now": self.clock, "past": self.clock - 86400, "unloggable": 10**12}[at]
+            self._attempt(lambda: self.store.record_retrieval(self._pick(a), at=ts))
+
+    @rule(a=st.integers(0, 50), b=st.integers(0, 50))
+    def supersede(self, a, b):
+        if self._ids():
+            self._attempt(lambda: self.store.supersede(
+                self._pick(a), self._pick(b), at=self.clock))
+
+    @rule(a=st.integers(0, 50), b=st.integers(0, 50))
+    def resolve(self, a, b):
+        if self._ids():
+            self._attempt(lambda: self.store.resolve_question(
+                self._pick(a), self._pick(b), at=self.clock))
+
+    @rule(advance=st.sampled_from([None, 0, 3600, 86400, 10**12]))
+    def cycle(self, advance):
+        if advance is None:
+            self._attempt(self.store.apply_cycle)
+        else:
+            self.clock = max(self.clock, self.store.last_cycle_at or 0)
+            self._attempt(lambda: self.store.apply_cycle(now=self.clock + advance))
+
+    @rule(preset=st.sampled_from(["production", "simulation"]))
+    def set_params(self, preset):
+        self.store.set_params(getattr(EngineParams, preset)())
+
+    @rule()
+    def checkpoint(self):
+        self._persist()
+        if self.store.last_seq:
+            write_checkpoint(self.log, write_corpus(self.store, self.corpus),
+                             self.store, self.end)
+
+    def _persist(self) -> None:
+        new = self.store.events[self.end.lines:]
+        if new:
+            append_events(self.log, new)
+            self.end = LogPosition(self.log.stat().st_size, self.end.lines + len(new))
+
+    @invariant()
+    def live_equals_replay_equals_restore_plus_tail(self):
+        self._persist()
+        live = state_of(self.store)
+        events = read_events(self.log) if self.log.exists() else []
+        assert state_of(CorpusStore.replay(events)) == live
+        if checkpoint_path(self.log).exists():
+            base, start = restore_checkpoint(self.log, self.corpus)
+            tail, end = read_events_from(self.log, start)
+            assert end == self.end
+            assert state_of(CorpusStore.replay(tail, base=base)) == live
+
+
+CheckpointedStore.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=20, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+test_live_replay_and_checkpoint_restore_agree = CheckpointedStore.TestCase

@@ -100,6 +100,17 @@ def test_ingest_reports_mistyped_fields_per_line(cli, tmp_path):
         assert field in errors[line]
 
 
+def test_ingest_reports_non_object_lines_per_line(cli, tmp_path):
+    path = tmp_path / "in.jsonl"
+    write_input(path, [ko_rec(0)])
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("[1, 2]\n7\n")
+    summary = json.loads(cli("--format", "records", "ingest", str(path)))
+    assert summary["kos"] == 1
+    assert [(r["line"], r["error"]) for r in summary["rejections"]] == [
+        (3, "expected a JSON object, got list"), (4, "expected a JSON object, got int")]
+
+
 def test_ingest_missing_file_is_contract_violation(cli, tmp_path):
     cli("ingest", str(tmp_path / "nope.jsonl"), expect=1)
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgravity import (
     CorpusStore,
@@ -20,7 +23,7 @@ from kgravity import (
     read_events,
     write_corpus,
 )
-from kgravity.store import corpus_lines
+from kgravity.store import corpus_lines, iso_to_ts
 from tests.conftest import SECONDS_PER_DAY, make_koc, random_scenario
 
 SIM = EngineParams.simulation()
@@ -323,6 +326,16 @@ def test_corpus_rejects_unknown_edge_type(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("line", ['{"kind":"ko",', '[1]', '{"kind":"note"}'])
+def test_load_corpus_rejects_a_bad_line_by_number(tmp_path, line):
+    path = tmp_path / "c.jsonl"
+    write_corpus(seeded_store(), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
+    with pytest.raises(ValidationError, match="line 3: "):
+        load_corpus(path)
+
+
 def test_corpus_header_required(tmp_path):
     path = tmp_path / "noheader.jsonl"
     path.write_text('{"kind":"ko","id":"x"}\n')
@@ -376,6 +389,16 @@ def test_event_log_rejects_mistyped_line(tmp_path, line):
     append_events(path, store.events[:1])
     with open(path, "a", encoding="utf-8") as f:
         f.write(line + "\n")
+    with pytest.raises(ReplayError, match="line 2"):
+        read_events(path)
+
+
+def test_event_log_rejects_invalid_utf8_line(tmp_path):
+    store = seeded_store()
+    path = tmp_path / "events.jsonl"
+    append_events(path, store.events[:1])
+    with open(path, "ab") as f:
+        f.write(b'{"seq":2,"at":"2024-01-01T00:00:00Z","kind":"\xff"}\n')
     with pytest.raises(ReplayError, match="line 2"):
         read_events(path)
 
@@ -483,3 +506,113 @@ def test_read_corpus_empty_file(tmp_path):
     path.write_text("")
     header, records, errors = read_corpus(path)
     assert records == [] and errors == []
+
+
+# ---------------------------------------------------------------------------
+# Timestamps
+# ---------------------------------------------------------------------------
+
+ISO = "%Y-%m-%dT%H:%M:%SZ"
+FIRST_SECOND = -62135596800  # 0001-01-01T00:00:00Z
+LAST_SECOND = 253402300799   # 9999-12-31T23:59:59Z
+YEAR_1000 = -30610224000     # 1000-01-01T00:00:00Z, the first the log holds
+
+
+def strptime_ts(text: str) -> int:
+    """The reference parser ``iso_to_ts`` must agree with."""
+    return int(datetime.strptime(text, ISO).replace(tzinfo=timezone.utc).timestamp())
+
+
+def outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@given(st.integers(FIRST_SECOND, LAST_SECOND))
+def test_iso_to_ts_equals_strptime_on_every_second(ts):
+    dt = datetime(1, 1, 1) + timedelta(seconds=ts - FIRST_SECOND)
+    text = (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}"
+            f"T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z")
+    assert iso_to_ts(text) == strptime_ts(text) == ts
+
+
+@pytest.mark.parametrize("text", [
+    "2024-13-01T00:00:00Z", "2023-02-30T00:00:00Z", "2024-01-01T24:00:00Z",
+    "2024-01-01T00:00:60Z", "2024-01-01 00:00:00Z", "0000-01-01T00:00:00Z",
+    "2024-01-01T00:00:00", " 2024-01-01T00:00:00Z", "",
+])
+def test_iso_to_ts_rejects_what_strptime_rejects(text):
+    with pytest.raises(ValueError):
+        strptime_ts(text)
+    with pytest.raises(ValueError):
+        iso_to_ts(text)
+
+
+@pytest.mark.parametrize("text", [
+    "\uff12\uff10\uff12\uff14-01-01T00:00:00Z",  # full-width digits
+    "2024-01-01t00:00:00z", "2024-1-1T0:0:0Z", "0999-01-01T00:00:00Z",
+])
+def test_iso_to_ts_accepts_what_strptime_accepts(text):
+    assert iso_to_ts(text) == strptime_ts(text)
+
+
+@given(st.text(alphabet="0123456789-:TZ t\uff12\u0663", max_size=22))
+def test_iso_to_ts_agrees_with_strptime_on_near_misses(text):
+    assert outcome(iso_to_ts, text) == outcome(strptime_ts, text)
+
+
+def timestamp_ops(store: CorpusStore):
+    """Each store operation that takes a timestamp, as ts -> call."""
+    store.ingest_ko(cls=EpistemicClass.DECISION, ko_id="dec2",
+                    koc=make_koc(EpistemicClass.DECISION, entity="delta"),
+                    content="resolve it", created_at=1300)
+    return {
+        "ingest_ko": lambda ts: store.ingest_ko(
+            cls=EpistemicClass.PLAN, koc=make_koc(EpistemicClass.PLAN),
+            content="late", created_at=ts),
+        "add_edge": lambda ts: store.add_edge("ev1", "dec1", EdgeType.SUPPORTS, at=ts),
+        "supersede": lambda ts: store.supersede("dec2", "dec1", at=ts),
+        "resolve_question": lambda ts: store.resolve_question("q1", "dec1", at=ts),
+        "record_retrieval": lambda ts: store.record_retrieval("ev1", at=ts),
+        "apply_cycle": lambda ts: store.apply_cycle(now=ts),
+    }
+
+
+@pytest.mark.parametrize("ts", [10**12, -10**12, LAST_SECOND + 1, YEAR_1000 - 1,
+                                1_700_000_000.5, 1_700_000_000.0, True,
+                                "2024-01-01T00:00:00Z", [0]])
+@pytest.mark.parametrize("op", ["ingest_ko", "add_edge", "supersede",
+                                "resolve_question", "record_retrieval",
+                                "apply_cycle"])
+def test_timestamp_the_log_cannot_hold_is_rejected(tmp_path, op, ts):
+    store = seeded_store()
+    call = timestamp_ops(store)[op]
+    events = store.events
+    with pytest.raises(ValidationError, match="timestamp the event log can hold"):
+        call(ts)
+    assert store.events == events
+    append_events(tmp_path / "events.jsonl", store.events)
+    write_corpus(store, tmp_path / "corpus.jsonl")
+    call(1_700_000_000)  # a timestamp the log holds still works
+
+
+def test_default_cycle_time_past_year_9999_is_rejected():
+    store = seeded_store()
+    store.apply_cycle(now=LAST_SECOND - 10)
+    with pytest.raises(ValidationError, match="cycle time"):
+        store.apply_cycle()
+    assert store.last_cycle_at == LAST_SECOND - 10
+
+
+def test_first_and_last_loggable_seconds_round_trip(tmp_path):
+    store = seeded_store()
+    store.record_retrieval("ev1", at=YEAR_1000)
+    store.record_retrieval("ev1", at=LAST_SECOND)
+    path = tmp_path / "events.jsonl"
+    append_events(path, store.events)
+    assert read_events(path) == list(store.events)
+    write_corpus(store, tmp_path / "corpus.jsonl")
+    loaded = load_corpus(tmp_path / "corpus.jsonl", params=SIM)
+    assert loaded.snapshot().kos["ev1"].retrieved_at == (YEAR_1000, LAST_SECOND)
