@@ -61,10 +61,8 @@ T2_EXPECTED = {"k_star_q": 0.556, "k_star_o": 0.435,
 T2_TOLERANCE = 1e-3
 
 _ENGINE_FIELDS = {f.name for f in fields(EngineParams)}
+_ENGINE_DEFAULTS = EngineParams()
 _WEIGHT_FIELDS = {f.name for f in fields(RetrievalWeights)}
-_INT_FIELDS = {"gravity_radius", "cycle_period_s"}
-_STR_FIELDS = {"lambda_profile"}
-_TUPLE_FIELDS = {"koc_axis_weights"}
 
 
 class ConfigError(ValueError):
@@ -72,13 +70,11 @@ class ConfigError(ValueError):
 
 
 def _coerce(key: str, raw: str):
-    if key in _TUPLE_FIELDS:
+    # A field's type is that of its default (a_c's default is derived, a float).
+    default = getattr(_ENGINE_DEFAULTS, key)
+    if isinstance(default, tuple):
         return tuple(float(x) for x in raw.split(","))
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _STR_FIELDS:
-        return raw
-    return float(raw)
+    return type(default)(raw)
 
 
 def build_config(preset: str | None, sets: list[str]) -> tuple[EngineParams, RetrievalWeights]:

@@ -351,28 +351,21 @@ class SweepResult:
         return all(e.converged for e in self.entries)
 
 
-def conservatism_sweep(n_graphs: int = 20, base_seed: int = 1000,
-                       params: EngineParams | None = None,
-                       n_nodes: int = 56, hub_degree: int = 43,
-                       negative_fraction: float = 0.3,
-                       tol: float = 1e-6, max_iters: int = 500) -> SweepResult:
-    """Convergence sweep far beyond the sufficient condition.
-
-    Generates seeded graphs whose maximum degree violates the bound (default
-    43) and iterates each to the residual tolerance. Failures are recorded as
-    findings, never suppressed.
-    """
+def _sweep(graph_prefix: str, n_graphs: int, base_seed: int,
+           params: EngineParams | None, tol: float, max_iters: int,
+           **graph_kwargs) -> SweepResult:
+    """Iterate ``n_graphs`` seeded ``random_graph(**graph_kwargs)`` graphs
+    to the residual tolerance, recording each failure as a finding."""
     if params is None:
         params = EngineParams.production()
     entries: list[SweepEntry] = []
     findings: list[str] = []
     for i in range(n_graphs):
         seed = base_seed + i
-        snapshot = random_graph(n_nodes, seed, hub_degree=hub_degree,
-                                negative_fraction=negative_fraction)
+        snapshot = random_graph(seed=seed, **graph_kwargs)
         report = empirical_convergence(snapshot, params, tol=tol, max_iters=max_iters)
         final = report.residual_history[-1] if report.residual_history else 0.0
-        entry = SweepEntry(graph_id=f"g{i:03d}", seed=seed,
+        entry = SweepEntry(graph_id=f"{graph_prefix}{i:03d}", seed=seed,
                            max_degree=report.max_degree,
                            converged=bool(report.empirical_converged),
                            iterations=report.iterations_to_converge,
@@ -386,6 +379,22 @@ def conservatism_sweep(n_graphs: int = 20, base_seed: int = 1000,
     return SweepResult(entries=tuple(entries), findings=tuple(findings))
 
 
+def conservatism_sweep(n_graphs: int = 20, base_seed: int = 1000,
+                       params: EngineParams | None = None,
+                       n_nodes: int = 56, hub_degree: int = 43,
+                       negative_fraction: float = 0.3,
+                       tol: float = 1e-6, max_iters: int = 500) -> SweepResult:
+    """Convergence sweep far beyond the sufficient condition.
+
+    Generates seeded graphs whose maximum degree violates the bound (default
+    43) and iterates each to the residual tolerance. Failures are recorded as
+    findings, never suppressed.
+    """
+    return _sweep("g", n_graphs, base_seed, params, tol, max_iters,
+                  n_nodes=n_nodes, hub_degree=hub_degree,
+                  negative_fraction=negative_fraction)
+
+
 def sufficient_condition_sweep(n_graphs: int = 100, base_seed: int = 5000,
                                params: EngineParams | None = None,
                                n_nodes: int = 14, degree_cap: int = 7,
@@ -394,28 +403,15 @@ def sufficient_condition_sweep(n_graphs: int = 100, base_seed: int = 5000,
     """Soundness sweep: graphs satisfying the degree bound must all converge."""
     if params is None:
         params = EngineParams.production()
+    result = _sweep("s", n_graphs, base_seed, params, tol, max_iters,
+                    n_nodes=n_nodes, degree_cap=degree_cap,
+                    negative_fraction=negative_fraction)
     bound = params.g_scale / STATED_MAX_ABS_COEFF
-    entries: list[SweepEntry] = []
-    findings: list[str] = []
-    for i in range(n_graphs):
-        seed = base_seed + i
-        snapshot = random_graph(n_nodes, seed, degree_cap=degree_cap,
-                                negative_fraction=negative_fraction)
-        report = empirical_convergence(snapshot, params, tol=tol, max_iters=max_iters)
-        if report.max_degree >= bound:
+    for entry in result.entries:
+        if entry.max_degree >= bound:
             raise AssertionError(
-                f"generator produced max degree {report.max_degree} >= bound {bound}")
-        final = report.residual_history[-1] if report.residual_history else 0.0
-        entry = SweepEntry(graph_id=f"s{i:03d}", seed=seed,
-                           max_degree=report.max_degree,
-                           converged=bool(report.empirical_converged),
-                           iterations=report.iterations_to_converge,
-                           final_residual=final)
-        entries.append(entry)
-        if not entry.converged:
-            findings.append(
-                f"{entry.graph_id} satisfies the bound but failed to converge")
-    return SweepResult(entries=tuple(entries), findings=tuple(findings))
+                f"generator produced max degree {entry.max_degree} >= bound {bound}")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,20 @@ penalty. Under stationary forces the update has the closed-form fixed point
 The cycle is synchronous: all forces read the previous snapshot, so two runs
 over equal snapshots are bit-identical.
 
-A cycle first builds its ``CycleIndex``: the dormant set from one zone lookup
-per object, each target's inbound edges, its non-dormant sources sorted by
-id with their coefficients summed, and the outbound BLOCKS counts.
-``run_cycle``, ``gravity_force``, ``cycle_inputs`` and the convergence
-checks in ``dynamics`` all read it, so no object's zone is recomputed and no
-node's edges are re-sorted per force. The neighbourhood mean is
-``fsum(ks) / n``, as ``statistics.fmean`` computes it. Sigma skips the exact
-``statistics.pstdev`` when the neighbourhood's k values span less than twice
-``sigma_floor``: a population standard deviation is at most half the span
-(Popoviciu), so the floor wins; under the default floor of 0.5 that holds
-for every neighbourhood, as non-dormant k lies in [0.05, 1]. Updated objects
-are built by ``KnowledgeObject.rescored``, a trusted constructor that skips
-re-validation (k is clamped and quantized, urgency clamped); an object whose
-k and urgency did not change is reused as it is.
+A cycle first builds its ``CycleIndex``: the dormant set from one zone
+lookup per object, each target's inbound edges from non-dormant sources,
+those sources sorted by id with their coefficients summed, and the outbound
+BLOCKS counts. ``run_cycle``, ``gravity_force``, ``cycle_inputs`` and the
+convergence checks in ``dynamics`` all read it, so no object's zone is
+recomputed and no node's edges are re-sorted per force. The neighbourhood
+mean is ``fsum(ks) / n``, as ``statistics.fmean`` computes it. Sigma skips
+the exact ``statistics.pstdev`` when the neighbourhood's k values span less
+than twice ``sigma_floor``: a population standard deviation is at most half
+the span (Popoviciu), so the floor wins; under the default floor of 0.5 that
+holds for every neighbourhood, as non-dormant k lies in [0.05, 1]. Updated
+objects are built by ``KnowledgeObject.rescored``, a trusted constructor
+that skips re-validation (k is clamped and quantized, urgency clamped); an
+object whose k and urgency did not change is reused as it is.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Mapping
 
@@ -59,13 +59,14 @@ SECONDS_PER_DAY = 86400
 #: single contradiction edge; fixes the penalty scale a_c = 0.22 * eta * seed.
 CONTRADICTION_SUPPRESSION_TARGET = 0.22
 
-_SCORE_DECIMALS = 9
+#: Decimal places of every stored score, in memory and in the corpus file.
+SCORE_DECIMALS = 9
 
 
-def _quantize(x: float) -> float:
-    # Scores round-trip through 9-decimal text; quantizing here keeps the
-    # in-memory value identical to its serialized form.
-    return round(x, _SCORE_DECIMALS)
+def quantize(x: float) -> float:
+    """``x`` rounded to ``SCORE_DECIMALS``: scores round-trip through that
+    text, so a quantized value equals its serialized form."""
+    return round(x, SCORE_DECIMALS)
 
 
 def _clamp01(x: float) -> float:
@@ -150,15 +151,9 @@ class EngineParams:
         return CLASS_PROFILES[cls_].lambda_per_day
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta, "delta_t": self.delta_t,
-            "a_u": self.a_u, "a_e": self.a_e, "a_g": self.a_g, "a_c": self.a_c,
-            "sigma_recency": self.sigma_recency, "g_scale": self.g_scale,
-            "sigma_floor": self.sigma_floor, "gravity_radius": self.gravity_radius,
-            "cycle_period_s": self.cycle_period_s,
-            "lambda_profile": self.lambda_profile,
-            "koc_axis_weights": list(self.koc_axis_weights),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["koc_axis_weights"] = list(self.koc_axis_weights)
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "EngineParams":
@@ -269,7 +264,7 @@ def question_urgency(age_days: float, blocking_count: int, stakes: float,
     if resolved:
         return 0.0
     raw = age_days / 30.0 * 0.3 + blocking_count * 0.2 + stakes * 0.5
-    return _quantize(_clamp01(raw))
+    return quantize(_clamp01(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +282,7 @@ def kge_update(k: float, seed: float, lam: float,
            + params.eta * (seed + u + e + g)
            - lam * params.delta_t * k
            - c)
-    return _quantize(_clamp01(raw))
+    return quantize(_clamp01(raw))
 
 
 def kge_step(ko: KnowledgeObject, forces: tuple[float, float, float, float],
@@ -339,10 +334,12 @@ _SOURCE_THEN_TYPE = attrgetter("source_id", "edge_type._value_")
 class CycleIndex:
     """A cycle's inputs that depend only on its snapshot and time, built once.
 
-    ``inbound`` keeps each target's edges created by ``now`` in snapshot
-    order, for the evidence and contradiction counts. ``sources`` keeps each
-    target's non-dormant sources sorted by id, each with the coefficients of
-    its edges summed in edge-type order. ``now=None`` admits every edge.
+    ``inbound`` keeps each target's edges created by ``now`` from
+    non-dormant sources only (dormant objects exert no force; this is the
+    one dormant filter), in snapshot order. ``sources`` keeps those sources
+    sorted by id, each with the coefficients of its edges summed in
+    edge-type order. ``outbound_blocks`` counts BLOCKS edges from every
+    source, dormant or not. ``now=None`` admits every edge.
     """
 
     now: int | None
@@ -363,15 +360,15 @@ def cycle_index(snapshot: GraphSnapshot, now: int | None) -> CycleIndex:
     for e in snapshot.edges:
         if now is not None and e.created_at > now:
             continue
-        inbound.setdefault(e.target_id, []).append(e)
         if e.edge_type is EdgeType.BLOCKS:
             outbound_blocks[e.source_id] = outbound_blocks.get(e.source_id, 0) + 1
+        if e.source_id not in dormant:
+            inbound.setdefault(e.target_id, []).append(e)
     sources: dict[str, tuple[tuple[str, float], ...]] = {}
     for target, edges in inbound.items():
         by_source: dict[str, float] = {}
         for e in sorted(edges, key=_SOURCE_THEN_TYPE):
-            if e.source_id not in dormant:
-                by_source[e.source_id] = by_source.get(e.source_id, 0.0) + e.coefficient
+            by_source[e.source_id] = by_source.get(e.source_id, 0.0) + e.coefficient
         sources[target] = tuple(by_source.items())
     k = {ko_id: ko.scores.k for ko_id, ko in snapshot.kos.items()}
     return CycleIndex(now=now, prev=snapshot.cycle_at, dormant=dormant, k=k,
@@ -414,8 +411,7 @@ def cycle_inputs(ko: KnowledgeObject, index: CycleIndex,
     new_supports = sum(
         1 for e in index.inbound.get(ko.id, ())
         if e.edge_type is EdgeType.SUPPORTS
-        and (prev is None or e.created_at > prev)
-        and e.source_id not in index.dormant)
+        and (prev is None or e.created_at > prev))
     return usage_force(ages, params), evidence_force(new_supports, params)
 
 
@@ -458,10 +454,8 @@ def run_cycle(
             u = frozen_usage.get(ko_id, 0.0)
         if frozen_evidence is not None:
             e_force = frozen_evidence.get(ko_id, 0.0)
-        active_inbound = [e for e in index.inbound.get(ko_id, ())
-                          if e.source_id not in dormant]
         g = gravity_force(ko_id, snapshot, params, _index=index)
-        c = contradiction_penalty(active_inbound, params)
+        c = contradiction_penalty(index.inbound.get(ko_id, []), params)
 
         fb = kge_step(ko, (u, e_force, g, c), params)
         breakdowns.append(fb)

@@ -6,6 +6,11 @@ appended to the log as an EventRecord. Replaying the log from empty rebuilds
 the exact state, so the log is simultaneously the audit trail and the
 canonical persistence medium. Knowledge objects are never deleted.
 
+Public ops parse, ``_apply`` enforces state rules: an operation checks its
+outside input (types, ranges, timestamps), and every rule about the store's
+state is checked once, in ``_apply``, before any mutation. A live operation
+(ValidationError) and a replay (ReplayError) reject the same events.
+
 Three file formats (all JSON, documented in the README):
 
 * corpus file - a header line followed by one record per knowledge object
@@ -39,8 +44,10 @@ from enum import Enum
 from pathlib import Path
 
 from .engine import (
+    SCORE_DECIMALS,
     EngineParams,
     ForceBreakdown,
+    quantize,
     question_urgency,
     run_cycle,
 )
@@ -114,11 +121,7 @@ def _check_ts(name: str, value) -> None:
 
 
 def _fmt_score(x: float) -> str:
-    return f"{x:.9f}"
-
-
-def _q9(x: float) -> float:
-    return round(x, 9)
+    return f"{x:.{SCORE_DECIMALS}f}"
 
 
 class EventKind(Enum):
@@ -272,8 +275,6 @@ class CorpusStore:
                 f"class {cls_.value} does not match coordinate class {koc_.cls.value}")
         if ko_id is None:
             ko_id = f"ko{len(self._kos) + 1:06d}"
-        if ko_id in self._kos:
-            raise ValidationError(f"duplicate knowledge object id {ko_id!r}")
         _check_ts("created_at", created_at)
         if not 0.0 <= stakes <= 1.0:
             raise ValidationError(f"stakes {stakes} outside [0, 1]")
@@ -290,11 +291,11 @@ class CorpusStore:
             "koc": _koc_to_dict(koc_),
             "content": content,
             "created_at": created_at,
-            "stakes": _q9(stakes),
+            "stakes": quantize(stakes),
             "anchors": sorted(set(anchors)),
             "embedding": list(embedding) if embedding is not None else None,
-            "confidence": _q9(confidence),
-            "freshness": _q9(freshness),
+            "confidence": quantize(confidence),
+            "freshness": quantize(freshness),
         }
         self._append(EventKind.KO_CREATED, payload, at=created_at)
         return ko_id
@@ -333,7 +334,6 @@ class CorpusStore:
         """Create a typed edge; duplicates, self-loops, and dangling
         endpoints are rejected so per-cycle edge counts stay well-defined."""
         edge_type_ = _parse_edge_type(edge_type)
-        self._check_edge(source, target, edge_type_)
         _check_ts("edge time", at)
         payload = {"source": source, "target": target,
                    "type": edge_type_.value, "at": at}
@@ -345,7 +345,6 @@ class CorpusStore:
         The old object is demoted (SUPERSEDES edge), never deleted: it keeps
         cycling and remains retrievable until its score decays away.
         """
-        self._check_edge(new_ko, old_ko, EdgeType.SUPERSEDES)
         _check_ts("supersede time", at)
         payload = {"new": new_ko, "old": old_ko, "at": at}
         return self._append(EventKind.KO_SUPERSEDED, payload, at=at)
@@ -357,14 +356,6 @@ class CorpusStore:
         resolved; from the next cycle on its urgency is zero and its score
         decays instead of rising.
         """
-        ko = self._kos.get(question)
-        if ko is None:
-            raise ValidationError(f"unknown knowledge object {question!r}")
-        if ko.cls is not EpistemicClass.QUESTION:
-            raise ValidationError(f"{question!r} is {ko.cls.value}, not QUESTION")
-        if ko.resolved:
-            raise ValidationError(f"question {question!r} already resolved")
-        self._check_edge(resolver, question, EdgeType.IMPLEMENTS)
         _check_ts("resolution time", at)
         payload = {"question": question, "resolver": resolver, "at": at}
         self._append(EventKind.QUESTION_RESOLVED, payload, at=at)
@@ -373,8 +364,6 @@ class CorpusStore:
     def record_retrieval(self, ko_id: str, at: int) -> None:
         """Log a retrieval; the timestamp feeds the next cycle's usage force
         (and can revive a dormant object)."""
-        if ko_id not in self._kos:
-            raise ValidationError(f"unknown knowledge object {ko_id!r}")
         _check_ts("retrieval time", at)
         self._append(EventKind.KO_RETRIEVED, {"id": ko_id, "at": at}, at=at)
 
@@ -401,16 +390,6 @@ class CorpusStore:
 
     # -- event machinery ----------------------------------------------------
 
-    def _check_edge(self, source: str, target: str, edge_type: EdgeType) -> None:
-        if source == target:
-            raise ValidationError(f"self-loop edge on {source!r}")
-        for endpoint in (source, target):
-            if endpoint not in self._kos:
-                raise ValidationError(f"unknown knowledge object {endpoint!r}")
-        if (source, target, edge_type) in self._edge_keys:
-            raise ValidationError(
-                f"duplicate edge {source!r} -{edge_type.value}-> {target!r}")
-
     def _append(self, kind: EventKind, payload: dict, at: int):
         event = EventRecord(seq=self.last_seq + 1, at=at, kind=kind,
                             payload=payload)
@@ -419,36 +398,40 @@ class CorpusStore:
         return result
 
     def _apply(self, event: EventRecord):
-        # State transitions only; validation happened in the public op (or is
-        # re-run during replay, where the same errors indicate corruption).
+        # Public ops parse, _apply enforces state rules, before any mutation,
+        # so live ops and replay reject the same events.
         kind, payload = event.kind, event.payload
         if kind is EventKind.KO_CREATED:
             cls = _parse_class(payload["class"])
             urgency = (question_urgency(0.0, 0, float(payload["stakes"]))
                        if cls is EpistemicClass.QUESTION else 0.0)
-            scores = ScoreVector(k=_q9(class_profile(cls).seed_k),
+            scores = ScoreVector(k=quantize(class_profile(cls).seed_k),
                                  confidence=float(payload["confidence"]),
                                  freshness=float(payload["freshness"]),
                                  urgency=urgency,
                                  contradiction=0.0)
-            ko = _ko_from_record(payload, scores, int(payload["created_at"]))
-            self._kos[ko.id] = ko
-            return ko.id
+            return self._add_ko(
+                _ko_from_record(payload, scores, int(payload["created_at"])))
         if kind is EventKind.EDGE_CREATED:
-            return self._add_edge_state(payload["source"], payload["target"],
-                                        _parse_edge_type(payload["type"]),
-                                        int(payload["at"]))
+            return self._add_edge(payload["source"], payload["target"],
+                                  _parse_edge_type(payload["type"]),
+                                  int(payload["at"]))
         if kind is EventKind.KO_SUPERSEDED:
-            return self._add_edge_state(payload["new"], payload["old"],
-                                        EdgeType.SUPERSEDES, int(payload["at"]))
+            return self._add_edge(payload["new"], payload["old"],
+                                  EdgeType.SUPERSEDES, int(payload["at"]))
         if kind is EventKind.QUESTION_RESOLVED:
-            edge = self._add_edge_state(payload["resolver"], payload["question"],
-                                        EdgeType.IMPLEMENTS, int(payload["at"]))
-            question = self._kos[payload["question"]]
+            question = self._known(payload["question"])
+            if question.cls is not EpistemicClass.QUESTION:
+                raise ValidationError(
+                    f"{question.id!r} is {question.cls.value}, not QUESTION")
+            if question.resolved:
+                raise ValidationError(f"question {question.id!r} already resolved")
+            edge = self._add_edge(payload["resolver"], question.id,
+                                  EdgeType.IMPLEMENTS, int(payload["at"]))
             self._kos[question.id] = replace(question, resolved=True)
             return edge
         if kind is EventKind.KO_RETRIEVED:
-            ko = self._kos[payload["id"]]
+            ko = self._known(payload["id"])
             self._kos[ko.id] = replace(
                 ko, retrieved_at=ko.retrieved_at + (int(payload["at"]),))
             return None
@@ -468,11 +451,27 @@ class CorpusStore:
             return None
         raise ReplayError(f"unknown event kind {kind!r}")
 
-    def _add_edge_state(self, source: str, target: str, edge_type: EdgeType,
-                        at: int) -> Edge:
-        for endpoint in (source, target):
-            if endpoint not in self._kos:
-                raise ValidationError(f"unknown knowledge object {endpoint!r}")
+    def _known(self, ko_id: str) -> KnowledgeObject:
+        ko = self._kos.get(ko_id)
+        if ko is None:
+            raise ValidationError(f"unknown knowledge object {ko_id!r}")
+        return ko
+
+    def _add_ko(self, ko: KnowledgeObject) -> str:
+        """Store a new object; an id already taken is rejected, since an
+        object is never replaced."""
+        if ko.id in self._kos:
+            raise ValidationError(f"duplicate knowledge object id {ko.id!r}")
+        self._kos[ko.id] = ko
+        return ko.id
+
+    def _add_edge(self, source: str, target: str, edge_type: EdgeType,
+                  at: int) -> Edge:
+        """Store a new edge under the rules :meth:`add_edge` states."""
+        if source == target:
+            raise ValidationError(f"self-loop edge on {source!r}")
+        self._known(source)
+        self._known(target)
         key = (source, target, edge_type)
         if key in self._edge_keys:
             raise ValidationError(
@@ -674,27 +673,27 @@ def _load_corpus_text(text: str, params: EngineParams | None) -> CorpusStore:
     if header.get("last_cycle_at"):
         store._last_cycle_at = iso_to_ts(header["last_cycle_at"])
     for lineno, record in items:
-        if isinstance(record, str):
-            raise ValidationError(f"line {lineno}: {record}")
-        if record["kind"] == "ko":
-            scores = record["scores"]
-            ko = _ko_from_record(
-                record,
-                ScoreVector(k=float(scores["k"]),
-                            confidence=float(scores["confidence"]),
-                            freshness=float(scores["freshness"]),
-                            urgency=float(scores["urgency"]),
-                            contradiction=float(scores["contradiction"])),
-                iso_to_ts(record["created_at"]),
-                tuple(map(iso_to_ts, record["retrieved_at"])),
-                bool(record["resolved"]))
-            if ko.id in store._kos:
-                raise ValidationError(f"duplicate knowledge object id {ko.id!r}")
-            store._kos[ko.id] = ko
-        else:
-            store._add_edge_state(record["source"], record["target"],
-                                  _parse_edge_type(record["type"]),
-                                  iso_to_ts(record["created_at"]))
+        try:
+            if isinstance(record, str):
+                raise ValidationError(record)
+            if record["kind"] == "ko":
+                scores = record["scores"]
+                store._add_ko(_ko_from_record(
+                    record,
+                    ScoreVector(k=float(scores["k"]),
+                                confidence=float(scores["confidence"]),
+                                freshness=float(scores["freshness"]),
+                                urgency=float(scores["urgency"]),
+                                contradiction=float(scores["contradiction"])),
+                    iso_to_ts(record["created_at"]),
+                    tuple(map(iso_to_ts, record["retrieved_at"])),
+                    bool(record["resolved"])))
+            else:
+                store._add_edge(record["source"], record["target"],
+                                _parse_edge_type(record["type"]),
+                                iso_to_ts(record["created_at"]))
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
     return store
 
 
@@ -727,10 +726,17 @@ def _interned(payload: dict) -> dict:
 
 
 def append_events(path: str | Path, events: Iterable[EventRecord]) -> None:
-    """Append events to the log file; existing lines are never rewritten."""
-    with open(path, "a", encoding="utf-8") as f:
+    """Append events to the log file; existing lines are never rewritten.
+    A last line left without its newline by a crashed append is ended first,
+    so the new events do not glue onto it."""
+    with open(path, "a+b") as f:
+        size = f.seek(0, os.SEEK_END)
+        if size:
+            f.seek(size - 1)
+            if f.read(1) != b"\n":
+                f.write(b"\n")
         for event in events:
-            f.write(_dump_line(_event_to_dict(event)) + "\n")
+            f.write((_dump_line(_event_to_dict(event)) + "\n").encode("utf-8"))
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,18 @@ def test_corrupt_tail_line_keeps_its_line_number(session, tmp_path, starts):
     assert run(without_checkpoint(session, tmp_path), "query", "x") == (code, "", err)
 
 
+def test_append_after_a_torn_final_newline_starts_a_new_line(session, tmp_path):
+    twin = tmp_path / "twin"
+    shutil.copytree(session, twin)
+    log = session / "events.jsonl"
+    log.write_bytes(log.read_bytes()[:-1])  # as a crash during an append can leave it
+    for argv in (("cycle", "1"), ("query", "x", "--entity", "e2"), ("verify-log",)):
+        result = run(session, *argv)
+        assert result[0] == 0, result[2]
+        assert result == run(twin, *argv)
+    assert files(session) == files(twin)
+
+
 def test_tail_must_continue_the_checkpoint_seq(session, tmp_path):
     log = session / "events.jsonl"
     last = json.loads(log.read_bytes().splitlines()[-1])

@@ -13,6 +13,7 @@ from kgravity import (
     EngineParams,
     EpistemicClass,
     EventKind,
+    EventRecord,
     Query,
     ReplayError,
     ValidationError,
@@ -326,11 +327,13 @@ def test_corpus_rejects_unknown_edge_type(tmp_path):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("line", ['{"kind":"ko",', '[1]', '{"kind":"note"}'])
+@pytest.mark.parametrize("line", ['{"kind":"ko",', '[1]', '{"kind":"note"}', None])
 def test_load_corpus_rejects_a_bad_line_by_number(tmp_path, line):
     path = tmp_path / "c.jsonl"
     write_corpus(seeded_store(), path)
     lines = path.read_text().splitlines()
+    if line is None:  # line 2's object again: a duplicate id
+        line = lines[1]
     path.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
     with pytest.raises(ValidationError, match="line 3: "):
         load_corpus(path)
@@ -474,6 +477,73 @@ def test_replay_rejects_a_cycle_that_runs_backwards():
                                       at=50, payload={"at": 50}))
     with pytest.raises(ReplayError, match=f"position {len(events)}"):
         CorpusStore.replay(events, params=SIM)
+
+
+# Each state rule: the live operation that breaks it, and the kind and
+# payload of the event that carries the same change in a log.
+STATE_RULES = {
+    "duplicate id": (
+        lambda s: s.ingest_ko(cls=EpistemicClass.DECISION,
+                              koc=make_koc(EpistemicClass.DECISION, entity="alpha"),
+                              content="ship the pilot", ko_id="dec1", created_at=1000),
+        lambda s: (EventKind.KO_CREATED, s.events[0].payload)),
+    "unknown edge endpoint": (
+        lambda s: s.add_edge("ev1", "ghost", EdgeType.SUPPORTS, at=200000),
+        lambda s: (EventKind.EDGE_CREATED, {"source": "ev1", "target": "ghost",
+                                            "type": "SUPPORTS", "at": 200000})),
+    "self-loop edge": (
+        lambda s: s.add_edge("ev1", "ev1", EdgeType.REFINES, at=200000),
+        lambda s: (EventKind.EDGE_CREATED, {"source": "ev1", "target": "ev1",
+                                            "type": "REFINES", "at": 200000})),
+    "duplicate edge": (
+        lambda s: s.add_edge("ev1", "dec1", EdgeType.SUPPORTS, at=200000),
+        lambda s: (EventKind.EDGE_CREATED, {"source": "ev1", "target": "dec1",
+                                            "type": "SUPPORTS", "at": 200000})),
+    "unknown superseded object": (
+        lambda s: s.supersede("dec1", "ghost", at=200000),
+        lambda s: (EventKind.KO_SUPERSEDED, {"new": "dec1", "old": "ghost",
+                                             "at": 200000})),
+    "unknown question": (
+        lambda s: s.resolve_question("ghost", "dec1", at=200000),
+        lambda s: (EventKind.QUESTION_RESOLVED, {"question": "ghost",
+                                                 "resolver": "dec1", "at": 200000})),
+    "non-QUESTION question": (
+        lambda s: s.resolve_question("ev1", "dec1", at=200000),
+        lambda s: (EventKind.QUESTION_RESOLVED, {"question": "ev1",
+                                                 "resolver": "dec1", "at": 200000})),
+    "already-resolved question": (
+        lambda s: s.resolve_question("q1", "ev1", at=200000),
+        lambda s: (EventKind.QUESTION_RESOLVED, {"question": "q1",
+                                                 "resolver": "ev1", "at": 200000})),
+    "unknown retrieval": (
+        lambda s: s.record_retrieval("ghost", at=200000),
+        lambda s: (EventKind.KO_RETRIEVED, {"id": "ghost", "at": 200000})),
+    "backwards cycle": (
+        lambda s: s.apply_cycle(now=50),
+        lambda s: (EventKind.CYCLE_APPLIED, {"at": 50})),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(STATE_RULES))
+def test_live_and_replay_enforce_the_same_state_rules(tmp_path, rule):
+    store = seeded_store()
+    store.add_edge("ev1", "dec1", EdgeType.SUPPORTS, at=2000)
+    store.resolve_question("q1", "dec1", at=2500)
+    store.apply_cycle(now=100000)
+    events = store.events
+    operation, event = STATE_RULES[rule]
+    with pytest.raises(ValidationError) as live:
+        operation(store)
+    assert store.events == events
+
+    kind, payload = event(store)
+    log = tmp_path / "events.jsonl"
+    append_events(log, events + (EventRecord(seq=len(events) + 1, at=200000,
+                                             kind=kind, payload=payload),))
+    with pytest.raises(ReplayError, match=f"position {len(events) + 1}") as replayed:
+        CorpusStore.replay(read_events(log), params=SIM)
+    assert isinstance(replayed.value.__cause__, ValidationError)
+    assert str(replayed.value.__cause__) == str(live.value)
 
 
 def test_ingest_record_requires_ko_kind():
