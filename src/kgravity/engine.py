@@ -274,14 +274,20 @@ def question_urgency(age_days: float, blocking_count: int, stakes: float,
 def kge_update(k: float, seed: float, lam: float,
                u: float, e: float, g: float, c: float,
                params: EngineParams) -> float:
-    """One scalar application of the update equation, clamped to [0, 1]."""
-    for name, v in (("k", k), ("seed", seed), ("u", u), ("e", e), ("g", g), ("c", c)):
-        if not math.isfinite(v):
-            raise EngineError(f"non-finite force input {name}={v!r}")
+    """One scalar application of the update equation, clamped to [0, 1].
+
+    A non-finite input makes ``raw`` non-finite, so the inputs are searched
+    for the offending one only then; a ``raw`` that overflowed from finite
+    inputs is clamped like any other.
+    """
     raw = ((1.0 - params.eta) * k
            + params.eta * (seed + u + e + g)
            - lam * params.delta_t * k
            - c)
+    if not math.isfinite(raw):
+        for name, v in (("k", k), ("seed", seed), ("u", u), ("e", e), ("g", g), ("c", c)):
+            if not math.isfinite(v):
+                raise EngineError(f"non-finite force input {name}={v!r}")
     return quantize(_clamp01(raw))
 
 

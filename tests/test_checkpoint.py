@@ -365,13 +365,20 @@ def test_verify_log_without_checkpoint_passes(session, tmp_path):
     assert run(session, "verify-log")[0] == 0
 
 
-def _doctor_corpus_and_rehash(workdir: Path) -> None:
+def _doctor_corpus_and_rehash(workdir: Path, edit=_edit_corpus) -> None:
     # The checkpoint vouches for the edited corpus, so only a full replay
     # shows that it is wrong.
     corpus = workdir / "corpus.jsonl"
-    _edit_corpus(corpus)
+    edit(corpus)
     _edit_json(checkpoint_path(workdir / "events.jsonl"),
                corpus_sha256=store_module._sha256(corpus.read_bytes()))
+
+
+def _respace_corpus(corpus: Path) -> None:
+    # The same JSON, other bytes: a restore accepts it and would re-emit it.
+    lines = corpus.read_text().splitlines()
+    lines[1] = json.dumps(json.loads(lines[1]), sort_keys=True)
+    corpus.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("doctor", [
@@ -380,11 +387,39 @@ def _doctor_corpus_and_rehash(workdir: Path) -> None:
     lambda d: checkpoint_path(d / "events.jsonl").write_text("{"),
     lambda d: _edit_corpus(d / "corpus.jsonl"),
     _doctor_corpus_and_rehash,
-], ids=["latest time", "seq", "corrupt", "corpus", "corpus rehashed"])
+    lambda d: _doctor_corpus_and_rehash(d, _respace_corpus),
+], ids=["latest time", "seq", "corrupt", "corpus", "corpus rehashed",
+        "corpus re-spaced and rehashed"])
 def test_verify_log_fails_on_a_doctored_checkpoint_or_corpus(session, doctor):
     doctor(session)
     code, out, _ = run(session, "verify-log")
     assert code == cli.EXIT_VERIFICATION and out.startswith("checkpoint mismatch")
+
+
+# ---------------------------------------------------------------------------
+# Exports that re-emit the restored corpus lines
+# ---------------------------------------------------------------------------
+
+def test_export_after_restore_equals_full_replay_export(session, tmp_path):
+    log, corpus = session / "events.jsonl", session / "corpus.jsonl"
+    base, start = restore_checkpoint(log, corpus)
+    store = CorpusStore.replay(read_events_from(log, start)[0], base=base)
+    before = len(store.events)
+    store.ingest_record(ko_rec(40, "EVIDENCE", day=20))
+    store.add_edge("k040", "k001", "SUPPORTS", at=store.latest_event_at())
+    store.record_retrieval("k002", at=store.latest_event_at() + 60)
+    store.apply_cycle()
+    append_events(log, store.events[before:])
+    exported = tmp_path / "exported.jsonl"
+    write_corpus(store, exported)
+
+    replayed = CorpusStore.replay(read_events(log))
+    assert exported.read_text() == "\n".join(corpus_lines(replayed)) + "\n"
+    kept = store._ko_lines
+    reused = [i for i, ko in store.snapshot().kos.items()
+              if i in kept and kept[i][0] is ko]
+    assert reused and "k002" not in reused and "k040" not in kept
+    assert len(store._edge_lines) == 5  # the restored edges; the new one is not
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,26 @@ def test_update_rejects_non_finite():
         kge_update(0.5, float("nan"), 0.0, 0, 0, 0, 0, SIM)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["k", "seed", "u", "e", "g", "c"])
+def test_update_names_the_non_finite_input(name, bad):
+    inputs = dict(k=0.5, seed=0.5, lam=0.0, u=0.0, e=0.0, g=0.0, c=0.0)
+    inputs[name] = bad
+    with pytest.raises(EngineError, match=f"^non-finite force input {name}="):
+        kge_update(**inputs, params=SIM)
+
+
+def test_update_names_the_first_non_finite_input():
+    with pytest.raises(EngineError, match="input u=inf"):
+        kge_update(0.5, 0.5, 0.0, math.inf, math.nan, 0.0, 0.0, SIM)
+
+
+@pytest.mark.parametrize("sign, clamped", [(1.0, 1.0), (-1.0, 0.0)])
+def test_update_clamps_a_raw_value_that_overflowed_from_finite_inputs(sign, clamped):
+    big = sign * 1e308
+    assert kge_update(big, big, 0.0, big, big, big, 0.0, SIM) == clamped
+
+
 def test_kge_step_uses_class_profile():
     ko = make_ko("q", EpistemicClass.QUESTION, k=0.5)
     fb = kge_step(ko, (0.0, 0.0, 0.0, 0.0), SIM)

@@ -4,7 +4,7 @@ import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgravity import (
@@ -24,7 +24,7 @@ from kgravity import (
     read_events,
     write_corpus,
 )
-from kgravity.store import corpus_lines, iso_to_ts
+from kgravity.store import corpus_lines, iso_to_ts, ts_to_iso
 from tests.conftest import SECONDS_PER_DAY, make_koc, random_scenario
 
 SIM = EngineParams.simulation()
@@ -327,7 +327,19 @@ def test_corpus_rejects_unknown_edge_type(tmp_path):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("line", ['{"kind":"ko",', '[1]', '{"kind":"note"}', None])
+# A ko record that is whole up to its created_at, which is a number.
+NUMERIC_CREATED_AT = (
+    '{"kind":"ko","id":"x","retrieved_at":[],"created_at":5,"scores":'
+    '{"k":"0.5","confidence":"1","freshness":"1","urgency":"0","contradiction":"0"}}')
+MISSING_OR_MISTYPED = {
+    '{"kind":"ko","id":"x"}': "missing field 'scores'",
+    '{"kind":"edge","source":"a"}': "missing field 'target'",
+    NUMERIC_CREATED_AT: "created_at must be a timestamp",
+}
+
+
+@pytest.mark.parametrize("line", ['{"kind":"ko",', '[1]', '{"kind":"note"}', None,
+                                  *MISSING_OR_MISTYPED])
 def test_load_corpus_rejects_a_bad_line_by_number(tmp_path, line):
     path = tmp_path / "c.jsonl"
     write_corpus(seeded_store(), path)
@@ -335,8 +347,9 @@ def test_load_corpus_rejects_a_bad_line_by_number(tmp_path, line):
     if line is None:  # line 2's object again: a duplicate id
         line = lines[1]
     path.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
-    with pytest.raises(ValidationError, match="line 3: "):
+    with pytest.raises(ValidationError, match="line 3: ") as raised:
         load_corpus(path)
+    assert MISSING_OR_MISTYPED.get(line, "") in str(raised.value)
 
 
 def test_corpus_header_required(tmp_path):
@@ -606,6 +619,15 @@ def test_iso_to_ts_equals_strptime_on_every_second(ts):
     text = (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}"
             f"T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z")
     assert iso_to_ts(text) == strptime_ts(text) == ts
+
+
+@given(st.integers(YEAR_1000, LAST_SECOND))
+@example(YEAR_1000)
+@example(LAST_SECOND)
+def test_ts_to_iso_equals_strftime_on_every_second(ts):
+    expected = datetime.fromtimestamp(ts, tz=timezone.utc).strftime(ISO)
+    assert ts_to_iso(ts) == expected
+    assert iso_to_ts(expected) == ts
 
 
 @pytest.mark.parametrize("text", [
