@@ -63,6 +63,9 @@ T2_TOLERANCE = 1e-3
 _ENGINE_FIELDS = {f.name for f in fields(EngineParams)}
 _ENGINE_DEFAULTS = EngineParams()
 _WEIGHT_FIELDS = {f.name for f in fields(RetrievalWeights)}
+# Corpus-record fields that ``ingest`` reads and drops: a new object starts
+# with no retrievals and unresolved.
+_INGEST_IGNORED = ("retrieved_at", "resolved")
 
 
 class ConfigError(ValueError):
@@ -112,8 +115,9 @@ def _open_store(args, params: EngineParams,
     If the checkpoint beside the log matches the log and the corpus file
     (see ``restore_checkpoint``), the store is restored from the corpus and
     only the log's tail after the checkpoint is replayed; otherwise the
-    whole log is. Returns the store, the count of events it applied from
-    the log (so saves append only the new ones) and the log's end position.
+    whole log is. Returns the store, the seq of the last event the log
+    holds (so saves append only the events after it) and the log's end
+    position.
     """
     log = Path(args.log)
     if log.exists():
@@ -123,9 +127,10 @@ def _open_store(args, params: EngineParams,
             base, start = None, LogPosition()
         persisted, end = read_events_from(log, start)
         store = CorpusStore.replay(persisted, base=base)
+        persisted_seq = store.last_seq
         if params_explicit and store.params.to_dict() != params.to_dict():
             store.set_params(params)
-        return store, len(persisted), end
+        return store, persisted_seq, end
     store = CorpusStore()
     if params_explicit:
         # log the choice so later invocations replay the same parameters
@@ -133,11 +138,11 @@ def _open_store(args, params: EngineParams,
     return store, 0, LogPosition()
 
 
-def _save_store(args, store: CorpusStore, events_before: int,
+def _save_store(args, store: CorpusStore, persisted_seq: int,
                 end: LogPosition) -> None:
-    """Append the new events, export the corpus, then write the checkpoint
-    that lets the next command start from the corpus."""
-    new_events = store.events[events_before:]
+    """Append the events after ``persisted_seq``, export the corpus, then
+    write the checkpoint that lets the next command start from the corpus."""
+    new_events = store.events_after(persisted_seq)
     if new_events:
         append_events(args.log, new_events)
         end = LogPosition(Path(args.log).stat().st_size, end.lines + len(new_events))
@@ -164,6 +169,11 @@ def cmd_ingest(args, params, weights, params_explicit) -> int:
             kos += 1
         except (ValidationError, ModelError, ValueError) as exc:
             rejections.append((lineno, str(exc)))
+            continue
+        ignored = [name for name in _INGEST_IGNORED if name in record]
+        if ignored:
+            print(f"warning: line {lineno}: ignored field(s) {', '.join(ignored)}",
+                  file=sys.stderr)
     for lineno, record in records:
         if record["kind"] != "edge":
             continue

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 from .engine import (
+    EdgeStructure,
     EngineParams,
     cycle_index,
     cycle_inputs,
@@ -151,7 +152,9 @@ def empirical_convergence(snapshot: GraphSnapshot, params: EngineParams,
 
     prev_cycle = snapshot.cycle_at
     now = (prev_cycle if prev_cycle is not None else 0) + params.cycle_period_s
-    index = cycle_index(snapshot, now)
+    snapshot.validate()
+    edges = EdgeStructure(snapshot.edges)  # one structure for every iteration
+    index = edges.index(snapshot, now)
     active = [ko_id for ko_id in snapshot.zones if ko_id not in index.dormant]
     if not active:
         report.empirical_converged = True
@@ -168,7 +171,7 @@ def empirical_convergence(snapshot: GraphSnapshot, params: EngineParams,
     for iteration in range(1, max_iters + 1):
         nxt, _ = run_cycle(current, now, params,
                            frozen_usage=frozen_usage,
-                           frozen_evidence=frozen_evidence)
+                           frozen_evidence=frozen_evidence, edges=edges)
         residual = max(abs(nxt.kos[i].scores.k - current.kos[i].scores.k)
                        for i in current.kos)
         report.residual_history.append(residual)

@@ -13,20 +13,28 @@ penalty. Under stationary forces the update has the closed-form fixed point
 The cycle is synchronous: all forces read the previous snapshot, so two runs
 over equal snapshots are bit-identical.
 
-A cycle first builds its ``CycleIndex``: the dormant set from one zone
-lookup per object, each target's inbound edges from non-dormant sources,
-those sources sorted by id with their coefficients summed, and the outbound
-BLOCKS counts. ``run_cycle``, ``gravity_force``, ``cycle_inputs`` and the
-convergence checks in ``dynamics`` all read it, so no object's zone is
-recomputed and no node's edges are re-sorted per force. The neighbourhood
-mean is ``fsum(ks) / n``, as ``statistics.fmean`` computes it. Sigma skips
-the exact ``statistics.pstdev`` when the neighbourhood's k values span less
-than twice ``sigma_floor``: a population standard deviation is at most half
-the span (Popoviciu), so the floor wins; under the default floor of 0.5 that
-holds for every neighbourhood, as non-dormant k lies in [0.05, 1]. Updated
-objects are built by ``KnowledgeObject.rescored``, a trusted constructor
-that skips re-validation (k is clamped and quantized, urgency clamped); an
-object whose k and urgency did not change is reused as it is.
+A cycle reads its ``CycleIndex``, a view of an ``EdgeStructure``: each
+target's non-dormant sources sorted by id with their coefficients summed,
+its counts of negative edges and its SUPPORTS times, the outbound BLOCKS
+counts, the dormant set from one zone lookup per object, and each k. Edges
+are only ever added, so the structure grows one edge at a time and is kept
+across cycles (the store keeps one); each cycle re-filters only the targets
+that gained an edge or have a source that changed between dormant and not
+dormant, and an edge dated after ``now`` waits until a cycle reaches its
+time. ``cycle_index`` and ``gravity_force`` without an index build a
+structure for the one snapshot. ``run_cycle``, ``gravity_force``,
+``cycle_inputs`` and the convergence checks in ``dynamics`` all read the
+index, so no object's zone is recomputed and no node's edges are re-sorted
+per force; at radius 1 the id-sorted sources are the neighbourhood as they
+are. The neighbourhood mean is ``fsum(ks) / n``, as ``statistics.fmean``
+computes it. Sigma skips the exact ``statistics.pstdev`` when the
+neighbourhood's k values span less than twice ``sigma_floor``: a population
+standard deviation is at most half the span (Popoviciu), so the floor wins;
+under the default floor of 0.5 that holds for every neighbourhood, as
+non-dormant k lies in [0.05, 1]. Updated objects are built by
+``KnowledgeObject.rescored``, a trusted constructor that skips re-validation
+(k is clamped and quantized, urgency clamped); an object whose k and urgency
+did not change is reused as it is.
 """
 
 from __future__ import annotations
@@ -35,12 +43,14 @@ import hashlib
 import json
 import math
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .model import (
     CLASS_PROFILES,
+    EDGE_COEFFICIENTS,
     NEGATIVE_EDGE_TYPES,
     SIMULATION_LAMBDAS,
     ClassProfile,
@@ -151,9 +161,7 @@ class EngineParams:
         return CLASS_PROFILES[cls_].lambda_per_day
 
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["koc_axis_weights"] = list(self.koc_axis_weights)
-        return data
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "EngineParams":
@@ -233,26 +241,41 @@ def gravity_force(
     contributes 0 because it defines the neighborhood mean.
     """
     index = cycle_index(snapshot, now) if _index is None else _index
+    k, g_scale = index.k, params.g_scale
+    if params.gravity_radius == 1:
+        # The id-sorted sources are the whole neighbourhood, each at distance
+        # 1, and x / 1 == x: the path below without its dict and sort.
+        sources = index.sources.get(ko_id)
+        if sources is None:
+            return 0.0
+        ks = [k[j] for j in sources]
+        mu, sigma = _spread(ks, params.sigma_floor)
+        total = 0.0
+        for coeff, kj in zip(index.coefficients[ko_id], ks):
+            total += coeff * math.tanh(g_scale * max(0.0, (kj - mu) / sigma))
+        return params.a_g * total
     neighborhood = gravity_neighborhood(ko_id, index, params.gravity_radius)
     if not neighborhood:
         return 0.0
-    k = index.k
     ks = [k[j] for j in neighborhood]
-    mu = math.fsum(ks) / len(ks)
-    floor = params.sigma_floor
-    # Popoviciu: a population sigma is at most half the values' span, so a
-    # span below twice the floor (less a margin for rounding) leaves the floor.
-    if max(ks) - min(ks) < 2.0 * floor * (1.0 - 1e-9):
-        sigma = floor
-    else:
-        sigma = max(statistics.pstdev(ks, mu=mu), floor)
+    mu, sigma = _spread(ks, params.sigma_floor)
     total = 0.0
     for j in sorted(neighborhood):
         distance, coeff = neighborhood[j]
         z = (k[j] - mu) / sigma
         k_norm = max(0.0, z)
-        total += coeff * math.tanh(params.g_scale * k_norm / distance)
+        total += coeff * math.tanh(g_scale * k_norm / distance)
     return params.a_g * total
+
+
+def _spread(ks: list[float], floor: float) -> tuple[float, float]:
+    """The mean of ``ks`` and their population sigma, floored at ``floor``."""
+    mu = math.fsum(ks) / len(ks)
+    # Popoviciu: a population sigma is at most half the values' span, so a
+    # span below twice the floor (less a margin for rounding) leaves the floor.
+    if max(ks) - min(ks) < 2.0 * floor * (1.0 - 1e-9):
+        return mu, floor
+    return mu, max(statistics.pstdev(ks, mu=mu), floor)
 
 
 def question_urgency(age_days: float, blocking_count: int, stakes: float,
@@ -332,54 +355,167 @@ def fixed_point(profile: ClassProfile,
 # ---------------------------------------------------------------------------
 
 # ``_value_`` is the enum member's plain value attribute; ``value`` is a
-# Python-level property, too slow for a per-edge sort key.
+# Python-level property, too slow for a per-edge sort key. The edge-type
+# tables below are keyed by it too: an Enum member hashes in Python.
 _SOURCE_THEN_TYPE = attrgetter("source_id", "edge_type._value_")
+_COEFFICIENT_OF = {t._value_: c for t, c in EDGE_COEFFICIENTS.items()}
+_NEGATIVE = frozenset(t._value_ for t in NEGATIVE_EDGE_TYPES)
+_SUPPORTS, _BLOCKS = EdgeType.SUPPORTS._value_, EdgeType.BLOCKS._value_
 
 
 @dataclass(frozen=True)
 class CycleIndex:
-    """A cycle's inputs that depend only on its snapshot and time, built once.
+    """A cycle's inputs that depend only on its snapshot and time.
 
-    ``inbound`` keeps each target's edges created by ``now`` from
-    non-dormant sources only (dormant objects exert no force; this is the
-    one dormant filter), in snapshot order. ``sources`` keeps those sources
-    sorted by id, each with the coefficients of its edges summed in
-    edge-type order. ``outbound_blocks`` counts BLOCKS edges from every
-    source, dormant or not. ``now=None`` admits every edge.
+    The per-target maps read only edges created by ``now`` from non-dormant
+    sources (dormant objects exert no force; this is the one dormant
+    filter), and hold only non-empty entries. ``sources`` keeps a target's
+    sources sorted by id, and ``coefficients`` beside them the coefficients
+    of each source's edges summed in edge-type order; ``negatives`` counts
+    its CONTRADICTS and BLOCKS edges; ``supports`` holds the creation times
+    of its SUPPORTS edges, sorted. ``outbound_blocks`` counts BLOCKS edges
+    from every source, dormant or not. ``now=None`` admits every edge.
+
+    An index is a view of the :class:`EdgeStructure` that made it: its maps
+    are the structure's own, valid until that structure next changes.
     """
 
     now: int | None
     prev: int | None
     dormant: frozenset[str]
     k: dict[str, float]
-    inbound: dict[str, list[Edge]]
-    sources: dict[str, tuple[tuple[str, float], ...]]
+    sources: dict[str, tuple[str, ...]]
+    coefficients: dict[str, tuple[float, ...]]
+    negatives: dict[str, int]
+    supports: dict[str, tuple[int, ...]]
     outbound_blocks: dict[str, int]
 
 
-def cycle_index(snapshot: GraphSnapshot, now: int | None) -> CycleIndex:
-    """Index the snapshot for a cycle at ``now``, reading each zone once."""
-    dormant = frozenset(ko_id for ko_id, zone in snapshot.zones.items()
-                        if zone is MemoryZone.DORMANT)
-    inbound: dict[str, list[Edge]] = {}
-    outbound_blocks: dict[str, int] = {}
-    for e in snapshot.edges:
-        if now is not None and e.created_at > now:
-            continue
-        if e.edge_type is EdgeType.BLOCKS:
-            outbound_blocks[e.source_id] = outbound_blocks.get(e.source_id, 0) + 1
-        if e.source_id not in dormant:
-            inbound.setdefault(e.target_id, []).append(e)
-    sources: dict[str, tuple[tuple[str, float], ...]] = {}
-    for target, edges in inbound.items():
+class EdgeStructure:
+    """The edges of a graph as every cycle needs them, grown one edge at a
+    time.
+
+    Edges are only ever added, so the structure is built once and kept
+    across cycles. It holds each target's inbound edges, each source's
+    targets and BLOCKS count, and the edges dated after the latest ``now``
+    it was asked for, which enter only once a cycle reaches their time.
+    For each target it caches its entries of the :class:`CycleIndex` maps,
+    and :meth:`index` rebuilds them only for the targets that gained an edge
+    or have a source that changed between dormant and not dormant.
+    """
+
+    def __init__(self, edges: Iterable[Edge] = ()) -> None:
+        self._horizon = -math.inf  # edges created by then are admitted
+        self._pending: list[Edge] = list(edges)  # the first index admits them
+        self._size = len(self._pending)
+        self._inbound: dict[str, list[Edge]] = {}
+        self._targets: dict[str, list[str]] = {}
+        self._blocks: dict[str, int] = {}
+        self._dirty: set[str] = set()
+        self._dormant: frozenset[str] = frozenset()
+        self._sources: dict[str, tuple[str, ...]] = {}
+        self._coefficients: dict[str, tuple[float, ...]] = {}
+        self._negatives: dict[str, int] = {}
+        self._supports: dict[str, tuple[int, ...]] = {}
+
+    def add(self, edge: Edge) -> None:
+        self._size += 1
+        self._admit((edge,))
+
+    def _admit(self, edges: Iterable[Edge]) -> None:
+        """Enter each edge created by the horizon; hold the others back."""
+        horizon, pending = self._horizon, self._pending
+        inbound, targets, blocks, dirty = (self._inbound, self._targets,
+                                           self._blocks, self._dirty)
+        for edge in edges:
+            if edge.created_at > horizon:
+                pending.append(edge)
+                continue
+            source, target = edge.source_id, edge.target_id
+            into = inbound.get(target)
+            if into is None:
+                inbound[target] = [edge]
+            else:
+                into.append(edge)
+            out = targets.get(source)
+            if out is None:
+                targets[source] = [target]
+            else:
+                out.append(target)
+            if edge.edge_type._value_ == _BLOCKS:
+                blocks[source] = blocks.get(source, 0) + 1
+            dirty.add(target)
+
+    def index(self, snapshot: GraphSnapshot, now: int | None) -> CycleIndex:
+        """The index of a cycle at ``now`` over ``snapshot``, which must
+        hold exactly the edges added here. ``now`` never runs backwards."""
+        if len(snapshot.edges) != self._size:
+            raise EngineError(f"snapshot has {len(snapshot.edges)} edges, "
+                              f"the edge structure {self._size}")
+        horizon = math.inf if now is None else now
+        if horizon < self._horizon:
+            raise EngineError(f"cycle at {now} is earlier than the edge "
+                              f"structure's last cycle at {self._horizon}")
+        self._horizon = horizon
+        pending, self._pending = self._pending, []
+        self._admit(pending)
+        dormant = frozenset(ko_id for ko_id, zone in snapshot.zones.items()
+                            if zone is MemoryZone.DORMANT)
+        dirty = self._dirty
+        for ko_id in dormant ^ self._dormant:
+            dirty.update(self._targets.get(ko_id, ()))
+        for target in dirty:
+            self._refilter(target, dormant)
+        dirty.clear()
+        self._dormant = dormant
+        k = {ko_id: ko.scores.k for ko_id, ko in snapshot.kos.items()}
+        return CycleIndex(now=now, prev=snapshot.cycle_at, dormant=dormant, k=k,
+                          sources=self._sources, coefficients=self._coefficients,
+                          negatives=self._negatives, supports=self._supports,
+                          outbound_blocks=self._blocks)
+
+    def _refilter(self, target: str, dormant: frozenset[str]) -> None:
+        edges = self._inbound[target]
+        if len(edges) > 1:
+            edges = sorted(edges, key=_SOURCE_THEN_TYPE)
         by_source: dict[str, float] = {}
-        for e in sorted(edges, key=_SOURCE_THEN_TYPE):
-            by_source[e.source_id] = by_source.get(e.source_id, 0.0) + e.coefficient
-        sources[target] = tuple(by_source.items())
-    k = {ko_id: ko.scores.k for ko_id, ko in snapshot.kos.items()}
-    return CycleIndex(now=now, prev=snapshot.cycle_at, dormant=dormant, k=k,
-                      inbound=inbound, sources=sources,
-                      outbound_blocks=outbound_blocks)
+        negatives = 0
+        supports = []
+        for e in edges:
+            source = e.source_id
+            if source in dormant:
+                continue
+            edge_type = e.edge_type._value_
+            coeff = _COEFFICIENT_OF[edge_type]
+            # A source's first coefficient is kept as it is (0.0 + c == c),
+            # so a single edge's sum is the shared constant, not a new float.
+            total = by_source.get(source)
+            by_source[source] = coeff if total is None else total + coeff
+            if edge_type == _SUPPORTS:
+                supports.append(e.created_at)
+            elif edge_type in _NEGATIVE:
+                negatives += 1
+        if by_source:
+            self._sources[target] = tuple(by_source)
+            self._coefficients[target] = tuple(by_source.values())
+        else:
+            self._sources.pop(target, None)
+            self._coefficients.pop(target, None)
+        if negatives:
+            self._negatives[target] = negatives
+        else:
+            self._negatives.pop(target, None)
+        if supports:
+            supports.sort()
+            self._supports[target] = tuple(supports)
+        else:
+            self._supports.pop(target, None)
+
+
+def cycle_index(snapshot: GraphSnapshot, now: int | None) -> CycleIndex:
+    """The index of a cycle at ``now``, from a structure of the snapshot's
+    edges built for it alone."""
+    return EdgeStructure(snapshot.edges).index(snapshot, now)
 
 
 def gravity_neighborhood(ko_id: str, index: CycleIndex,
@@ -396,7 +532,8 @@ def gravity_neighborhood(ko_id: str, index: CycleIndex,
     for depth in range(1, radius + 1):
         nxt: list[tuple[str, float]] = []
         for node, path_coeff in frontier:
-            for src, coeff in index.sources.get(node, ()):
+            for src, coeff in zip(index.sources.get(node, ()),
+                                  index.coefficients.get(node, ())):
                 if src in seen:
                     continue
                 seen.add(src)
@@ -414,10 +551,8 @@ def cycle_inputs(ko: KnowledgeObject, index: CycleIndex,
     sources created since the previous cycle."""
     now, prev = index.now, index.prev
     ages = [(now - t) / SECONDS_PER_DAY for t in ko.retrieved_at if t <= now]
-    new_supports = sum(
-        1 for e in index.inbound.get(ko.id, ())
-        if e.edge_type is EdgeType.SUPPORTS
-        and (prev is None or e.created_at > prev))
+    supports = index.supports.get(ko.id, ())
+    new_supports = len(supports) - (0 if prev is None else bisect_right(supports, prev))
     return usage_force(ages, params), evidence_force(new_supports, params)
 
 
@@ -427,6 +562,8 @@ def run_cycle(
     params: EngineParams,
     frozen_usage: Mapping[str, float] | None = None,
     frozen_evidence: Mapping[str, float] | None = None,
+    *,
+    edges: EdgeStructure | None = None,
 ) -> tuple[GraphSnapshot, list[ForceBreakdown]]:
     """One synchronous cycle over the whole graph.
 
@@ -439,10 +576,17 @@ def run_cycle(
     ``frozen_usage`` / ``frozen_evidence`` override the per-object usage and
     evidence forces; the convergence lab uses them to iterate the map under
     held inputs.
+
+    ``edges`` is an :class:`EdgeStructure` of the snapshot's edges kept
+    across cycles, whose edges were checked as they were added; without
+    one, the snapshot's edges are checked and a structure is built for
+    this cycle alone.
     """
-    snapshot.validate()
-    index = cycle_index(snapshot, now)
-    prev, dormant = index.prev, index.dormant
+    if edges is None:
+        snapshot.validate()
+        edges = EdgeStructure(snapshot.edges)
+    index = edges.index(snapshot, now)
+    prev, dormant, negatives = index.prev, index.dormant, index.negatives
     held = frozen_usage is not None and frozen_evidence is not None
 
     new_kos: dict[str, KnowledgeObject] = {}
@@ -461,7 +605,7 @@ def run_cycle(
         if frozen_evidence is not None:
             e_force = frozen_evidence.get(ko_id, 0.0)
         g = gravity_force(ko_id, snapshot, params, _index=index)
-        c = contradiction_penalty(index.inbound.get(ko_id, []), params)
+        c = params.a_c * negatives.get(ko_id, 0)  # contradiction_penalty
 
         fb = kge_step(ko, (u, e_force, g, c), params)
         breakdowns.append(fb)

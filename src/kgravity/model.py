@@ -3,8 +3,9 @@ typed edges, score vectors, and memory zones.
 
 Everything here is an immutable value. Score updates happen in the engine,
 which produces fresh objects rather than mutating existing ones, so snapshots
-can be shared freely across threads. The per-object values (edges, score
-vectors, knowledge objects) are slotted: a replayed log holds many of them.
+can be shared freely across threads. The per-object values (coordinates,
+edges, score vectors, knowledge objects) are slotted: a replayed log holds
+many of them.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def simulation_profile(cls: EpistemicClass) -> ClassProfile:
 KOC_AXES = ("entity", "domain", "cls", "epoch", "depth", "author", "variant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Koc:
     """Seven-axis structural coordinate, assigned at ingestion and immutable.
 
@@ -363,6 +364,15 @@ class KnowledgeObject:
         _set(scores, "freshness", s.freshness)
         _set(scores, "urgency", urgency)
         _set(scores, "contradiction", s.contradiction)
+        return self._rebuilt(scores, self.retrieved_at)
+
+    def with_retrieval(self, at: int) -> "KnowledgeObject":
+        """This object with retrieval time ``at`` appended, built without
+        re-validation: ``__post_init__`` checks no field that changes."""
+        return self._rebuilt(self.scores, self.retrieved_at + (at,))
+
+    def _rebuilt(self, scores: ScoreVector,
+                 retrieved_at: tuple[int, ...]) -> "KnowledgeObject":
         ko = _new(KnowledgeObject)
         _set(ko, "id", self.id)
         _set(ko, "koc", self.koc)
@@ -370,7 +380,7 @@ class KnowledgeObject:
         _set(ko, "content", self.content)
         _set(ko, "scores", scores)
         _set(ko, "created_at", self.created_at)
-        _set(ko, "retrieved_at", self.retrieved_at)
+        _set(ko, "retrieved_at", retrieved_at)
         _set(ko, "resolved", self.resolved)
         _set(ko, "stakes", self.stakes)
         _set(ko, "anchors", self.anchors)

@@ -31,6 +31,10 @@ and of every restored edge (edges are never replaced), and serializes only
 the rest, so an export costs in proportion to what changed since the
 restore and its bytes are those of a fresh serialization.
 
+For its cycles the store keeps an :class:`~kgravity.engine.EdgeStructure`:
+built from its edges at its first cycle and then grown by each new edge, so
+a store that only ingests, restores or answers queries never builds it.
+
 Every timestamp an operation accepts must survive the log's ISO-8601
 round trip (whole seconds, years 1000 to 9999); anything else is a
 ValidationError before any event is appended. Both directions of that
@@ -53,6 +57,7 @@ from pathlib import Path
 
 from .engine import (
     SCORE_DECIMALS,
+    EdgeStructure,
     EngineParams,
     ForceBreakdown,
     quantize,
@@ -243,12 +248,14 @@ class CorpusStore:
         self._base_seq = 0
         self._base_at = 0
         self._last_cycle_at: int | None = None
-        self._last_breakdowns: list[ForceBreakdown] = []
         # The corpus lines a checkpoint restore verified, which
         # corpus_lines re-emits: each object's line with the object parsed
         # from it, and the lines of the first len(_edge_lines) edges.
         self._ko_lines: dict[str, tuple[KnowledgeObject, str]] = {}
         self._edge_lines: list[str] = []
+        # The cycles' edge structure: built from _edges at the first cycle,
+        # then grown by _add_edge, so a store that never cycles pays nothing.
+        self._structure: EdgeStructure | None = None
 
     # -- read side ----------------------------------------------------------
 
@@ -265,6 +272,16 @@ class CorpusStore:
     @property
     def last_seq(self) -> int:
         return self._base_seq + len(self._events)
+
+    def events_after(self, seq: int) -> tuple[EventRecord, ...]:
+        """The events after seq ``seq``: ``events_after(s)``, with ``s``
+        the ``last_seq`` taken before some operations, is what they
+        appended. Events up to a checkpoint are not held, so a ``seq``
+        before a restored store's checkpoint is a ValueError."""
+        if seq < self._base_seq:
+            raise ValueError(f"events up to seq {self._base_seq} are not held "
+                             f"(restored from a checkpoint); asked for after {seq}")
+        return tuple(self._events[seq - self._base_seq:])
 
     @property
     def last_cycle_at(self) -> int | None:
@@ -317,8 +334,8 @@ class CorpusStore:
             "content": content,
             "created_at": created_at,
             "stakes": quantize(stakes),
-            "anchors": sorted(set(anchors)),
-            "embedding": list(embedding) if embedding is not None else None,
+            "anchors": tuple(sorted(set(anchors))),
+            "embedding": tuple(embedding) if embedding is not None else None,
             "confidence": quantize(confidence),
             "freshness": quantize(freshness),
         }
@@ -410,8 +427,8 @@ class CorpusStore:
                 else self.latest_event_at()
             now = base + self._params.cycle_period_s
         _check_ts("cycle time", now)
-        self._append(EventKind.CYCLE_APPLIED, {"at": now}, at=now)
-        return self.snapshot(), list(self._last_breakdowns)
+        breakdowns = self._append(EventKind.CYCLE_APPLIED, {"at": now}, at=now)
+        return self.snapshot(), breakdowns
 
     # -- event machinery ----------------------------------------------------
 
@@ -457,8 +474,7 @@ class CorpusStore:
             return edge
         if kind is EventKind.KO_RETRIEVED:
             ko = self._known(payload["id"])
-            self._kos[ko.id] = replace(
-                ko, retrieved_at=ko.retrieved_at + (int(payload["at"]),))
+            self._kos[ko.id] = ko.with_retrieval(int(payload["at"]))
             return None
         if kind is EventKind.CYCLE_APPLIED:
             now = int(payload["at"])
@@ -466,10 +482,16 @@ class CorpusStore:
                 raise ValidationError(
                     f"cycle at {now} is earlier than the last cycle at "
                     f"{self._last_cycle_at}; cycle time never runs backwards")
-            new_snapshot, breakdowns = run_cycle(self.snapshot(), now, self._params)
+            if self._structure is None:
+                self._structure = EdgeStructure(self._edges)
+            try:
+                new_snapshot, breakdowns = run_cycle(
+                    self.snapshot(), now, self._params, edges=self._structure)
+            except BaseException:
+                self._structure = None  # it may have advanced to ``now``
+                raise
             self._kos = dict(new_snapshot.kos)
             self._last_cycle_at = now
-            self._last_breakdowns = breakdowns
             return breakdowns
         if kind is EventKind.PARAMS_CHANGED:
             self._params = EngineParams.from_dict(payload["params"])
@@ -504,6 +526,8 @@ class CorpusStore:
         edge = Edge(source, target, edge_type, at)
         self._edges.append(edge)
         self._edge_keys.add(key)
+        if self._structure is not None:
+            self._structure.add(edge)
         return edge
 
     # -- replay -------------------------------------------------------------
@@ -775,16 +799,24 @@ def _event_from_dict(data: dict) -> EventRecord:
     seq, at, payload = data["seq"], data["at"], data["payload"]
     if type(seq) is not int or not isinstance(at, str) or not isinstance(payload, dict):
         raise ValueError("seq must be an integer, at a string and payload an object")
-    return EventRecord(seq=seq, at=iso_to_ts(at), kind=EventKind(data["kind"]),
-                       payload=_interned(payload))
+    ts = iso_to_ts(at)
+    payload = _interned(payload)
+    same = payload.get("at")
+    if type(same) is int and same == ts:
+        ts = same  # one int object for the event's time, not two
+    return EventRecord(seq=seq, at=ts, kind=EventKind(data["kind"]), payload=payload)
 
 
 def _interned(payload: dict) -> dict:
     # A parsed log holds one payload per event; sharing the key strings and
-    # the repeated string values (ids, edge types, coordinate axes) between
-    # them keeps a long log's footprint down.
+    # the repeated string values (ids, edge types, coordinate axes, anchors)
+    # between them keeps a long log's footprint down. A list becomes a
+    # tuple, as in the payloads the store builds, which the object built
+    # from the payload then shares instead of copying.
     return {sys.intern(key): _interned(value) if type(value) is dict
-            else sys.intern(value) if type(value) is str else value
+            else sys.intern(value) if type(value) is str
+            else tuple([sys.intern(v) if type(v) is str else v for v in value])
+            if type(value) is list else value
             for key, value in payload.items()}
 
 

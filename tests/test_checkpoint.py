@@ -27,8 +27,10 @@ from kgravity import (
     read_events,
     write_corpus,
 )
+from kgravity.engine import cycle_index
 from kgravity.store import (
     CheckpointError,
+    EventKind,
     LogPosition,
     checkpoint_path,
     corpus_lines,
@@ -154,7 +156,7 @@ def append_by_library(workdir: Path, operate) -> int:
     store = CorpusStore.replay(read_events(log))
     before = store.last_seq
     operate(store)
-    append_events(log, store.events[before:])
+    append_events(log, store.events_after(before))
     return store.last_seq - before
 
 
@@ -404,12 +406,12 @@ def test_export_after_restore_equals_full_replay_export(session, tmp_path):
     log, corpus = session / "events.jsonl", session / "corpus.jsonl"
     base, start = restore_checkpoint(log, corpus)
     store = CorpusStore.replay(read_events_from(log, start)[0], base=base)
-    before = len(store.events)
+    before = store.last_seq
     store.ingest_record(ko_rec(40, "EVIDENCE", day=20))
     store.add_edge("k040", "k001", "SUPPORTS", at=store.latest_event_at())
     store.record_retrieval("k002", at=store.latest_event_at() + 60)
     store.apply_cycle()
-    append_events(log, store.events[before:])
+    append_events(log, store.events_after(before))
     exported = tmp_path / "exported.jsonl"
     write_corpus(store, exported)
 
@@ -422,6 +424,21 @@ def test_export_after_restore_equals_full_replay_export(session, tmp_path):
     assert len(store._edge_lines) == 5  # the restored edges; the new one is not
 
 
+def test_events_after_a_restored_seq_are_the_new_events(session):
+    log, corpus = session / "events.jsonl", session / "corpus.jsonl"
+    store, _ = restore_checkpoint(log, corpus)
+    seq = store.last_seq
+    assert seq > 0 and store.events == ()
+    store.record_retrieval("k002", at=store.latest_event_at() + 60)
+    (event,) = store.events_after(seq)
+    assert (event.seq, event.kind, event.payload["id"]) == (
+        seq + 1, EventKind.KO_RETRIEVED, "k002")
+    assert store.events_after(seq + 1) == ()
+    with pytest.raises(ValueError, match="not held"):
+        store.events_after(seq - 1)
+    assert store.events[seq:] == ()  # why a count cannot slice a restored store
+
+
 # ---------------------------------------------------------------------------
 # Stateful: live == replay == checkpoint restore + tail, after every step
 # ---------------------------------------------------------------------------
@@ -429,6 +446,14 @@ def test_export_after_restore_equals_full_replay_export(session, tmp_path):
 def state_of(store: CorpusStore) -> tuple:
     return (corpus_lines(store), store.params.to_dict(), store.last_seq,
             store.latest_event_at())
+
+
+def assert_kept_index_is_fresh(store: CorpusStore) -> None:
+    """The store's edge structure, kept across its cycles, indexes its last
+    cycle as one built from scratch does."""
+    if store._structure is not None:
+        snapshot, now = store.snapshot(), store.last_cycle_at
+        assert store._structure.index(snapshot, now) == cycle_index(snapshot, now)
 
 
 class CheckpointedStore(RuleBasedStateMachine):
@@ -526,13 +551,18 @@ class CheckpointedStore(RuleBasedStateMachine):
     def live_equals_replay_equals_restore_plus_tail(self):
         self._persist()
         live = state_of(self.store)
+        assert_kept_index_is_fresh(self.store)
         events = read_events(self.log) if self.log.exists() else []
-        assert state_of(CorpusStore.replay(events)) == live
+        replayed = CorpusStore.replay(events)
+        assert state_of(replayed) == live
+        assert_kept_index_is_fresh(replayed)
         if checkpoint_path(self.log).exists():
             base, start = restore_checkpoint(self.log, self.corpus)
             tail, end = read_events_from(self.log, start)
             assert end == self.end
-            assert state_of(CorpusStore.replay(tail, base=base)) == live
+            restored = CorpusStore.replay(tail, base=base)
+            assert state_of(restored) == live
+            assert_kept_index_is_fresh(restored)
 
 
 CheckpointedStore.TestCase.settings = settings(

@@ -111,6 +111,30 @@ def test_ingest_reports_non_object_lines_per_line(cli, tmp_path):
         (3, "expected a JSON object, got list"), (4, "expected a JSON object, got int")]
 
 
+def test_ingest_warns_on_stderr_about_fields_it_ignores(cli, tmp_path, capsys):
+    records = [ko_rec(0), dict(ko_rec(1), retrieved_at=["2024-01-03T00:00:00Z"]),
+               dict(ko_rec(2, "QUESTION"), resolved=True, retrieved_at=[]),
+               dict(ko_rec(3), resolved=False)]
+    write_input(tmp_path / "in.jsonl", records)
+    base = ["--corpus", str(tmp_path / "corpus.jsonl"),
+            "--log", str(tmp_path / "events.jsonl")]
+    assert main(base + ["ingest", str(tmp_path / "in.jsonl")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "4 KOs, 0 edges ingested; 0 rejected\n"
+    assert captured.err.splitlines() == [
+        "warning: line 3: ignored field(s) retrieved_at",
+        "warning: line 4: ignored field(s) retrieved_at, resolved",
+        "warning: line 5: ignored field(s) resolved",
+    ]
+    # the fields were dropped: the objects start unretrieved and unresolved
+    from kgravity import CorpusStore, read_events
+    kos = CorpusStore.replay(read_events(tmp_path / "events.jsonl")).snapshot().kos
+    assert kos["k001"].retrieved_at == () and not kos["k002"].resolved
+    # a rejected record is reported on stdout only
+    assert main(base + ["ingest", str(tmp_path / "in.jsonl")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_ingest_missing_file_is_contract_violation(cli, tmp_path):
     cli("ingest", str(tmp_path / "nope.jsonl"), expect=1)
 

@@ -19,6 +19,8 @@ import pytest
 from kgravity.dynamics import random_graph
 from kgravity.engine import (
     SECONDS_PER_DAY,
+    EdgeStructure,
+    EngineError,
     EngineParams,
     ForceBreakdown,
     contradiction_penalty,
@@ -37,12 +39,13 @@ from kgravity.model import (
     EpistemicClass,
     GraphSnapshot,
     KnowledgeObject,
+    Koc,
     ModelError,
     ScoreVector,
 )
-from kgravity.store import EventKind, EventRecord
+from kgravity.store import CorpusStore, EventKind, EventRecord
 
-from tests.conftest import make_ko
+from tests.conftest import make_ko, make_koc
 
 PROD = EngineParams.production()
 
@@ -299,6 +302,169 @@ def test_gravity_force_view_matches_oracle(radius):
             oracle_gravity(ko_id, snapshot, params, inbound)
 
 
+# ---------------------------------------------------------------------------
+# The edge structure kept across cycles
+# ---------------------------------------------------------------------------
+
+def with_k(snapshot, changes):
+    kos = dict(snapshot.kos)
+    for ko_id, k in changes.items():
+        kos[ko_id] = dataclasses.replace(
+            kos[ko_id], scores=dataclasses.replace(kos[ko_id].scores, k=k))
+    return dataclasses.replace(snapshot, kos=kos)
+
+
+def kept_scenario(seed):
+    """A churned graph held back by a fifth of its edges, and for each of
+    six cycles the edges to add and the k values to set before it."""
+    full = churned_graph(seed)
+    rng = random.Random(seed)
+    held = set(rng.sample(range(len(full.edges)), len(full.edges) // 5))
+    start = dataclasses.replace(
+        full, edges=tuple(e for i, e in enumerate(full.edges) if i not in held))
+    later = [full.edges[i] for i in sorted(held)]
+    period = PROD.cycle_period_s
+    first = CYCLE_AT + period
+    ids = sorted(full.kos)
+    sources = sorted({e.source_id for e in full.edges})
+    # awake stay awake and asleep stay asleep (frozen, never retrieved in
+    # a cycle's window) until step 4 sets their k
+    awake = [i for i in sources if full.kos[i].scores.k >= 0.2]
+    asleep = [i for i in sources if full.kos[i].dormant
+              and all(t <= CYCLE_AT for t in full.kos[i].retrieved_at)]
+    a, b, c = ids[-3:]
+    steps = [
+        ([], {}),
+        # dated between this cycle and the next: admitted one cycle later
+        ([Edge(e.source_id, e.target_id, e.edge_type, first + period + period // 2)
+          for e in later[:8]], {}),
+        # backdated, added after the cycles that would have seen it
+        ([Edge(e.source_id, e.target_id, e.edge_type, CYCLE_AT - DAY)
+          for e in later[8:16]], {}),
+        # three edge types between one pair, in an order other than their own
+        ([Edge(a, c, t, first) for t in
+          (EdgeType.SUPPORTS, EdgeType.BASED_ON, EdgeType.CONTRADICTS)]
+         + [Edge(b, c, EdgeType.PRECEDES, first)], {}),
+        # one source goes dormant and one revives
+        (later[16:], {awake[0]: 0.01, awake[1]: 0.02, asleep[0]: 0.3}),
+        ([], {awake[0]: 0.6}),
+    ]
+    return start, steps
+
+
+def assert_kept_cycles_agree(seed, params):
+    snapshot, steps = kept_scenario(seed)
+    structure = EdgeStructure(snapshot.edges)
+    now = CYCLE_AT + params.cycle_period_s
+    for added, ks in steps:
+        for edge in added:
+            structure.add(edge)
+        snapshot = with_k(dataclasses.replace(
+            snapshot, edges=snapshot.edges + tuple(added)), ks)
+        got = run_cycle(snapshot, now, params, edges=structure)
+        assert got == oracle_cycle(snapshot, now, params)
+        assert structure.index(snapshot, now) == cycle_index(snapshot, now)
+        snapshot = got[0]
+        now += params.cycle_period_s
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kept_structure_matches_oracle_and_fresh_index(seed):
+    assert_kept_cycles_agree(seed, PROD)
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_kept_structure_matches_oracle_at_larger_radius(radius):
+    assert_kept_cycles_agree(4, EngineParams.production(gravity_radius=radius))
+
+
+def test_kept_scenario_covers_its_cases():
+    snapshot, steps = kept_scenario(1)
+    structure = EdgeStructure(snapshot.edges)
+    now = CYCLE_AT + PROD.cycle_period_s
+    sources = {e.source_id for e in snapshot.edges}
+    admitted_later = 0
+    for i, (added, ks) in enumerate(steps):
+        for edge in added:
+            structure.add(edge)
+        snapshot = with_k(dataclasses.replace(
+            snapshot, edges=snapshot.edges + tuple(added)), ks)
+        before, pending = structure._dormant, len(structure._pending)
+        index = structure.index(snapshot, now)
+        if i == 4:  # a source goes dormant and one revives
+            assert index.dormant - before & sources and before - index.dormant & sources
+        if i:
+            admitted_later += pending - len(structure._pending)
+        snapshot = run_cycle(snapshot, now, PROD, edges=structure)[0]
+        now += PROD.cycle_period_s
+    assert admitted_later > 0 and structure._pending  # 40-day edges still wait
+    a, _, c = sorted(snapshot.kos)[-3:]
+    assert sum((e.source_id, e.target_id) == (a, c) for e in snapshot.edges) >= 3
+
+
+def test_kept_structure_refuses_time_running_backwards():
+    snapshot = churned_graph(1)
+    structure = EdgeStructure(snapshot.edges)
+    structure.index(snapshot, CYCLE_AT + DAY)
+    with pytest.raises(EngineError):
+        structure.index(snapshot, CYCLE_AT)
+    with pytest.raises(EngineError):  # edges the structure does not hold
+        EdgeStructure(snapshot.edges[1:]).index(snapshot, CYCLE_AT)
+
+
+def test_store_cycles_match_oracle_across_params_changes():
+    store = CorpusStore()
+    rng = random.Random(5)
+    classes = list(EpistemicClass)
+    clock = 1_700_000_000
+    for n in range(40):
+        cls = classes[n % len(classes)]
+        store.ingest_ko(cls=cls, koc=make_koc(cls, entity=f"e{n}"),
+                        content=f"object {n}", created_at=clock, stakes=0.5)
+    ids = sorted(store.snapshot().kos)
+    presets = [EngineParams.production(gravity_radius=2), EngineParams.simulation(),
+               EngineParams.production(sigma_floor=0.1), PROD]
+    for round_ in range(8):
+        for _ in range(12):
+            source, target = rng.sample(ids, 2)
+            clock += 600
+            try:
+                store.add_edge(source, target, rng.choice(list(EdgeType)),
+                               at=clock + rng.choice((0, 0, -DAY, 2 * DAY)))
+            except ValueError:
+                pass  # a duplicate edge
+            store.record_retrieval(rng.choice(ids), at=clock)
+        if round_ % 2:
+            store.set_params(presets[round_ // 2])
+        before, now = store.snapshot(), clock + 3600
+        want = oracle_cycle(before, now, store.params)
+        assert store.apply_cycle(now=now) == want
+        assert store._structure.index(before, now) == cycle_index(before, now)
+
+
+def test_a_failed_store_cycle_drops_the_structure_it_advanced(monkeypatch):
+    import kgravity.store as store_module
+    store = CorpusStore()
+    for n in range(3):
+        store.ingest_ko(cls="EVIDENCE", koc=make_koc(EpistemicClass.EVIDENCE, entity=f"e{n}"),
+                        content=f"object {n}", created_at=0)
+    ids = sorted(store.snapshot().kos)
+    store.add_edge(ids[0], ids[1], EdgeType.SUPPORTS, at=DAY)
+    store.apply_cycle(now=DAY)
+
+    def failing(snapshot, now, params, *, edges):
+        edges.index(snapshot, now)
+        raise EngineError("fails after indexing")
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "run_cycle", failing)
+        with pytest.raises(EngineError):
+            store.apply_cycle(now=3 * DAY)
+    assert store._structure is None and store.last_cycle_at == DAY
+    store.add_edge(ids[2], ids[1], EdgeType.SUPPORTS, at=2 * DAY)
+    before = store.snapshot()
+    assert store.apply_cycle(now=2 * DAY) == oracle_cycle(before, 2 * DAY, PROD)
+
+
 def test_unchanged_objects_are_reused():
     ko = make_ko("a", EpistemicClass.CONSTRAINT, k=0.9)
     snapshot = GraphSnapshot(kos={"a": ko})
@@ -312,6 +478,17 @@ def test_unchanged_objects_are_reused():
     got = run_cycle(question, DAY, PROD)
     assert got == oracle_cycle(question, DAY, PROD)
     assert got[0].kos["q"].scores.k == 1.0 and got[0].kos["q"].scores.urgency > 0.0
+
+
+def test_with_retrieval_equals_a_validated_replace():
+    ko = make_ko("q", EpistemicClass.QUESTION, k=0.3, stakes=0.5,
+                 retrieved_at=(5, 9), anchors=frozenset({"x"}), embedding=(1.0, 0.5))
+    got = ko.with_retrieval(12)
+    want = dataclasses.replace(ko, retrieved_at=(5, 9, 12))
+    assert got == want and hash(got) == hash(want)
+    assert [getattr(got, f.name) for f in dataclasses.fields(got)] == \
+        [getattr(want, f.name) for f in dataclasses.fields(want)]
+    assert got.scores is ko.scores and ko.retrieved_at == (5, 9)
 
 
 def test_rescored_equals_a_validated_replace():
@@ -331,6 +508,7 @@ def test_rescored_equals_a_validated_replace():
 # ---------------------------------------------------------------------------
 
 SLOTTED = {
+    Koc: ("entity", "domain", "cls", "epoch", "depth", "author", "variant"),
     Edge: ("source_id", "target_id", "edge_type", "created_at"),
     ScoreVector: ("k", "confidence", "freshness", "urgency", "contradiction"),
     KnowledgeObject: ("id", "koc", "cls", "content", "scores", "created_at",
@@ -344,6 +522,7 @@ SLOTTED = {
 def slotted_examples():
     ko = make_ko("a", EpistemicClass.EVIDENCE, k=0.5, anchors=frozenset({"x"}))
     return {
+        Koc: ko.koc,
         Edge: Edge("a", "b", EdgeType.SUPPORTS, 3),
         ScoreVector: ScoreVector(0.5, 0.9),
         KnowledgeObject: ko,
