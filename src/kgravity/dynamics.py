@@ -38,6 +38,7 @@ from .model import (
     Koc,
     ScoreVector,
     class_profile,
+    left_sum,
     simulation_profile,
 )
 
@@ -124,7 +125,7 @@ def gershgorin_check(snapshot: GraphSnapshot, params: EngineParams) -> Convergen
         lam = params.lambda_for(ko.cls, resolved=ko.resolved)
         diagonals.append((1.0 - params.eta) - lam * params.delta_t)
         neighborhood = gravity_neighborhood(ko_id, index, params.gravity_radius)
-        offdiag.append(sum(
+        offdiag.append(left_sum(
             params.eta * params.a_g * abs(coeff) * params.g_scale / (d * d)
             for d, coeff in neighborhood.values()))
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class ModelError(ValueError):
@@ -178,8 +178,8 @@ def koc_matcher(anchor: Koc, weights: Sequence[float] | None = None) -> Callable
     elif len(weights) != 7:
         raise ModelError(f"expected 7 axis weights, got {len(weights)}")
     total = math.fsum(weights)
-    if total <= 0:
-        raise ModelError("axis weights must have a positive sum")
+    if not 0 < total < math.inf:
+        raise ModelError("axis weights must have a positive finite sum")
     pairs = tuple(zip(weights, anchor.axes()))
 
     def similarity(b: Koc) -> float:
@@ -392,8 +392,20 @@ _new = object.__new__
 _set = object.__setattr__  # bypasses the frozen dataclass's __setattr__
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added strictly left to right, one rounding per
+    addition: what the built-in ``sum`` computes before Python 3.12, which
+    made it compensate float sums. Scores summed with it have the same bits
+    on every supported Python. Like ``sum`` it starts from the integer 0,
+    so integers add exactly until the first float."""
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
 def embedding_norm(embedding: Sequence[float]) -> float:
-    return math.sqrt(sum(x * x for x in embedding))
+    return math.sqrt(left_sum(x * x for x in embedding))
 
 
 @dataclass(frozen=True)
@@ -432,6 +444,47 @@ class GraphSnapshot:
     def embedding_norms(self) -> dict[str, float]:
         return {ko_id: embedding_norm(ko.embedding)
                 for ko_id, ko in self.kos.items() if ko.embedding is not None}
+
+    @cached_property
+    def by_k(self) -> tuple[str, ...]:
+        """Every id in descending k, ties by id."""
+        kos = self.kos
+        return tuple(sorted(self.zones, key=lambda ko_id: -kos[ko_id].scores.k))
+
+    @cached_property
+    def entity_ids(self) -> dict[str, tuple[str, ...]]:
+        """The ids of each coordinate entity, in descending k, ties by id."""
+        return self._grouped(self.by_k, lambda ko: ko.koc.entity)
+
+    @cached_property
+    def domain_ids(self) -> dict[str, tuple[str, ...]]:
+        """The ids of each coordinate domain, in descending k, ties by id."""
+        return self._grouped(self.by_k, lambda ko: ko.koc.domain)
+
+    @cached_property
+    def dimension_ids(self) -> dict[int, tuple[str, ...]]:
+        """The ids of each embedding length, sorted. A store holds one
+        length; a snapshot built by hand may hold several."""
+        return self._grouped(self.zones, lambda ko: (
+            None if ko.embedding is None else len(ko.embedding)))
+
+    def _grouped(self, ids: Iterable[str], key: Callable[[KnowledgeObject], object]
+                 ) -> dict:
+        """``ids`` grouped by ``key`` of their object, each group in the
+        order of ``ids``; a key of None is left out."""
+        groups: dict[object, list[str]] = {}
+        for ko_id in ids:
+            value = key(self.kos[ko_id])
+            if value is not None:
+                groups.setdefault(value, []).append(ko_id)
+        return {value: tuple(group) for value, group in groups.items()}
+
+    @cached_property
+    def norm_range(self) -> tuple[float, float]:
+        """The smallest and the largest nonzero embedding norm; (1.0, 1.0)
+        when there is none."""
+        nonzero = [norm for norm in self.embedding_norms.values() if norm]
+        return (min(nonzero), max(nonzero)) if nonzero else (1.0, 1.0)
 
     @cached_property
     def first_ids(self) -> dict[object, str]:

@@ -9,6 +9,30 @@ safe.
 Queries read the snapshot's cached index (see ``GraphSnapshot``). Threads
 racing to build it is harmless, as it is a pure function of the snapshot; a
 snapshot must not be mutated once used (``CorpusStore.snapshot()`` copies).
+
+``rank`` scores only the objects that can still reach the top k, as in the
+threshold algorithm (Fagin, Lotem and Naor, PODS 2001). It splits the
+eligible objects into four groups by whether they share the query's entity
+and its domain, and walks each group in descending k, keeping a min-heap of
+the top_k best rank scores so far. A group's walk stops at the first object
+whose bound is below the k-th best score. Within a group the match terms
+of S_struct and phi are known, S_struct is at most 1 with an anchor
+coordinate, S_sem and S_topo are at most 1, and anchor overlap is at most 1
+(0 without active anchors), so a member has
+
+    R <= H_cap * (k * M),  H_cap = alpha * S_struct_cap + beta * S_sem_cap + gamma,
+                           M = max(k_eff_floor, phi_cap)
+
+where each cap goes through the very float expressions that compute R. On
+non-negative values float ``+`` and ``*`` are monotone, so the bound holds
+bit for bit; it is monotone in k, so no member after the stop can reach
+the top k. Only the cosine's cap is not exact: rounding can lift a cosine
+of 1, and ``_COSINE_CAP`` covers that for embeddings of at most 2**20
+dimensions whose nonzero norms lie in [2**-500, 2**500]. Outside that
+range, or with a negative weight, the bound is infinite and every eligible
+object is scored. The stop test is strict, so an object whose R could tie
+the k-th best is still scored. The result is then chosen from the scored
+rows exactly as from a full scan: the same rows, order and tie-breaks.
 """
 
 from __future__ import annotations
@@ -27,6 +51,7 @@ from .model import (
     MemoryZone,
     embedding_norm,
     koc_matcher,
+    left_sum,
 )
 
 
@@ -52,6 +77,9 @@ class RetrievalWeights:
     k_eff_floor: float = 0.10
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma, self.w_e,
+                                        self.w_d, self.w_a, self.k_eff_floor))):
+            raise RetrievalError("retrieval weights must be finite")
         if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
             raise RetrievalError(
                 f"similarity weights sum to {self.alpha + self.beta + self.gamma}, not 1")
@@ -83,6 +111,8 @@ class Query:
     exclude_peripheral: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.top_k, bool) or not isinstance(self.top_k, int):
+            raise RetrievalError(f"top_k must be an int, got {self.top_k!r}")
         if self.top_k < 1:
             raise RetrievalError(f"top_k must be >= 1, got {self.top_k}")
         if self.embedding is not None and not all(map(math.isfinite, self.embedding)):
@@ -136,10 +166,14 @@ def _rescaled_cosine(a: tuple[float, ...], na: float,
     """Cosine of ``a`` and ``ko``'s embedding from their norms, in [0, 1]."""
     b = ko.embedding
     if len(a) != len(b):
-        raise RetrievalError(
-            f"embedding dimension mismatch: query {len(a)} vs ko {ko.id!r} {len(b)}")
-    cosine = 0.0 if na == 0.0 or nb == 0.0 else sum(map(operator.mul, a, b)) / (na * nb)
+        raise _mismatch(len(a), ko.id, len(b))
+    cosine = 0.0 if na == 0.0 or nb == 0.0 else left_sum(map(operator.mul, a, b)) / (na * nb)
     return (cosine + 1.0) / 2.0
+
+
+def _mismatch(query_dim: int, ko_id: str, ko_dim: int) -> RetrievalError:
+    return RetrievalError(
+        f"embedding dimension mismatch: query {query_dim} vs ko {ko_id!r} {ko_dim}")
 
 
 def semantic_sim(q: Query, ko: KnowledgeObject) -> float:
@@ -254,6 +288,59 @@ def hybrid_score(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot,
     return _score_one(q, ko, snapshot, w).hybrid
 
 
+#: No computed cosine exceeds this for embeddings of at most 2**20 dimensions
+#: whose nonzero norms lie in [2**-500, 2**500]: the dot product and the
+#: norms then round without underflow or overflow, each within 2**20 * 2**-53
+#: of its value, which lifts a cosine by less than 4e-10.
+_COSINE_CAP = 1.0 + 1e-9
+_MAX_DIM = 2 ** 20
+_NORMS = (2.0 ** -500, 2.0 ** 500)
+
+#: The groups ``rank`` walks, as (shares the query's entity, shares its
+#: domain), in the order it walks them.
+_GROUPS = ((True, True), (True, False), (False, True), (False, False))
+
+
+def _group_bounds(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
+                  koc_weights: Sequence[float] | None) -> list[tuple[float, float]]:
+    """For each of ``_GROUPS``, (H_cap, M) such that a member has
+    R <= H_cap * (k * M); (inf, inf) when there is no bound."""
+    no_bound = [(math.inf, math.inf)] * len(_GROUPS)
+    weights = (w.alpha, w.beta, w.gamma, w.w_e, w.w_d, w.w_a, *(koc_weights or ()))
+    if not all(x >= 0.0 for x in weights):
+        return no_bound
+    s_sem = 0.0
+    if q.embedding is not None:
+        low, high = _NORMS
+        qn = embedding_norm(q.embedding)
+        norm_low, norm_high = snapshot.norm_range
+        if not (len(q.embedding) <= _MAX_DIM and low <= norm_low and norm_high <= high
+                and (qn == 0.0 or low <= qn <= high)):
+            return no_bound
+        s_sem = (_COSINE_CAP + 1.0) / 2.0
+    overlap = 1.0 if q.active_anchors else 0.0
+    bounds = []
+    for entity, domain in _GROUPS:
+        # the scorer's own expressions, with each unknown at its cap
+        s_struct = 1.0 if q.anchor_koc is not None else (entity + domain) / 2.0
+        phi = w.w_e * float(entity) + w.w_d * float(domain) + w.w_a * overlap
+        bounds.append((w.alpha * s_struct + w.beta * s_sem + w.gamma,
+                       max(w.k_eff_floor, phi)))
+    return bounds
+
+
+def _check_dimensions(q: Query, snapshot: GraphSnapshot,
+                      excluded: frozenset[MemoryZone]) -> None:
+    """Raise the error a full scan would meet first: at the smallest
+    eligible id whose embedding length differs from the query's."""
+    dim, zones = len(q.embedding), snapshot.zones
+    first = min(((ko_id, other) for other, ids in snapshot.dimension_ids.items()
+                 if other != dim for ko_id in ids if zones[ko_id] not in excluded),
+                default=None)
+    if first is not None:
+        raise _mismatch(dim, *first)
+
+
 def rank(q: Query, snapshot: GraphSnapshot,
          w: RetrievalWeights | None = None,
          koc_weights: Sequence[float] | None = None) -> list[RankedResult]:
@@ -261,13 +348,43 @@ def rank(q: Query, snapshot: GraphSnapshot,
 
     Dormant objects are skipped unless the query opts in; peripheral objects
     are eligible by default (their low k buries them) with an opt-out. Sorted
-    by rank score descending, ties by id ascending, truncated to top_k.
+    by rank score descending, ties by id ascending, truncated to top_k. Only
+    the objects that can still reach the top k are scored (see the module
+    docstring); the result is the full scan's.
     """
-    score = _scorer(q, snapshot, RetrievalWeights() if w is None else w, koc_weights)
-    kos, norms = snapshot.kos, snapshot.embedding_norms
-    rows = (score(kos[ko_id], norms.get(ko_id), zone)
-            for ko_id, zone in snapshot.zones.items()
-            if (zone is not MemoryZone.DORMANT or q.include_dormant)
-            and (zone is not MemoryZone.PERIPHERAL or not q.exclude_peripheral))
-    best = heapq.nsmallest(q.top_k, rows, key=lambda row: (-row[3], row[0]))
-    return [RankedResult(*row) for row in best]
+    w = RetrievalWeights() if w is None else w
+    score = _scorer(q, snapshot, w, koc_weights)
+    excluded = frozenset(
+        zone for zone, out in ((MemoryZone.DORMANT, not q.include_dormant),
+                               (MemoryZone.PERIPHERAL, q.exclude_peripheral)) if out)
+    if q.embedding is not None:
+        _check_dimensions(q, snapshot, excluded)
+    kos, zones, norms = snapshot.kos, snapshot.zones, snapshot.embedding_norms
+    top_k = q.top_k
+    rows: list[tuple] = []
+    best: list[float] = []  # min-heap of the top_k best rank scores so far
+
+    def take(ko_id: str) -> None:
+        row = score(kos[ko_id], norms.get(ko_id), zones[ko_id])
+        rows.append(row)
+        if len(best) < top_k:
+            heapq.heappush(best, row[3])
+        else:
+            heapq.heappushpop(best, row[3])
+
+    e, d = q.primary_entity, q.domain
+    by_entity, by_domain = snapshot.entity_ids.get(e, ()), snapshot.domain_ids.get(d, ())
+    walks = (by_entity, by_entity, by_domain, snapshot.by_k)  # each in descending k
+    for (entity, domain), ids, (h_cap, m_cap) in zip(
+            _GROUPS, walks, _group_bounds(q, snapshot, w, koc_weights)):
+        for ko_id in ids:
+            ko = kos[ko_id]
+            # k only falls from here on; strict, so an R that could tie the
+            # k-th best is still scored
+            if len(best) == top_k and h_cap * (ko.scores.k * m_cap) < best[0]:
+                break
+            if ((ko.koc.entity == e) == entity and (ko.koc.domain == d) == domain
+                    and zones[ko_id] not in excluded):
+                take(ko_id)
+    top = heapq.nsmallest(top_k, rows, key=lambda row: (-row[3], row[0]))
+    return [RankedResult(*row) for row in top]

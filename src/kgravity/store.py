@@ -256,6 +256,8 @@ class CorpusStore:
         # The cycles' edge structure: built from _edges at the first cycle,
         # then grown by _add_edge, so a store that never cycles pays nothing.
         self._structure: EdgeStructure | None = None
+        # The embedding length every object's embedding has, once one has.
+        self._embedding_dim: int | None = None
 
     # -- read side ----------------------------------------------------------
 
@@ -506,9 +508,18 @@ class CorpusStore:
 
     def _add_ko(self, ko: KnowledgeObject) -> str:
         """Store a new object; an id already taken is rejected, since an
-        object is never replaced."""
+        object is never replaced, and so is an embedding of another length
+        than the store's, which no query could be compared with."""
         if ko.id in self._kos:
             raise ValidationError(f"duplicate knowledge object id {ko.id!r}")
+        if ko.embedding is not None:
+            dim = len(ko.embedding)
+            if self._embedding_dim is None:
+                self._embedding_dim = dim
+            elif dim != self._embedding_dim:
+                raise ValidationError(
+                    f"embedding of {ko.id!r} has {dim} dimensions; "
+                    f"the store's embeddings have {self._embedding_dim}")
         self._kos[ko.id] = ko
         return ko.id
 
@@ -615,14 +626,10 @@ def corpus_lines(store: CorpusStore) -> list[str]:
     each edge in creation order. A line a checkpoint restore verified is
     re-emitted as it is for an object the store still holds unchanged (the
     very object parsed from it) and for each restored edge."""
-    dims = {len(ko.embedding) for ko in store._kos.values()
-            if ko.embedding is not None}
-    if len(dims) > 1:
-        raise ValidationError(f"inconsistent embedding dimensions {sorted(dims)}")
     header = {
         "kind": "header",
         "format_version": CORPUS_FORMAT_VERSION,
-        "embedding_dim": dims.pop() if dims else None,
+        "embedding_dim": store._embedding_dim,
         "params_fingerprint": store.params.fingerprint(),
         "last_cycle_at": (ts_to_iso(store.last_cycle_at)
                           if store.last_cycle_at is not None else None),

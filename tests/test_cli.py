@@ -135,6 +135,23 @@ def test_ingest_warns_on_stderr_about_fields_it_ignores(cli, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_ingest_rejects_a_second_embedding_dimension(cli, tmp_path):
+    write_input(tmp_path / "first.jsonl", [ko_rec(0), ko_rec(1)])
+    cli("ingest", str(tmp_path / "first.jsonl"))
+    write_input(tmp_path / "second.jsonl",
+                [dict(ko_rec(2), embedding=[1.0, 0.0, 0.0]), ko_rec(3)])
+    out = cli("ingest", str(tmp_path / "second.jsonl"))
+    assert out.splitlines() == [
+        "1 KOs, 0 edges ingested; 1 rejected",
+        "  line 2: embedding of 'k002' has 3 dimensions; the store's embeddings have 2"]
+    # the log holds only accepted objects, so every later command works
+    assert "cycle 1:" in cli("cycle", "1")
+    out = cli("query", "x", "--entity", "e3", "--embedding", "1.0,0.0")
+    assert "k003" in out and "k002" not in out
+    cli("verify-log")
+    assert '"embedding_dim":2' in (tmp_path / "corpus.jsonl").read_text().splitlines()[0]
+
+
 def test_ingest_missing_file_is_contract_violation(cli, tmp_path):
     cli("ingest", str(tmp_path / "nope.jsonl"), expect=1)
 

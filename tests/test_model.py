@@ -97,6 +97,16 @@ def test_koc_similarity_four_of_seven():
     assert koc_similarity(a, b) == pytest.approx(4 / 7)
 
 
+@pytest.mark.parametrize("weights", [
+    (0.0,) * 7, (-1.0,) + (0.1,) * 6,
+    (float("nan"),) + (0.1,) * 6, (float("inf"),) + (0.1,) * 6,
+])
+def test_koc_similarity_rejects_weights_without_a_positive_finite_sum(weights):
+    a = make_koc(EpistemicClass.DECISION)
+    with pytest.raises(ModelError, match="positive finite sum"):
+        koc_similarity(a, a, weights)
+
+
 def test_koc_rejects_empty_axis():
     with pytest.raises(ModelError):
         Koc(entity="", domain="d", cls=EpistemicClass.PLAN, epoch="e",

@@ -9,13 +9,18 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgravity import (
     CorpusStore,
+    Edge,
     EdgeType,
     EpistemicClass,
     GraphSnapshot,
+    KnowledgeObject,
     MemoryZone,
+    ModelError,
     Query,
     RankedResult,
     RetrievalError,
@@ -26,6 +31,7 @@ from kgravity import (
     rank,
     structural_sim,
 )
+from kgravity import retrieval
 from kgravity.dynamics import random_graph
 from tests.conftest import make_koc
 
@@ -73,10 +79,13 @@ def oracle_rank(q, snapshot, w=W, koc_weights=None):
         s_sem = 0.0
         if not degraded:
             a, b = q.embedding, ko.embedding
-            na = math.sqrt(sum(x * x for x in a))
-            nb = math.sqrt(sum(x * x for x in b))
+            if len(a) != len(b):
+                raise RetrievalError(f"embedding dimension mismatch: query {len(a)} "
+                                     f"vs ko {ko_id!r} {len(b)}")
+            na = math.sqrt(_plain_sum(x * x for x in a))
+            nb = math.sqrt(_plain_sum(x * x for x in b))
             cosine = 0.0 if na == 0.0 or nb == 0.0 else \
-                sum(x * y for x, y in zip(a, b)) / (na * nb)
+                _plain_sum(x * y for x, y in zip(a, b)) / (na * nb)
             s_sem = (cosine + 1.0) / 2.0
         h = distances.get(ko_id)
         s_topo = 0.0 if h is None else 1.0 / (1.0 + h)
@@ -90,6 +99,14 @@ def oracle_rank(q, snapshot, w=W, koc_weights=None):
             degraded=degraded))
     results.sort(key=lambda r: (-r.rank_score, r.ko_id))
     return results[:q.top_k]
+
+
+def _plain_sum(values):
+    """Left to right, as ``sum`` adds before Python 3.12."""
+    total = 0
+    for x in values:
+        total += x
+    return total
 
 
 ENTITIES = ("e0", "e1", "e2", "e3", "e4", "e5")
@@ -190,6 +207,183 @@ def test_rank_degraded_and_dimension_mismatch():
         rank(q, snapshot)
     assert rank(dataclasses.replace(q, embedding=None), snapshot) == \
         oracle_rank(dataclasses.replace(q, embedding=None), snapshot)
+
+
+# ---------------------------------------------------------------------------
+# Bound-pruned rank against the full scan, on generated inputs
+# ---------------------------------------------------------------------------
+
+SMALL = (-1.0, 0.0, 0.5, 1.0)  # few values, so k, R and cosines tie
+WEIGHTS = (
+    W,
+    RetrievalWeights(alpha=0.5, beta=0.0, gamma=0.5, w_e=0.0, w_d=0.0, w_a=1.0,
+                     k_eff_floor=0.0),
+    RetrievalWeights(alpha=1.2, beta=-0.4, gamma=0.2),      # negative similarity weight
+    RetrievalWeights(w_e=0.8, w_d=-0.3, w_a=0.5, k_eff_floor=0.3),  # negative attention
+)
+KOC_WEIGHTS = (None, (0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1),
+               (0.5, 0.5, -0.4, 0.1, 0.1, 0.1, 0.1))    # a negative axis weight
+CLASSES = (EpistemicClass.DECISION, EpistemicClass.EVIDENCE, EpistemicClass.OBSERVATION)
+
+
+@st.composite
+def kocs(draw, entities=("e0", "e1", "e2"), domains=("d0", "d1")):
+    return make_koc(draw(st.sampled_from(CLASSES)),
+                    entity=draw(st.sampled_from(entities)),
+                    domain=draw(st.sampled_from(domains)),
+                    author=draw(st.sampled_from(("ana", "bo"))),
+                    variant=draw(st.sampled_from(("v1", "v2"))))
+
+
+@st.composite
+def snapshots(draw):
+    n = draw(st.integers(0, 14))
+    kos = {}
+    for i in range(n):
+        koc = draw(kocs())
+        embedding = draw(st.none() | st.tuples(*[st.sampled_from(SMALL)] * 3))
+        kos[f"k{i:02d}"] = KnowledgeObject(
+            id=f"k{i:02d}", koc=koc, cls=koc.cls, content="", created_at=0,
+            scores=ScoreVector(k=draw(st.sampled_from((0.0, 0.02, 0.07, 0.2, 0.4, 0.4, 1.0)))),
+            anchors=draw(st.frozensets(st.sampled_from(("m0", "m1")))),
+            embedding=embedding)
+    ids = sorted(kos)
+    edges = {}
+    if n > 1:
+        for a, b in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                                  max_size=2 * n)):
+            if a != b:
+                edges[a, b] = Edge(a, b, EdgeType.SUPPORTS, 0)
+    return GraphSnapshot(kos=kos, edges=tuple(edges.values()))
+
+
+@st.composite
+def queries(draw, snapshot):
+    anchor = None
+    if draw(st.booleans()):
+        anchor = draw(st.sampled_from([ko.koc for ko in snapshot.kos.values()])
+                      if snapshot.kos and draw(st.booleans()) else kocs())
+    return Query(
+        embedding=draw(st.none() | st.tuples(*[st.sampled_from(SMALL)] * 3)),
+        primary_entity=draw(st.sampled_from(("e0", "e1", "nobody"))),
+        domain=draw(st.sampled_from(("d0", "d1", "none"))),
+        active_anchors=draw(st.frozensets(st.sampled_from(("m0", "m1", "m2")))),
+        anchor_koc=anchor,
+        top_k=draw(st.integers(1, 16)),
+        include_dormant=draw(st.booleans()),
+        exclude_peripheral=draw(st.booleans()))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (RetrievalError, ModelError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@example(data=None)  # the empty snapshot
+def test_pruned_rank_equals_full_scan(data):
+    if data is None:
+        snapshot, q, w, koc_weights = GraphSnapshot(), Query(), W, None
+    else:
+        snapshot = data.draw(snapshots())
+        q = data.draw(queries(snapshot))
+        w = data.draw(st.sampled_from(WEIGHTS))
+        koc_weights = data.draw(st.sampled_from(KOC_WEIGHTS))
+    assert _outcome(rank, q, snapshot, w, koc_weights) == \
+        _outcome(oracle_rank, q, snapshot, w, koc_weights)
+
+
+def test_rank_scores_only_what_can_reach_the_top_k(monkeypatch):
+    """On a graph where most objects share neither the query's entity nor
+    its domain, rank scores far fewer objects than are eligible; with a
+    negative weight it has no bound and scores them all."""
+    snapshot = random_graph(400, seed=3, edge_factor=2.0)
+    q = Query(primary_entity=snapshot.kos[sorted(snapshot.kos)[0]].koc.entity,
+              domain="d0", top_k=5, include_dormant=True)
+    scored = []
+    real_k_eff = retrieval.k_eff
+    monkeypatch.setattr(retrieval, "k_eff", lambda ko, phi, w: (
+        scored.append(ko.id), real_k_eff(ko, phi, w))[1])
+
+    assert rank(q, snapshot) == oracle_rank(q, snapshot)
+    assert len(scored) == len(set(scored)) < len(snapshot.kos) // 4
+    scored.clear()
+    negative = RetrievalWeights(alpha=1.2, beta=-0.4, gamma=0.2)
+    assert rank(q, snapshot, negative) == oracle_rank(q, snapshot, negative)
+    assert len(scored) == len(snapshot.kos)
+
+
+def test_rank_is_exact_for_embeddings_too_small_to_bound():
+    """Below 2**-500 a computed cosine can exceed 1 by far (here it is 2),
+    so rank drops the bound and scores every eligible object."""
+    near = KnowledgeObject(id="near", koc=make_koc(EpistemicClass.DECISION, entity="e"),
+                           cls=EpistemicClass.DECISION, content="", created_at=0,
+                           scores=ScoreVector(k=0.3), embedding=(0.0,))
+    far = dataclasses.replace(
+        near, id="far", koc=make_koc(EpistemicClass.DECISION, entity="x", domain="y"),
+        scores=ScoreVector(k=1.0), embedding=(1.5 * 2.0 ** -537,))
+    snapshot = GraphSnapshot(kos={"near": near, "far": far},
+                             edges=(Edge("near", "far", EdgeType.SUPPORTS, 0),))
+    q = Query(embedding=(2.0 ** -537,), primary_entity="e", top_k=1)
+    got = rank(q, snapshot)
+    assert got == oracle_rank(q, snapshot)
+    assert [r.ko_id for r in got] == ["far"] and got[0].s_sem == 1.5
+
+
+#: A query embedding whose left-to-right cosine with 3 times itself is
+#: 1 + 2**-52: rank must allow for a cosine rounded above 1.
+ROUNDED_UP = (0.107, -0.275, -0.4, -0.054, 0.47, -0.07, -0.475, 0.514, -0.341, 0.808,
+              0.045, 0.113, -0.394, -0.77, -0.909, -0.229, 0.73, -0.057, 0.621, -0.753,
+              0.939, -0.332, -0.229, -0.264, -0.019, -0.868, -0.094, 0.967, 0.539, 0.328,
+              0.683, 0.864)
+
+
+def test_rank_keeps_a_tie_won_through_a_cosine_rounded_above_1():
+    """The object "far" shares nothing with the query but is its anchor and
+    focus, so with S_sem above 1 its R exceeds (alpha + beta + gamma) * k * M; it ties
+    "near" and wins the tie by id. Without the cosine's margin, rank would
+    stop before it."""
+    far_koc = make_koc(EpistemicClass.DECISION, entity="x", domain="y")
+    far = KnowledgeObject(id="far", koc=far_koc, cls=EpistemicClass.DECISION,
+                          content="", created_at=0, scores=ScoreVector(k=1.0),
+                          embedding=tuple(3.0 * x for x in ROUNDED_UP))
+    near = dataclasses.replace(
+        far, id="near", koc=make_koc(EpistemicClass.DECISION, entity="e", domain="z"),
+        scores=ScoreVector(k=float.fromhex("0x1.6666666666667p-2")))
+    snapshot = GraphSnapshot(kos={"far": far, "near": near})
+    q = Query(embedding=ROUNDED_UP, primary_entity="e", domain="d",
+              anchor_koc=far_koc, top_k=1)
+    full = oracle_rank(dataclasses.replace(q, top_k=2), snapshot)
+    assert [r.ko_id for r in full] == ["far", "near"]
+    assert full[0].s_sem > 1.0 and full[0].rank_score == full[1].rank_score
+    assert rank(q, snapshot) == full[:1]
+
+
+def test_rank_names_the_first_mismatched_object_even_if_unscored():
+    """The error a full scan raises: the smallest eligible id whose
+    embedding length differs, though the bound would never score it."""
+    base = seeded_graph(2)
+    kos = dict(base.kos)
+    low = sorted(i for i, ko in kos.items() if ko.zone is MemoryZone.WORKING)
+    for ko_id in low[:2]:  # WORKING k=0.2, far below the CORE objects
+        kos[ko_id] = dataclasses.replace(
+            kos[ko_id], koc=dataclasses.replace(kos[ko_id].koc, entity="lone", domain="lone"),
+            embedding=(1.0, 0.0, 0.0, 0.0, 0.0))
+    snapshot = GraphSnapshot(kos=kos, edges=base.edges)
+    q = Query(embedding=(1.0, 0.0, 0.0, 0.0), primary_entity="e0", domain="d1", top_k=1)
+    with pytest.raises(RetrievalError) as raised:
+        rank(q, snapshot)
+    assert str(raised.value) == (f"embedding dimension mismatch: query 4 vs ko "
+                                 f"{low[0]!r} 5")
+    with pytest.raises(RetrievalError, match=str(raised.value)):
+        oracle_rank(q, snapshot)
+    # an ineligible object is not compared, as in a full scan
+    dormant = {**kos, low[0]: dataclasses.replace(kos[low[0]], scores=ScoreVector(k=0.0))}
+    with pytest.raises(RetrievalError, match=repr(low[1])):
+        rank(q, GraphSnapshot(kos=dormant, edges=base.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ def test_default_weights_valid():
     {"alpha": 0.4},                      # similarity weights no longer sum to 1
     {"w_e": 0.5},                        # attention weights no longer sum to 1
     {"k_eff_floor": 1.5},
+    {"alpha": float("nan")},             # passed the sum checks: NaN compares false
+    {"alpha": float("inf"), "beta": float("-inf")},
 ])
 def test_bad_weights_rejected_at_load(kwargs):
     with pytest.raises(RetrievalError):
@@ -42,6 +44,12 @@ def test_bad_weights_rejected_at_load(kwargs):
 def test_top_k_must_be_positive():
     with pytest.raises(RetrievalError):
         Query(top_k=0)
+
+
+@pytest.mark.parametrize("top_k", [2.5, "3", None, True])
+def test_top_k_must_be_an_int(top_k):
+    with pytest.raises(RetrievalError, match="top_k must be an int"):
+        Query(top_k=top_k)
 
 
 # ---------------------------------------------------------------------------

@@ -565,16 +565,24 @@ def test_ingest_record_requires_ko_kind():
         store.ingest_record({"kind": "edge"})
 
 
-def test_corpus_write_rejects_mixed_embedding_dims():
+def test_store_rejects_a_second_embedding_dimension():
     store = CorpusStore()
     store.ingest_ko(cls=EpistemicClass.EVIDENCE,
                     koc=make_koc(EpistemicClass.EVIDENCE),
-                    content="2d", embedding=[1.0, 0.0])
-    store.ingest_ko(cls=EpistemicClass.PLAN,
-                    koc=make_koc(EpistemicClass.PLAN, entity="other"),
-                    content="3d", embedding=[1.0, 0.0, 0.0])
-    with pytest.raises(ValidationError, match="inconsistent embedding"):
-        corpus_lines(store)
+                    content="2d", embedding=[1.0, 0.0], ko_id="two")
+    with pytest.raises(ValidationError, match="'three' has 3 dimensions; "
+                                              "the store's embeddings have 2"):
+        store.ingest_ko(cls=EpistemicClass.PLAN,
+                        koc=make_koc(EpistemicClass.PLAN, entity="other"),
+                        content="3d", embedding=[1.0, 0.0, 0.0], ko_id="three")
+    assert list(store.snapshot().kos) == ["two"] and len(store.events) == 1
+    assert '"embedding_dim":2' in corpus_lines(store)[0]
+    # a log that holds two lengths cannot replay
+    event = store.events[0]
+    mixed = [event, dataclasses.replace(event, seq=2, payload=dict(
+        event.payload, id="three", embedding=(1.0, 0.0, 0.0)))]
+    with pytest.raises(ReplayError, match="position 2.*3 dimensions"):
+        CorpusStore.replay(mixed)
 
 
 def test_corpus_rejects_unsupported_version(tmp_path):
