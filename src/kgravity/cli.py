@@ -361,10 +361,14 @@ def cmd_verify_t2(args, params, weights, params_explicit) -> int:
 
 
 def _restored_state(store: CorpusStore) -> tuple:
-    # Everything a checkpoint restores: the corpus bytes, plus the params,
-    # last seq and latest event time the corpus does not carry.
-    return (corpus_lines(store), store.params.to_dict(), store.last_seq,
-            store.latest_event_at())
+    # Everything a checkpoint restores: the objects and edges, the corpus
+    # bytes, plus the params, last seq and latest event time the corpus does
+    # not carry. A restored store re-emits the line it kept for an object
+    # even if the object built from that line is wrong, so the lines alone
+    # cannot vouch for the objects.
+    snapshot = store.snapshot()
+    return (snapshot.kos, snapshot.edges, corpus_lines(store),
+            store.params.to_dict(), store.last_seq, store.latest_event_at())
 
 
 def cmd_verify_log(args, params, weights, params_explicit) -> int:

@@ -116,6 +116,11 @@ class EngineParams:
     koc_axis_weights: tuple[float, ...] = (1.0 / 7.0,) * 7
 
     def __post_init__(self) -> None:
+        for name in ("eta", "delta_t", "a_u", "a_e", "a_g", "a_c",
+                     "sigma_recency", "g_scale", "sigma_floor"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise EngineError(f"{name}={value} must be finite")
         if not 0.0 < self.eta < 1.0:
             raise EngineError(f"eta={self.eta} outside (0, 1)")
         if self.delta_t <= 0:
@@ -129,8 +134,10 @@ class EngineParams:
             raise EngineError("gravity_radius must be >= 1")
         if self.lambda_profile not in ("operational", "simulation"):
             raise EngineError(f"unknown lambda_profile {self.lambda_profile!r}")
-        if len(self.koc_axis_weights) != 7 or abs(sum(self.koc_axis_weights) - 1.0) > 1e-9:
-            raise EngineError("koc_axis_weights must be 7 values summing to 1")
+        weights = self.koc_axis_weights
+        if (len(weights) != 7 or not all(map(math.isfinite, weights))
+                or abs(math.fsum(weights) - 1.0) > 1e-9):
+            raise EngineError("koc_axis_weights must be 7 finite values summing to 1")
         if self.a_c is None:
             derived = (CONTRADICTION_SUPPRESSION_TARGET * self.eta
                        * CLASS_PROFILES[EpistemicClass.EVIDENCE].seed_k)

@@ -358,38 +358,88 @@ class KnowledgeObject:
         uses ``dataclasses.replace``, which validates.
         """
         s = self.scores
-        scores = _new(ScoreVector)
-        _set(scores, "k", k)
-        _set(scores, "confidence", s.confidence)
-        _set(scores, "freshness", s.freshness)
-        _set(scores, "urgency", urgency)
-        _set(scores, "contradiction", s.contradiction)
-        return self._rebuilt(scores, self.retrieved_at)
+        return trusted_ko(
+            self.id, self.koc, self.cls, self.content,
+            trusted_scores(k, s.confidence, s.freshness, urgency, s.contradiction),
+            self.created_at, self.retrieved_at, self.resolved, self.stakes,
+            self.anchors, self.embedding)
 
     def with_retrieval(self, at: int) -> "KnowledgeObject":
         """This object with retrieval time ``at`` appended, built without
         re-validation: ``__post_init__`` checks no field that changes."""
-        return self._rebuilt(self.scores, self.retrieved_at + (at,))
+        return trusted_ko(self.id, self.koc, self.cls, self.content, self.scores,
+                          self.created_at, self.retrieved_at + (at,), self.resolved,
+                          self.stakes, self.anchors, self.embedding)
 
-    def _rebuilt(self, scores: ScoreVector,
-                 retrieved_at: tuple[int, ...]) -> "KnowledgeObject":
-        ko = _new(KnowledgeObject)
-        _set(ko, "id", self.id)
-        _set(ko, "koc", self.koc)
-        _set(ko, "cls", self.cls)
-        _set(ko, "content", self.content)
-        _set(ko, "scores", scores)
-        _set(ko, "created_at", self.created_at)
-        _set(ko, "retrieved_at", retrieved_at)
-        _set(ko, "resolved", self.resolved)
-        _set(ko, "stakes", self.stakes)
-        _set(ko, "anchors", self.anchors)
-        _set(ko, "embedding", self.embedding)
-        return ko
 
+# ---------------------------------------------------------------------------
+# Trusted construction
+# ---------------------------------------------------------------------------
+#
+# The builders below set each field of a frozen, slotted value without
+# running its ``__post_init__`` checks. Each caller vouches for the values:
+# the engine's cycle and a retrieval (``rescored``, ``with_retrieval``)
+# change only fields whose rules hold by construction, and a checkpoint
+# restore rebuilds the values from corpus bytes whose SHA-256 matches what
+# ``write_corpus`` wrote from validated objects. Every other caller builds
+# through the validating constructors.
 
 _new = object.__new__
 _set = object.__setattr__  # bypasses the frozen dataclass's __setattr__
+
+
+def trusted_koc(entity: str, domain: str, cls: EpistemicClass, epoch: str,
+                depth: str, author: str, variant: str) -> Koc:
+    koc = _new(Koc)
+    _set(koc, "entity", entity)
+    _set(koc, "domain", domain)
+    _set(koc, "cls", cls)
+    _set(koc, "epoch", epoch)
+    _set(koc, "depth", depth)
+    _set(koc, "author", author)
+    _set(koc, "variant", variant)
+    return koc
+
+
+def trusted_edge(source_id: str, target_id: str, edge_type: EdgeType,
+                 created_at: int) -> Edge:
+    edge = _new(Edge)
+    _set(edge, "source_id", source_id)
+    _set(edge, "target_id", target_id)
+    _set(edge, "edge_type", edge_type)
+    _set(edge, "created_at", created_at)
+    return edge
+
+
+def trusted_scores(k: float, confidence: float, freshness: float,
+                   urgency: float, contradiction: float) -> ScoreVector:
+    scores = _new(ScoreVector)
+    _set(scores, "k", k)
+    _set(scores, "confidence", confidence)
+    _set(scores, "freshness", freshness)
+    _set(scores, "urgency", urgency)
+    _set(scores, "contradiction", contradiction)
+    return scores
+
+
+def trusted_ko(id: str, koc: Koc, cls: EpistemicClass, content: str,
+               scores: ScoreVector, created_at: int,
+               retrieved_at: tuple[int, ...], resolved: bool, stakes: float,
+               anchors: frozenset[str],
+               embedding: tuple[float, ...] | None) -> KnowledgeObject:
+    ko = _new(KnowledgeObject)
+    _set(ko, "id", id)
+    _set(ko, "koc", koc)
+    _set(ko, "cls", cls)
+    _set(ko, "content", content)
+    _set(ko, "scores", scores)
+    _set(ko, "created_at", created_at)
+    _set(ko, "retrieved_at", retrieved_at)
+    _set(ko, "resolved", resolved)
+    _set(ko, "stakes", stakes)
+    _set(ko, "anchors", anchors)
+    _set(ko, "embedding", embedding)
+    return ko
 
 
 def left_sum(values: Iterable[float]) -> float:

@@ -117,6 +117,8 @@ class Query:
             raise RetrievalError(f"top_k must be >= 1, got {self.top_k}")
         if self.embedding is not None and not all(map(math.isfinite, self.embedding)):
             raise RetrievalError("query embedding contains non-finite values")
+        if self.embedding is not None and not math.isfinite(embedding_norm(self.embedding)):
+            raise RetrievalError("query embedding has a norm too large to compute")
 
 
 @dataclass(frozen=True)

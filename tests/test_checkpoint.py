@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -34,11 +35,12 @@ from kgravity.store import (
     LogPosition,
     checkpoint_path,
     corpus_lines,
+    load_corpus,
     read_events_from,
     restore_checkpoint,
     write_checkpoint,
 )
-from tests.conftest import make_koc
+from tests.conftest import make_koc, random_scenario
 
 CLASSES = ["DECISION", "CONSTRAINT", "EVIDENCE", "NARRATIVE", "PLAN",
            "EVALUATION", "OBSERVATION", "HYPOTHESIS", "QUESTION"]
@@ -376,6 +378,25 @@ def _doctor_corpus_and_rehash(workdir: Path, edit=_edit_corpus) -> None:
                corpus_sha256=store_module._sha256(corpus.read_bytes()))
 
 
+def _edit_corpus_record(corpus: Path, index: int, edit) -> None:
+    """Apply ``edit`` to the record on body line ``index`` of the corpus and
+    write it back in the form ``write_corpus`` writes."""
+    lines = corpus.read_text().splitlines()
+    record = json.loads(lines[index + 1])
+    edit(record)
+    lines[index + 1] = store_module._dump_line(record)
+    corpus.write_text("\n".join(lines) + "\n")
+
+
+def _edit_k(corpus: Path) -> None:
+    # Well-formed: every field is there and of its type, only the value of
+    # one object's k differs from what the log gives it.
+    def edit(record):
+        assert record["kind"] == "ko" and record["scores"]["k"] != "0.000000001"
+        record["scores"]["k"] = "0.000000001"
+    _edit_corpus_record(corpus, 3, edit)
+
+
 def _respace_corpus(corpus: Path) -> None:
     # The same JSON, other bytes: a restore accepts it and would re-emit it.
     lines = corpus.read_text().splitlines()
@@ -390,12 +411,142 @@ def _respace_corpus(corpus: Path) -> None:
     lambda d: _edit_corpus(d / "corpus.jsonl"),
     _doctor_corpus_and_rehash,
     lambda d: _doctor_corpus_and_rehash(d, _respace_corpus),
+    lambda d: _doctor_corpus_and_rehash(d, _edit_k),
 ], ids=["latest time", "seq", "corrupt", "corpus", "corpus rehashed",
-        "corpus re-spaced and rehashed"])
+        "corpus re-spaced and rehashed", "k edited and rehashed"])
 def test_verify_log_fails_on_a_doctored_checkpoint_or_corpus(session, doctor):
     doctor(session)
     code, out, _ = run(session, "verify-log")
     assert code == cli.EXIT_VERIFICATION and out.startswith("checkpoint mismatch")
+
+
+# ---------------------------------------------------------------------------
+# The trusted restore
+# ---------------------------------------------------------------------------
+
+def varied_store(seed: int) -> CorpusStore:
+    """A seeded store after several cycles, with every class (QUESTIONs
+    resolved and open among them), anchors, objects with and without
+    embeddings, retrievals and every edge type."""
+    rng = random.Random(seed)
+    store = CorpusStore()
+    random_scenario(store, seed, n_events=120)
+    clock = max(store.latest_event_at(), store.last_cycle_at or 0)
+    for i in range(11):
+        cls = list(EpistemicClass)[i % 9] if i < 9 else EpistemicClass.QUESTION
+        store.ingest_ko(cls=cls, koc=make_koc(cls, entity=f"plain{i % 3}", variant=f"p{i}"),
+                        content=f"no embedding {i}", created_at=clock + i,
+                        stakes=0.5, anchors=[f"a{i % 4}"] if i % 2 else [])
+    ids = sorted(store.snapshot().kos)
+    for edge_type in EdgeType:
+        while True:
+            source, target = rng.sample(ids, 2)
+            try:
+                store.add_edge(source, target, edge_type, at=clock + 20)
+                break
+            except ValidationError:
+                pass
+    kos = store.snapshot().kos
+    questions = [i for i in ids if kos[i].cls is EpistemicClass.QUESTION
+                 and not kos[i].resolved]
+    resolver = next(i for i in ids if kos[i].cls is EpistemicClass.DECISION)
+    store.resolve_question(questions[0], resolver, at=clock + 30)
+    for n in range(20):
+        store.record_retrieval(rng.choice(ids), at=clock + 40 + n)
+    store.apply_cycle()
+    store.apply_cycle()
+    return store
+
+
+def checkpointed(store: CorpusStore, workdir: Path) -> tuple[Path, Path]:
+    """Persist ``store``'s log, corpus and checkpoint as the CLI does."""
+    log, corpus = workdir / "events.jsonl", workdir / "corpus.jsonl"
+    append_events(log, store.events)
+    end = LogPosition(log.stat().st_size, len(store.events))
+    write_checkpoint(log, write_corpus(store, corpus), store, end)
+    return log, corpus
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trusted_restore_equals_the_validating_load(tmp_path, seed):
+    store = varied_store(seed)
+    kos = store.snapshot().kos.values()
+    assert {ko.cls for ko in kos} == set(EpistemicClass)
+    assert any(ko.resolved for ko in kos)
+    assert any(ko.cls is EpistemicClass.QUESTION and not ko.resolved for ko in kos)
+    assert any(ko.anchors for ko in kos) and any(not ko.anchors for ko in kos)
+    assert any(ko.embedding is None for ko in kos)
+    assert any(ko.embedding is not None for ko in kos)
+    assert any(ko.retrieved_at for ko in kos)
+    assert {e.edge_type for e in store.snapshot().edges} == set(EdgeType)
+    log, corpus = checkpointed(store, tmp_path)
+
+    restored, _ = restore_checkpoint(log, corpus)
+    loaded = load_corpus(corpus, params=restored.params)
+    assert list(restored._kos) == list(loaded._kos)
+    for ko_id, ko in loaded._kos.items():
+        # repr tells a bool from an int and an int from a float
+        assert restored._kos[ko_id] == ko and repr(restored._kos[ko_id]) == repr(ko)
+    assert restored._edges == loaded._edges
+    assert [repr(e) for e in restored._edges] == [repr(e) for e in loaded._edges]
+    assert restored._edge_keys == loaded._edge_keys
+    assert restored._embedding_dim == loaded._embedding_dim is not None
+    assert restored._last_cycle_at == loaded._last_cycle_at is not None
+    # each object keeps its own line, and the store's objects are the log's
+    lines = corpus.read_text().splitlines()
+    assert {line for _, line in restored._ko_lines.values()} | set(
+        restored._edge_lines) == set(lines[1:])
+    for ko_id, (ko, line) in restored._ko_lines.items():
+        assert ko is restored._kos[ko_id] and json.loads(line)["id"] == ko_id
+    assert restored.snapshot().kos == store.snapshot().kos
+    assert restored.snapshot().edges == store.snapshot().edges
+
+
+def _drop(name: str, nested: str | None = None):
+    def edit(record):
+        del (record[nested] if nested else record)[name]
+    return edit
+
+
+def _set_field(name: str, value):
+    def edit(record):
+        record[name] = value
+    return edit
+
+
+MALFORMED = {
+    "ko missing stakes": (3, _drop("stakes")),
+    "ko missing resolved": (3, _drop("resolved")),
+    "ko missing a koc axis": (3, _drop("variant", "koc")),
+    "ko missing a score": (3, _drop("k", "scores")),
+    "edge missing created_at": (-1, _drop("created_at")),
+    "scores a list": (3, _set_field("scores", [1, 2])),
+    "retrieved_at a number": (3, _set_field("retrieved_at", 5)),
+    "created_at a number": (3, _set_field("created_at", 5)),
+    "anchors a number": (3, _set_field("anchors", 7)),
+    "koc a string": (3, _set_field("koc", "acme")),
+    "unknown class": (3, _set_field("class", "RUMOUR")),
+    "stakes not a number": (3, _set_field("stakes", "high")),
+    "unknown edge type": (-1, _set_field("type", "LIKES")),
+    "kind a list": (3, _set_field("kind", [1])),
+}
+
+
+@pytest.mark.parametrize("doctor", sorted(MALFORMED))
+def test_a_vouched_for_malformed_corpus_falls_back_to_full_replay(
+        session, tmp_path, starts, doctor):
+    query = ("--format", "records", "query", "x", "--entity", "e2", "--top-k", "20")
+    before = run(without_checkpoint(session, tmp_path), *query)
+    index, edit = MALFORMED[doctor]
+    corpus = session / "corpus.jsonl"
+    if index < 0:
+        index += len(corpus.read_text().splitlines()) - 1
+    _doctor_corpus_and_rehash(session, lambda c: _edit_corpus_record(c, index, edit))
+    with pytest.raises(CheckpointError):
+        restore_checkpoint(session / "events.jsonl", corpus)
+    code, out, err = run(session, *query)
+    assert (code, out, err) == before and code == 0 and out
+    assert starts[-1][0] == "replayed"
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +595,9 @@ def test_events_after_a_restored_seq_are_the_new_events(session):
 # ---------------------------------------------------------------------------
 
 def state_of(store: CorpusStore) -> tuple:
-    return (corpus_lines(store), store.params.to_dict(), store.last_seq,
-            store.latest_event_at())
+    snapshot = store.snapshot()
+    return (snapshot.kos, snapshot.edges, corpus_lines(store),
+            store.params.to_dict(), store.last_seq, store.latest_event_at())
 
 
 def assert_kept_index_is_fresh(store: CorpusStore) -> None:

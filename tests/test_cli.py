@@ -152,6 +152,18 @@ def test_ingest_rejects_a_second_embedding_dimension(cli, tmp_path):
     assert '"embedding_dim":2' in (tmp_path / "corpus.jsonl").read_text().splitlines()[0]
 
 
+def test_ingest_rejects_an_embedding_whose_norm_overflows(cli, tmp_path):
+    write_input(tmp_path / "in.jsonl",
+                [dict(ko_rec(0), embedding=[1e200, 1e200]), dict(ko_rec(1), embedding=[1.0, 0.0])])
+    out = cli("ingest", str(tmp_path / "in.jsonl"))
+    assert out.splitlines() == [
+        "1 KOs, 0 edges ingested; 1 rejected",
+        "  line 2: embedding for 'k000' has a norm too large to compute"]
+    out = cli("--format", "records", "query", "x", "--embedding", "1.0,0.0")
+    assert [json.loads(line)["ko_id"] for line in out.splitlines()] == ["k001"]
+    cli("query", "x", "--embedding", "1e200,1e200", expect=1)
+
+
 def test_ingest_missing_file_is_contract_violation(cli, tmp_path):
     cli("ingest", str(tmp_path / "nope.jsonl"), expect=1)
 

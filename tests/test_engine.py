@@ -69,6 +69,27 @@ def test_param_validation(kwargs):
         EngineParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["eta", "delta_t", "g_scale", "sigma_floor",
+                                  "sigma_recency", "a_u", "a_e", "a_g", "a_c"])
+def test_param_validation_rejects_non_finite_values(name, value):
+    with pytest.raises(EngineError, match=name):
+        dataclasses.replace(EngineParams.production(), **{name: value})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_param_validation_rejects_non_finite_axis_weights(bad):
+    with pytest.raises(EngineError, match="koc_axis_weights"):
+        dataclasses.replace(EngineParams.production(),
+                            koc_axis_weights=(bad,) + (1 / 6,) * 6)
+
+
+def test_uniform_axis_weights_are_accepted():
+    # added left to right, seven sevenths make 1 - 2.2e-16; math.fsum gives 1
+    weights = (1 / 7,) * 7
+    assert EngineParams.production(koc_axis_weights=weights).koc_axis_weights == weights
+
+
 def test_resolved_question_decays_like_observation():
     assert SIM.lambda_for(EpistemicClass.QUESTION) == -0.010
     assert SIM.lambda_for(EpistemicClass.QUESTION, resolved=True) == 0.015

@@ -291,3 +291,9 @@ def test_contradicted_twin_ranks_below_uncontradicted():
 def test_query_rejects_non_finite_embedding():
     with pytest.raises(RetrievalError, match="non-finite"):
         Query(embedding=(1.0, float("inf")))
+
+
+def test_query_rejects_an_embedding_whose_norm_overflows():
+    with pytest.raises(RetrievalError, match="norm"):
+        Query(embedding=(1e200, 1e200))
+    assert Query(embedding=(1e150, 1e150)).embedding == (1e150, 1e150)

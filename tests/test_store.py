@@ -427,6 +427,32 @@ def test_ingest_rejects_non_finite_embedding():
                         content="bad vector", embedding=[1.0, float("nan")])
 
 
+def test_ingest_rejects_an_embedding_whose_norm_overflows():
+    store = CorpusStore()
+    store.ingest_ko(cls=EpistemicClass.EVIDENCE, koc=make_koc(EpistemicClass.EVIDENCE),
+                    content="fine", ko_id="b", embedding=[1.0, 0.0])
+    # each component is finite, but the sum of their squares is not
+    with pytest.raises(ValidationError, match="norm"):
+        store.ingest_ko(cls=EpistemicClass.EVIDENCE,
+                        koc=make_koc(EpistemicClass.EVIDENCE, variant="v2"),
+                        content="huge vector", ko_id="a", embedding=[1e200, 1e200])
+    assert list(store.snapshot().kos) == ["b"] and store.last_seq == 1
+    store.ingest_ko(cls=EpistemicClass.EVIDENCE,
+                    koc=make_koc(EpistemicClass.EVIDENCE, variant="v3"),
+                    content="large but fine", ko_id="c", embedding=[1e150, 1e150])
+
+
+def test_ingest_reads_an_embedding_iterator_once():
+    store = CorpusStore()
+    store.ingest_ko(cls=EpistemicClass.EVIDENCE, koc=make_koc(EpistemicClass.EVIDENCE),
+                    content="from a generator", ko_id="a",
+                    embedding=(x for x in [1.0, 2.0]))
+    assert store.snapshot().kos["a"].embedding == (1.0, 2.0)
+    store.ingest_ko(cls=EpistemicClass.EVIDENCE,
+                    koc=make_koc(EpistemicClass.EVIDENCE, variant="v2"),
+                    content="a list", ko_id="b", embedding=[0.0, 1.0])
+
+
 def test_ingest_rejects_bad_anchor_tokens():
     store = CorpusStore()
     with pytest.raises(ValidationError, match="anchors"):
