@@ -11,6 +11,8 @@ many of them.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -180,10 +182,18 @@ def koc_matcher(anchor: Koc, weights: Sequence[float] | None = None) -> Callable
     total = math.fsum(weights)
     if not 0 < total < math.inf:
         raise ModelError("axis weights must have a positive finite sum")
-    pairs = tuple(zip(weights, anchor.axes()))
+    weights, axes = tuple(weights), anchor.axes()
+    # The similarity depends only on which axes match: at most 128 patterns,
+    # each summed once, by the same fsum over the same weights in order.
+    by_pattern: dict[tuple[bool, ...], float] = {}
 
     def similarity(b: Koc) -> float:
-        return math.fsum(w for (w, x), y in zip(pairs, b.axes()) if x == y) / total
+        pattern = tuple(map(operator.eq, axes, b.axes()))
+        sim = by_pattern.get(pattern)
+        if sim is None:
+            sim = by_pattern[pattern] = math.fsum(
+                w for w, matched in zip(weights, pattern) if matched) / total
+        return sim
     return similarity
 
 
@@ -466,7 +476,8 @@ class GraphSnapshot:
     (None before the first cycle); it is the lower bound of the next cycle's
     "new edge" window.
 
-    The cached properties below form the snapshot's index. Each is built on
+    The cached properties below form the snapshot's index, and ``hop_memo``
+    keeps the hop distances retrieval has computed on it. Each is built on
     first use and stored on the instance without being a field, so
     equality, ``repr`` and ``replace`` ignore it; a snapshot must therefore
     not be mutated once it has been used.
@@ -489,6 +500,18 @@ class GraphSnapshot:
             linked.setdefault(e.source_id, set()).add(e.target_id)
             linked.setdefault(e.target_id, set()).add(e.source_id)
         return {node: tuple(sorted(ids)) for node, ids in linked.items()}
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Each id's index in ``zones`` (sorted-id) order."""
+        return {ko_id: i for i, ko_id in enumerate(self.zones)}
+
+    @cached_property
+    def hop_memo(self) -> dict[str, array]:
+        """Hop distances per query focus, filled by retrieval: entry i of a
+        focus's array is h + 1 for the object at position i, h hops from the
+        focus, and 0 for an object it does not reach."""
+        return {}
 
     @cached_property
     def embedding_norms(self) -> dict[str, float]:

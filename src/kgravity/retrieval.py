@@ -9,6 +9,12 @@ safe.
 Queries read the snapshot's cached index (see ``GraphSnapshot``). Threads
 racing to build it is harmless, as it is a pure function of the snapshot; a
 snapshot must not be mutated once used (``CorpusStore.snapshot()`` copies).
+The hop distances from a focus are such a function too, of the snapshot and
+the focus, so each focus's BFS runs once per snapshot: its result is kept in
+``GraphSnapshot.hop_memo`` as one small integer per object, and the memo is
+emptied whenever the next entry would take it over ``_HOP_MEMO_BYTES``.
+Racing queries may both run a BFS for one focus or lose an entry to a
+clear; either way each reads a complete array of the same values.
 
 ``rank`` scores only the objects that can still reach the top k, as in the
 threshold algorithm (Fagin, Lotem and Naor, PODS 2001). It splits the
@@ -40,6 +46,8 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -229,6 +237,30 @@ def hop_distances(snapshot: GraphSnapshot, focus_id: str) -> dict[str, int]:
     return distances
 
 
+#: The most bytes (``sys.getsizeof``) one snapshot's hop memo may hold.
+_HOP_MEMO_BYTES = 8 * 2 ** 20
+
+
+def _focus_hops(snapshot: GraphSnapshot, focus_id: str) -> array:
+    """The memo entry of ``focus_id``: its ``hop_distances``, computed on a
+    miss, as h + 1 per position (0 unreached). The typecode is 'B' while the
+    deepest hop is at most 254, else 'I', so every graph stays exact."""
+    memo = snapshot.hop_memo
+    hops = memo.get(focus_id)
+    if hops is not None:
+        return hops
+    distances = hop_distances(snapshot, focus_id)
+    hops = array("B" if max(distances.values()) < 255 else "I",
+                 [distances.get(ko_id, -1) + 1 for ko_id in snapshot.zones])
+    size = sys.getsizeof(hops)
+    # a copy, as another thread may add an entry while this one sums
+    if sum(map(sys.getsizeof, memo.copy().values())) + size > _HOP_MEMO_BYTES:
+        memo.clear()
+    if size <= _HOP_MEMO_BYTES:
+        memo[focus_id] = hops
+    return hops
+
+
 def contextual_attention(q: Query, ko: KnowledgeObject, w: RetrievalWeights) -> float:
     """Query-local relevance: entity match, domain match, anchor overlap."""
     entity = 1.0 if ko.koc.entity == q.primary_entity else 0.0
@@ -247,10 +279,12 @@ def k_eff(ko: KnowledgeObject, phi: float, w: RetrievalWeights) -> float:
 def _scorer(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
             koc_weights: Sequence[float] | None):
     """The one scorer. The focus, its hop distances and the query norm are
-    computed once; the returned function scores one object, given its
-    embedding norm and zone, as a tuple in ``RankedResult`` field order."""
+    looked up or computed once; the returned function scores one object,
+    given its embedding norm and zone, as a tuple in ``RankedResult`` field
+    order."""
     focus = resolve_focus(q, snapshot, koc_weights)
-    distances = {} if focus is None else hop_distances(snapshot, focus)
+    hops = b"" if focus is None else _focus_hops(snapshot, focus)
+    position = snapshot.positions
     structural = _structural(q, koc_weights)
     qe = q.embedding
     qn = None if qe is None else embedding_norm(qe)
@@ -259,8 +293,9 @@ def _scorer(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
         s_struct = structural(ko)
         degraded = qe is None or nb is None
         s_sem = 0.0 if degraded else _rescaled_cosine(qe, qn, ko, nb)
-        h = distances.get(ko.id)
-        s_topo = 0.0 if h is None else 1.0 / (1.0 + h)
+        i = position.get(ko.id)
+        v = 0 if i is None else hops[i]  # h + 1, so 1.0 / v == 1.0 / (1.0 + h)
+        s_topo = 1.0 / v if v else 0.0
         hybrid = w.alpha * s_struct + w.beta * s_sem + w.gamma * s_topo
         phi = contextual_attention(q, ko, w)
         eff = k_eff(ko, phi, w)
@@ -278,8 +313,9 @@ def _score_one(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot,
 def topological_sim(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot) -> float:
     """Inverse hop distance from the query's focus node: 1 / (1 + h).
 
-    Unreachable objects score 0; the focus itself scores 1. Each call runs
-    one BFS, where ``rank`` runs one for the whole corpus.
+    Unreachable objects score 0; the focus itself scores 1. The distances
+    come from the snapshot's hop memo, which ``rank`` shares: a BFS runs
+    only for a focus the snapshot has not met yet.
     """
     return _score_one(q, ko, snapshot, RetrievalWeights()).s_topo
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -23,6 +25,7 @@ from kgravity import (
     taxonomy_adequacy_report,
     zone_for,
 )
+from kgravity.model import koc_matcher
 from tests.conftest import make_ko, make_koc
 
 EXPECTED_SEEDS = {
@@ -123,6 +126,27 @@ def test_koc_axes_are_case_sensitive():
     a = make_koc(EpistemicClass.PLAN, entity="Acme")
     b = make_koc(EpistemicClass.PLAN, entity="acme")
     assert koc_similarity(a, b) == pytest.approx(6 / 7)
+
+
+def test_koc_matcher_equals_the_direct_sum_for_every_match_pattern():
+    """The matcher keeps one similarity per pattern of matching axes; each
+    of the 128 patterns has the bits of the direct weighted ``fsum``, in
+    whichever order the patterns are met and when met again."""
+    weights = (0.31, 0.07, 0.2, 0.013, 0.17, 0.11, 0.127)
+    anchor = make_koc(EpistemicClass.DECISION)
+    other = Koc(entity="x", domain="y", cls=EpistemicClass.QUESTION, epoch="z",
+                depth="w", author="u", variant="t")
+    names = ("entity", "domain", "cls", "epoch", "depth", "author", "variant")
+    patterns = list(itertools.product((False, True), repeat=7))
+    for order in (patterns, patterns[::-1]):
+        similarity = koc_matcher(anchor, weights)
+        for pattern in order * 2:
+            b = dataclasses.replace(other, **{name: getattr(anchor, name)
+                                              for name, same in zip(names, pattern) if same})
+            direct = math.fsum(w for w, x, y in zip(weights, anchor.axes(), b.axes())
+                               if x == y) / math.fsum(weights)
+            assert similarity(b).hex() == direct.hex()
+            assert koc_similarity(anchor, b, weights).hex() == direct.hex()
 
 
 _token = st.text(alphabet="abcdef", min_size=1, max_size=3)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
+import threading
 from collections import deque
 
 import pytest
@@ -27,13 +29,15 @@ from kgravity import (
     RetrievalWeights,
     ScoreVector,
     contextual_attention,
+    hybrid_score,
     k_eff,
     rank,
     structural_sim,
+    topological_sim,
 )
 from kgravity import retrieval
 from kgravity.dynamics import random_graph
-from tests.conftest import make_koc
+from tests.conftest import make_ko, make_koc, snapshot_of
 
 W = RetrievalWeights()
 
@@ -443,3 +447,186 @@ def test_index_is_not_part_of_snapshot_value():
     assert repr(ranked) == repr(fresh)
     assert dataclasses.replace(ranked) == fresh
     assert not set(INDEX) & set(vars(dataclasses.replace(ranked)))
+
+
+# ---------------------------------------------------------------------------
+# The per-focus hop memo
+# ---------------------------------------------------------------------------
+
+def _bfs_foci(monkeypatch) -> list[str]:
+    """The focus of every BFS run from here on."""
+    foci = []
+    real = retrieval.hop_distances
+    monkeypatch.setattr(retrieval, "hop_distances",
+                        lambda snapshot, focus: (foci.append(focus), real(snapshot, focus))[1])
+    return foci
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memo_serves_repeated_and_interleaved_foci(seed, monkeypatch):
+    snapshot = seeded_graph(seed)
+    koc_weights = (0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1) if seed % 2 else None
+    queries = seeded_queries(seed, snapshot)
+    mixed = queries + queries[::-1] + random.Random(seed).sample(queries, len(queries))
+    foci = _bfs_foci(monkeypatch)
+    for q in mixed:
+        assert rank(q, snapshot, W, koc_weights) == oracle_rank(q, snapshot, W, koc_weights)
+    distinct = {retrieval.resolve_focus(q, snapshot, koc_weights) for q in queries}
+    assert len(distinct) > 5
+    assert sorted(foci) == sorted(distinct)  # one BFS per distinct focus
+    assert set(snapshot.hop_memo) == distinct
+
+
+def _component_snapshot() -> GraphSnapshot:
+    """Two components, a0-a1-a2 and b0-b1, and an isolated object c0."""
+    ids = ("a0", "a1", "a2", "b0", "b1", "c0")
+    edges = [Edge(s, t, EdgeType.SUPPORTS, 0) for s, t in (("a0", "a1"), ("a2", "a1"),
+                                                            ("b1", "b0"))]
+    return snapshot_of([make_ko(i, EpistemicClass.DECISION, k=0.5) for i in ids], edges)
+
+
+def test_memo_on_disconnected_components_and_an_isolated_focus():
+    snapshot = _component_snapshot()
+    expected = {"a0": [1, 2, 3, 0, 0, 0], "a1": [2, 1, 2, 0, 0, 0],
+                "b1": [0, 0, 0, 2, 1, 0], "c0": [0, 0, 0, 0, 0, 1]}
+    for focus, hops in expected.items():
+        q = Query(primary_entity=f"e-{focus}", domain="ops", top_k=6)
+        got = rank(q, snapshot)
+        assert got == oracle_rank(q, snapshot)
+        assert snapshot.hop_memo[focus].tolist() == hops
+        assert {r.ko_id: r.s_topo for r in got} == {
+            ko_id: 1.0 / v if v else 0.0 for ko_id, v in zip(snapshot.zones, hops)}
+    assert list(snapshot.hop_memo) == list(expected)
+
+
+def test_memo_is_exact_beyond_255_hops():
+    """On a 300-object path the deepest hop from p045 is 254, which fits a
+    byte as 255; from p044 and p000 it is 255 and 299, which do not."""
+    ids = [f"p{i:03d}" for i in range(300)]
+    snapshot = snapshot_of(
+        [make_ko(i, EpistemicClass.DECISION, k=0.5) for i in ids],
+        [Edge(a, b, EdgeType.SUPPORTS, 0) for a, b in zip(ids, ids[1:])])
+    for focus, typecode in (("p045", "B"), ("p044", "I"), ("p000", "I"), ("p150", "B")):
+        q = Query(primary_entity=f"e-{focus}", domain="ops", top_k=300)
+        got = rank(q, snapshot)
+        assert got == oracle_rank(q, snapshot)
+        hops = snapshot.hop_memo[focus]
+        assert hops.typecode == typecode
+        start = ids.index(focus)
+        assert hops.tolist() == [abs(i - start) + 1 for i in range(300)]
+    far = {r.ko_id: r.s_topo for r in rank(Query(primary_entity="e-p000", domain="ops",
+                                                  top_k=300), snapshot)}
+    assert far["p299"] == 1.0 / (1.0 + 299)
+
+
+def test_memo_holds_the_focus_of_an_anchor_with_no_exact_match(monkeypatch):
+    snapshot = seeded_graph(5)
+    anchor = make_koc(EpistemicClass.PLAN, entity="e2", domain="d3", epoch="t0",
+                      depth="l1", author="other", variant="none")
+    assert anchor not in snapshot.first_ids  # so resolve_focus scans every object
+    foci = _bfs_foci(monkeypatch)
+    for koc_weights in (None, (0.05, 0.05, 0.5, 0.1, 0.1, 0.1, 0.1)):
+        q = Query(anchor_koc=anchor, primary_entity="e2", domain="d3", top_k=10)
+        for _ in range(2):
+            assert rank(q, snapshot, W, koc_weights) == oracle_rank(q, snapshot, W, koc_weights)
+        assert foci[-1] == retrieval.resolve_focus(q, snapshot, koc_weights)
+        assert foci[-1] in snapshot.hop_memo
+    assert len(foci) == len(set(foci)) == len(snapshot.hop_memo)
+
+
+def test_topological_sim_and_hybrid_score_read_the_memo(monkeypatch):
+    snapshot = seeded_graph(3)
+    foci = _bfs_foci(monkeypatch)
+    for q in seeded_queries(3, snapshot)[:10]:
+        everything = dataclasses.replace(q, top_k=len(snapshot.kos), include_dormant=True,
+                                         exclude_peripheral=False)
+        for r in oracle_rank(everything, snapshot):
+            ko = snapshot.kos[r.ko_id]
+            assert topological_sim(q, ko, snapshot) == r.s_topo
+            assert hybrid_score(q, ko, snapshot, W) == r.hybrid
+        assert rank(q, snapshot) == oracle_rank(q, snapshot)
+        outsider = dataclasses.replace(ko, id="not-in-snapshot")
+        assert topological_sim(q, outsider, snapshot) == 0.0
+    assert sorted(foci) == sorted(snapshot.hop_memo)  # one BFS per focus
+
+
+def test_hop_memo_is_not_part_of_snapshot_value():
+    store = _store()
+    ranked, fresh = store.snapshot(), store.snapshot()
+    rank(Query(primary_entity="e0", domain="ops"), ranked)
+    rank(Query(primary_entity="e2", domain="ops"), ranked)
+    assert list(ranked.hop_memo) == ["k0", "k2"] and "hop_memo" not in vars(fresh)
+    assert ranked == fresh
+    assert repr(ranked) == repr(fresh)
+    copy = dataclasses.replace(ranked)
+    assert copy == ranked and "hop_memo" not in vars(copy)
+    rank(Query(primary_entity="e1", domain="ops"), copy)
+    assert list(copy.hop_memo) == ["k1"] and list(ranked.hop_memo) == ["k0", "k2"]
+
+
+def _memo_bytes(snapshot: GraphSnapshot) -> int:
+    return sum(map(sys.getsizeof, snapshot.hop_memo.values()))
+
+
+def _entry_bytes(snapshot: GraphSnapshot) -> int:
+    """The bytes of one memo entry of ``snapshot`` at most 254 hops deep."""
+    copy = dataclasses.replace(snapshot)
+    rank(Query(), copy)
+    (hops,) = copy.hop_memo.values()
+    assert hops.typecode == "B"
+    return _memo_bytes(copy)
+
+
+def test_hop_memo_stays_within_its_byte_budget(monkeypatch):
+    base = seeded_graph(6)
+    queries = seeded_queries(6, base) * 2
+    one = _entry_bytes(base)
+    for budget, most in ((3 * one, 3), (one - 1, 0)):
+        monkeypatch.setattr(retrieval, "_HOP_MEMO_BYTES", budget)
+        snapshot = dataclasses.replace(base)
+        held = []
+        for q in queries:
+            assert rank(q, snapshot) == oracle_rank(q, snapshot)
+            assert _memo_bytes(snapshot) <= budget
+            held.append(len(snapshot.hop_memo))
+        assert max(held) == most
+        if most:
+            assert held.count(1) > 1  # cleared when full, then refilled
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+def test_threads_ranking_one_snapshot_get_the_serial_results(budget, monkeypatch):
+    """Eight threads walk one query list, each from its own offset, on one
+    snapshot; with a budget of two arrays they also race on clearing it."""
+    base = seeded_graph(7)
+    queries = seeded_queries(7, base)
+    serial = [rank(q, base) for q in queries]
+    if budget is not None:
+        one = _entry_bytes(base)
+        monkeypatch.setattr(retrieval, "_HOP_MEMO_BYTES", budget * one)
+    shared = dataclasses.replace(base)
+    results: dict[int, list] = {}
+    errors: list[BaseException] = []
+
+    def run(offset: int) -> None:
+        try:
+            order = [(i + offset * 5) % len(queries) for i in range(len(queries))] * 3
+            results[offset] = [(i, rank(queries[i], shared)) for i in order]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(results) == list(range(8))
+    for ranked in results.values():
+        assert all(got == serial[i] for i, got in ranked)
