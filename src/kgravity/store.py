@@ -6,10 +6,16 @@ appended to the log as an EventRecord. Replaying the log from empty rebuilds
 the exact state, so the log is simultaneously the audit trail and the
 canonical persistence medium. Knowledge objects are never deleted.
 
-Public ops parse, ``_apply`` enforces state rules: an operation checks its
-outside input (types, ranges, timestamps), and every rule about the store's
-state is checked once, in ``_apply``, before any mutation. A live operation
-(ValidationError) and a replay (ReplayError) reject the same events.
+Public ops parse, ``_apply`` checks: an operation only turns its arguments
+into the payload it logs, and every rule is checked once, in ``_apply``,
+before any mutation, so a live operation (ValidationError) and a replay
+(ReplayError) reject the same events with the same message. Each event
+time must survive the log's ISO-8601 round trip (whole seconds, years 1000
+to 9999), which runs in C both ways, through ``datetime``'s own methods. An
+object's fields are checked by :func:`_ko_from_record`, which a corpus
+load shares: ``id`` and ``content`` strings, a known class equal to its
+coordinate's, ``stakes`` and scores in [0, 1], ``anchors`` non-empty
+strings, ``embedding`` absent or finite numbers with a finite norm.
 
 Three file formats (all JSON, documented in the README):
 
@@ -37,11 +43,6 @@ restore and its bytes are those of a fresh serialization.
 For its cycles the store keeps an :class:`~kgravity.engine.EdgeStructure`:
 built from its edges at its first cycle and then grown by each new edge, so
 a store that only ingests, restores or answers queries never builds it.
-
-Every timestamp an operation accepts must survive the log's ISO-8601
-round trip (whole seconds, years 1000 to 9999); anything else is a
-ValidationError before any event is appended. Both directions of that
-round trip run in C, through ``datetime``'s own ISO-8601 methods.
 """
 
 from __future__ import annotations
@@ -134,15 +135,16 @@ def iso_to_ts(text: str) -> int:
     return (dt - _EPOCH) // _SECOND
 
 
-def _check_ts(name: str, value) -> None:
-    """Reject, as a ValidationError, a timestamp the event log cannot hold
-    exactly: anything but an integer second from 1000-01-01 to 9999-12-31
-    UTC, the range whose ISO form parses back to itself. No event is then
-    appended that the log or corpus cannot write."""
+def _check_ts(name: str, value) -> int:
+    """``value``, if it is a timestamp the event log can hold exactly: an
+    integer second from 1000-01-01 to 9999-12-31 UTC, the range whose ISO
+    form parses back to itself. Anything else is a ValidationError, so no
+    event is applied that the log or corpus cannot write."""
     if type(value) is not int or not _FIRST_TS <= value <= _LAST_TS:
         raise ValidationError(
             f"{name} {value!r} is not a timestamp the event log can hold "
             "(whole seconds, years 1000 to 9999)")
+    return value
 
 
 def _fmt_score(x: float) -> str:
@@ -219,14 +221,43 @@ def _is_list(value) -> bool:
     return isinstance(value, Iterable) and not isinstance(value, (str, bytes, dict))
 
 
-def _field_number(record: dict, name: str, default: float | None = None) -> float:
-    """A record's number field; without a default, a missing field is a
-    KeyError."""
-    value = record[name] if default is None else record.get(name, default)
+def _number(name: str, value) -> float:
     try:
         return float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
+def _text(record: dict, name: str) -> str:
+    value = record[name]
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _anchors(ko_id, value) -> tuple[str, ...]:
+    """Anchor tokens in the form the log holds them: each once, sorted."""
+    if not _is_list(value):
+        raise ValidationError(f"anchors must be a list of strings, got {value!r}")
+    anchors = tuple(value)
+    if not all(isinstance(a, str) and a for a in anchors):
+        raise ValidationError(f"anchors for {ko_id!r} must be non-empty strings")
+    return tuple(sorted(set(anchors)))
+
+
+def _embedding(ko_id, value) -> tuple[float, ...] | None:
+    """An embedding as a tuple of finite numbers whose norm is finite too."""
+    if value is None:
+        return None
+    if not _is_list(value):
+        raise ValidationError(f"embedding must be a list of numbers, got {value!r}")
+    embedding = tuple(value)  # read twice below; an iterator once
+    if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in embedding):
+        raise ValidationError(f"embedding for {ko_id!r} has non-finite values")
+    if not math.isfinite(embedding_norm(embedding)):
+        raise ValidationError(
+            f"embedding for {ko_id!r} has a norm too large to compute")
+    return embedding
 
 
 def _koc_to_dict(koc: Koc) -> dict:
@@ -319,39 +350,19 @@ class CorpusStore:
         """
         cls_ = _parse_class(cls)
         koc_ = _parse_koc(koc)
-        if not _is_list(anchors):
-            raise ValidationError(f"anchors must be a list of strings, got {anchors!r}")
-        anchors = tuple(anchors)
-        if koc_.cls is not cls_:
-            raise ValidationError(
-                f"class {cls_.value} does not match coordinate class {koc_.cls.value}")
         if ko_id is None:
             ko_id = f"ko{len(self._kos) + 1:06d}"
-        _check_ts("created_at", created_at)
-        if not 0.0 <= stakes <= 1.0:
-            raise ValidationError(f"stakes {stakes} outside [0, 1]")
-        if embedding is not None:
-            if not _is_list(embedding):
-                raise ValidationError(f"embedding must be a list of numbers, got {embedding!r}")
-            embedding = tuple(embedding)  # read twice below; an iterator once
-            if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in embedding):
-                raise ValidationError(f"embedding for {ko_id!r} has non-finite values")
-            if not math.isfinite(embedding_norm(embedding)):
-                raise ValidationError(
-                    f"embedding for {ko_id!r} has a norm too large to compute")
-        if not all(isinstance(a, str) and a for a in anchors):
-            raise ValidationError(f"anchors for {ko_id!r} must be non-empty strings")
         payload = {
             "id": ko_id,
             "class": cls_.value,
             "koc": _koc_to_dict(koc_),
             "content": content,
             "created_at": created_at,
-            "stakes": quantize(stakes),
-            "anchors": tuple(sorted(set(anchors))),
-            "embedding": embedding,
-            "confidence": quantize(confidence),
-            "freshness": quantize(freshness),
+            "stakes": quantize(_number("stakes", stakes)),
+            "anchors": _anchors(ko_id, anchors),
+            "embedding": tuple(embedding) if _is_list(embedding) else embedding,
+            "confidence": quantize(_number("confidence", confidence)),
+            "freshness": quantize(_number("freshness", freshness)),
         }
         self._append(EventKind.KO_CREATED, payload, at=created_at)
         return ko_id
@@ -367,32 +378,25 @@ class CorpusStore:
         scores = record.get("scores", {})
         if not isinstance(scores, dict):
             raise ValidationError(f"scores must be an object, got {scores!r}")
-        ko_id, content = record.get("id"), record.get("content", "")
-        if ko_id is not None and not isinstance(ko_id, str):
-            raise ValidationError(f"id must be a string, got {ko_id!r}")
-        if not isinstance(content, str):
-            raise ValidationError(f"content must be a string, got {content!r}")
         return self.ingest_ko(
             cls=record.get("class", ""),
             koc=record.get("koc", {}),
-            content=content,
-            ko_id=ko_id,
+            content=record.get("content", ""),
+            ko_id=record.get("id"),
             created_at=(parse_field_ts("created_at", record["created_at"])
                         if "created_at" in record else 0),
-            stakes=_field_number(record, "stakes", 0.0),
+            stakes=record.get("stakes", 0.0),
             anchors=record.get("anchors", ()),
             embedding=record.get("embedding"),
-            confidence=_field_number(scores, "confidence", 1.0),
-            freshness=_field_number(scores, "freshness", 1.0))
+            confidence=scores.get("confidence", 1.0),
+            freshness=scores.get("freshness", 1.0))
 
     def add_edge(self, source: str, target: str, edge_type: EdgeType | str,
                  at: int) -> Edge:
         """Create a typed edge; duplicates, self-loops, and dangling
         endpoints are rejected so per-cycle edge counts stay well-defined."""
-        edge_type_ = _parse_edge_type(edge_type)
-        _check_ts("edge time", at)
         payload = {"source": source, "target": target,
-                   "type": edge_type_.value, "at": at}
+                   "type": _parse_edge_type(edge_type).value, "at": at}
         return self._append(EventKind.EDGE_CREATED, payload, at=at)
 
     def supersede(self, new_ko: str, old_ko: str, at: int) -> Edge:
@@ -401,7 +405,6 @@ class CorpusStore:
         The old object is demoted (SUPERSEDES edge), never deleted: it keeps
         cycling and remains retrievable until its score decays away.
         """
-        _check_ts("supersede time", at)
         payload = {"new": new_ko, "old": old_ko, "at": at}
         return self._append(EventKind.KO_SUPERSEDED, payload, at=at)
 
@@ -412,7 +415,6 @@ class CorpusStore:
         resolved; from the next cycle on its urgency is zero and its score
         decays instead of rising.
         """
-        _check_ts("resolution time", at)
         payload = {"question": question, "resolver": resolver, "at": at}
         self._append(EventKind.QUESTION_RESOLVED, payload, at=at)
         return self._kos[question]
@@ -420,7 +422,6 @@ class CorpusStore:
     def record_retrieval(self, ko_id: str, at: int) -> None:
         """Log a retrieval; the timestamp feeds the next cycle's usage force
         (and can revive a dormant object)."""
-        _check_ts("retrieval time", at)
         self._append(EventKind.KO_RETRIEVED, {"id": ko_id, "at": at}, at=at)
 
     def set_params(self, params: EngineParams) -> None:
@@ -440,7 +441,6 @@ class CorpusStore:
             base = self._last_cycle_at if self._last_cycle_at is not None \
                 else self.latest_event_at()
             now = base + self._params.cycle_period_s
-        _check_ts("cycle time", now)
         breakdowns = self._append(EventKind.CYCLE_APPLIED, {"at": now}, at=now)
         return self.snapshot(), breakdowns
 
@@ -454,28 +454,27 @@ class CorpusStore:
         return result
 
     def _apply(self, event: EventRecord):
-        # Public ops parse, _apply enforces state rules, before any mutation,
+        # Public ops parse, _apply checks every rule, before any mutation,
         # so live ops and replay reject the same events.
         kind, payload = event.kind, event.payload
         if kind is EventKind.KO_CREATED:
             cls = _parse_class(payload["class"])
-            urgency = (question_urgency(0.0, 0, float(payload["stakes"]))
+            urgency = (question_urgency(0.0, 0, _number("stakes", payload["stakes"]))
                        if cls is EpistemicClass.QUESTION else 0.0)
-            scores = ScoreVector(k=quantize(class_profile(cls).seed_k),
-                                 confidence=float(payload["confidence"]),
-                                 freshness=float(payload["freshness"]),
-                                 urgency=urgency,
-                                 contradiction=0.0)
-            return self._add_ko(
-                _ko_from_record(payload, scores, int(payload["created_at"])))
+            scores = (quantize(class_profile(cls).seed_k),
+                      _number("confidence", payload["confidence"]),
+                      _number("freshness", payload["freshness"]), urgency, 0.0)
+            return self._add_ko(_ko_from_record(
+                payload, scores, _check_ts("created_at", payload["created_at"])))
         if kind is EventKind.EDGE_CREATED:
             return self._add_edge(payload["source"], payload["target"],
                                   _parse_edge_type(payload["type"]),
-                                  int(payload["at"]))
+                                  _check_ts("edge time", payload["at"]))
         if kind is EventKind.KO_SUPERSEDED:
-            return self._add_edge(payload["new"], payload["old"],
-                                  EdgeType.SUPERSEDES, int(payload["at"]))
+            return self._add_edge(payload["new"], payload["old"], EdgeType.SUPERSEDES,
+                                  _check_ts("supersede time", payload["at"]))
         if kind is EventKind.QUESTION_RESOLVED:
+            at = _check_ts("resolution time", payload["at"])
             question = self._known(payload["question"])
             if question.cls is not EpistemicClass.QUESTION:
                 raise ValidationError(
@@ -483,15 +482,16 @@ class CorpusStore:
             if question.resolved:
                 raise ValidationError(f"question {question.id!r} already resolved")
             edge = self._add_edge(payload["resolver"], question.id,
-                                  EdgeType.IMPLEMENTS, int(payload["at"]))
+                                  EdgeType.IMPLEMENTS, at)
             self._kos[question.id] = replace(question, resolved=True)
             return edge
         if kind is EventKind.KO_RETRIEVED:
+            at = _check_ts("retrieval time", payload["at"])
             ko = self._known(payload["id"])
-            self._kos[ko.id] = ko.with_retrieval(int(payload["at"]))
+            self._kos[ko.id] = ko.with_retrieval(at)
             return None
         if kind is EventKind.CYCLE_APPLIED:
-            now = int(payload["at"])
+            now = _check_ts("cycle time", payload["at"])
             if self._last_cycle_at is not None and now < self._last_cycle_at:
                 raise ValidationError(
                     f"cycle at {now} is earlier than the last cycle at "
@@ -513,7 +513,7 @@ class CorpusStore:
         raise ReplayError(f"unknown event kind {kind!r}")
 
     def _known(self, ko_id: str) -> KnowledgeObject:
-        ko = self._kos.get(ko_id)
+        ko = self._kos.get(ko_id) if isinstance(ko_id, str) else None
         if ko is None:
             raise ValidationError(f"unknown knowledge object {ko_id!r}")
         return ko
@@ -546,7 +546,7 @@ class CorpusStore:
         if key in self._edge_keys:
             raise ValidationError(
                 f"duplicate edge {source!r} -{edge_type.value}-> {target!r}")
-        edge = Edge(source, target, edge_type, at)
+        edge = trusted_edge(source, target, edge_type, at)  # no self-loop: checked above
         self._edges.append(edge)
         self._edge_keys.add(key)
         if self._structure is not None:
@@ -583,21 +583,26 @@ class CorpusStore:
 # Corpus file format
 # ---------------------------------------------------------------------------
 
-def _ko_from_record(record: dict, scores: ScoreVector, created_at: int,
+def _ko_from_record(record: dict, scores: tuple[float, ...], created_at: int,
                     retrieved_at: tuple[int, ...] = (),
                     resolved: bool = False) -> KnowledgeObject:
-    """The one record-to-object builder, for a KO_CREATED payload and a
-    corpus record alike: both carry ``id``, ``class``, ``koc``, ``content``,
-    ``stakes``, ``anchors`` and ``embedding`` in the same shape. The caller
-    parses what differs between them: the scores and the timestamps."""
-    embedding = record.get("embedding")
-    return KnowledgeObject(
-        id=record["id"], koc=_parse_koc(record["koc"]),
-        cls=_parse_class(record["class"]), content=record["content"],
-        scores=scores, created_at=created_at, retrieved_at=retrieved_at,
-        resolved=resolved, stakes=_field_number(record, "stakes"),
-        anchors=frozenset(record["anchors"]),
-        embedding=tuple(embedding) if embedding is not None else None)
+    """The one record-to-object builder, and the one place an object's
+    fields are checked (a bad one is a ValidationError), for a KO_CREATED
+    payload and a corpus record alike: both carry ``id``, ``class``, ``koc``,
+    ``content``, ``stakes``, ``anchors`` and ``embedding`` in the same shape.
+    The caller parses the five scores, in ``ScoreVector`` order, and times."""
+    ko_id = _text(record, "id")
+    try:
+        return KnowledgeObject(
+            id=ko_id, koc=_parse_koc(record["koc"]),
+            cls=_parse_class(record["class"]), content=_text(record, "content"),
+            scores=ScoreVector(*scores), created_at=created_at,
+            retrieved_at=retrieved_at, resolved=resolved,
+            stakes=_number("stakes", record["stakes"]),
+            anchors=frozenset(_anchors(ko_id, record["anchors"])),
+            embedding=_embedding(ko_id, record.get("embedding")))
+    except ModelError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _ko_record(ko: KnowledgeObject) -> dict:
@@ -784,11 +789,9 @@ def _corpus_ko(record: dict) -> KnowledgeObject:
             f"got {record['retrieved_at']!r}") from None
     return _ko_from_record(
         record,
-        ScoreVector(k=_field_number(scores, "k"),
-                    confidence=_field_number(scores, "confidence"),
-                    freshness=_field_number(scores, "freshness"),
-                    urgency=_field_number(scores, "urgency"),
-                    contradiction=_field_number(scores, "contradiction")),
+        (_number("k", scores["k"]), _number("confidence", scores["confidence"]),
+         _number("freshness", scores["freshness"]), _number("urgency", scores["urgency"]),
+         _number("contradiction", scores["contradiction"])),
         parse_field_ts("created_at", record["created_at"]),
         retrieved_at,
         bool(record["resolved"]))
@@ -822,9 +825,10 @@ def _restored_store(text: str, params: EngineParams) -> CorpusStore:
 
     Only for the very bytes a :func:`write_corpus` wrote (their SHA-256 is
     the checkpoint's): every value was validated before it was written, so
-    no field is checked again, and the store keeps each record's line for
-    :func:`corpus_lines` to re-emit. Bytes that are not of that form raise
-    a KeyError, TypeError, ValueError or AttributeError, which
+    no field is checked again, though ``_add_ko`` and ``_add_edge`` still
+    apply the store's own rules, and each record's line is kept for
+    :func:`corpus_lines` to re-emit. Malformed bytes raise a KeyError,
+    TypeError, ValueError or AttributeError, which
     :func:`restore_checkpoint` reports as a CheckpointError.
     """
     lines = text.splitlines()
@@ -834,8 +838,8 @@ def _restored_store(text: str, params: EngineParams) -> CorpusStore:
     store = CorpusStore(params=params)
     if header["last_cycle_at"] is not None:
         store._last_cycle_at = _written_ts(header["last_cycle_at"])
-    kos, ko_lines = store._kos, store._ko_lines
-    edges, edge_keys, edge_lines = store._edges, store._edge_keys, store._edge_lines
+    add_ko, add_edge = store._add_ko, store._add_edge
+    ko_lines, edge_lines = store._ko_lines, store._edge_lines
     for line, record in _written_records(lines[1:]):
         kind = record["kind"]
         if kind == "ko":
@@ -853,16 +857,11 @@ def _restored_store(text: str, params: EngineParams) -> CorpusStore:
                 bool(record["resolved"]), float(record["stakes"]),
                 frozenset(record["anchors"]),
                 tuple(embedding) if embedding is not None else None)
-            kos[ko.id] = ko
+            add_ko(ko)
             ko_lines[ko.id] = (ko, line)
-            if embedding is not None and store._embedding_dim is None:
-                store._embedding_dim = len(embedding)
         elif kind == "edge":
-            edge = trusted_edge(record["source"], record["target"],
-                                _EDGE_TYPES[record["type"]],
-                                _written_ts(record["created_at"]))
-            edges.append(edge)
-            edge_keys.add((edge.source_id, edge.target_id, edge.edge_type))
+            add_edge(record["source"], record["target"], _EDGE_TYPES[record["type"]],
+                     _written_ts(record["created_at"]))
             edge_lines.append(line)
         else:
             raise ValueError(f"unknown record kind {kind!r}")
@@ -1039,8 +1038,7 @@ def restore_checkpoint(log: str | Path,
         if _event_from_dict(json.loads(line)).seq != seq:
             raise CheckpointError(f"log line {lines} is not event {seq}")
         store = _restored_store(text, params)
-        latest = record["latest_event_at"]
-        _check_ts("latest_event_at", latest)
+        latest = _check_ts("latest_event_at", record["latest_event_at"])
     except CheckpointError:
         raise
     except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:

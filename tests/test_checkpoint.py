@@ -514,21 +514,39 @@ def _set_field(name: str, value):
     return edit
 
 
+def _in_record(index: int, edit):
+    """A corpus edit: ``edit`` applied to the record on body line ``index``,
+    counted from the end when negative."""
+    def doctor(corpus: Path) -> None:
+        body_lines = len(corpus.read_text().splitlines()) - 1
+        _edit_corpus_record(corpus, index % body_lines, edit)
+    return doctor
+
+
+def _repeat_last_line(corpus: Path) -> None:
+    lines = corpus.read_text().splitlines()
+    corpus.write_text("\n".join(lines + lines[-1:]) + "\n")
+
+
 MALFORMED = {
-    "ko missing stakes": (3, _drop("stakes")),
-    "ko missing resolved": (3, _drop("resolved")),
-    "ko missing a koc axis": (3, _drop("variant", "koc")),
-    "ko missing a score": (3, _drop("k", "scores")),
-    "edge missing created_at": (-1, _drop("created_at")),
-    "scores a list": (3, _set_field("scores", [1, 2])),
-    "retrieved_at a number": (3, _set_field("retrieved_at", 5)),
-    "created_at a number": (3, _set_field("created_at", 5)),
-    "anchors a number": (3, _set_field("anchors", 7)),
-    "koc a string": (3, _set_field("koc", "acme")),
-    "unknown class": (3, _set_field("class", "RUMOUR")),
-    "stakes not a number": (3, _set_field("stakes", "high")),
-    "unknown edge type": (-1, _set_field("type", "LIKES")),
-    "kind a list": (3, _set_field("kind", [1])),
+    "ko missing stakes": _in_record(3, _drop("stakes")),
+    "ko missing resolved": _in_record(3, _drop("resolved")),
+    "ko missing a koc axis": _in_record(3, _drop("variant", "koc")),
+    "ko missing a score": _in_record(3, _drop("k", "scores")),
+    "edge missing created_at": _in_record(-1, _drop("created_at")),
+    "scores a list": _in_record(3, _set_field("scores", [1, 2])),
+    "retrieved_at a number": _in_record(3, _set_field("retrieved_at", 5)),
+    "created_at a number": _in_record(3, _set_field("created_at", 5)),
+    "anchors a number": _in_record(3, _set_field("anchors", 7)),
+    "koc a string": _in_record(3, _set_field("koc", "acme")),
+    "unknown class": _in_record(3, _set_field("class", "RUMOUR")),
+    "stakes not a number": _in_record(3, _set_field("stakes", "high")),
+    "unknown edge type": _in_record(-1, _set_field("type", "LIKES")),
+    "kind a list": _in_record(3, _set_field("kind", [1])),
+    # well-formed records that break a rule on the store's state
+    "repeated edge line": _repeat_last_line,
+    "edge to an unknown id": _in_record(-1, _set_field("target", "ghost")),
+    "repeated object id": _in_record(3, _set_field("id", "k002")),
 }
 
 
@@ -537,13 +555,9 @@ def test_a_vouched_for_malformed_corpus_falls_back_to_full_replay(
         session, tmp_path, starts, doctor):
     query = ("--format", "records", "query", "x", "--entity", "e2", "--top-k", "20")
     before = run(without_checkpoint(session, tmp_path), *query)
-    index, edit = MALFORMED[doctor]
-    corpus = session / "corpus.jsonl"
-    if index < 0:
-        index += len(corpus.read_text().splitlines()) - 1
-    _doctor_corpus_and_rehash(session, lambda c: _edit_corpus_record(c, index, edit))
+    _doctor_corpus_and_rehash(session, MALFORMED[doctor])
     with pytest.raises(CheckpointError):
-        restore_checkpoint(session / "events.jsonl", corpus)
+        restore_checkpoint(session / "events.jsonl", session / "corpus.jsonl")
     code, out, err = run(session, *query)
     assert (code, out, err) == before and code == 0 and out
     assert starts[-1][0] == "replayed"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -121,6 +122,8 @@ def test_add_edge_and_rejections():
         store.add_edge("ev1", "ghost", EdgeType.SUPPORTS, at=2003)
     with pytest.raises(ValidationError, match="unknown edge type"):
         store.add_edge("ev1", "dec1", "LIKES", at=2004)
+    with pytest.raises(ValidationError, match="unknown"):  # an id that is no string
+        store.add_edge(["ev1"], "dec1", EdgeType.REFINES, at=2005)
 
 
 def test_new_supports_edge_raises_next_cycle_k():
@@ -331,10 +334,29 @@ def test_corpus_rejects_unknown_edge_type(tmp_path):
 NUMERIC_CREATED_AT = (
     '{"kind":"ko","id":"x","retrieved_at":[],"created_at":5,"scores":'
     '{"k":"0.5","confidence":"1","freshness":"1","urgency":"0","contradiction":"0"}}')
+
+
+def corpus_ko_line(**fields) -> str:
+    """A whole ko record as write_corpus writes one, with ``fields`` set."""
+    record = {"kind": "ko", "id": "x", "class": "PLAN",
+              "koc": {"entity": "e", "domain": "d", "class": "PLAN", "epoch": "q1",
+                      "depth": "l1", "author": "ana", "variant": "v1"},
+              "content": "c", "created_at": "2024-01-01T00:00:00Z", "retrieved_at": [],
+              "scores": {"k": "0.5", "confidence": "1", "freshness": "1", "urgency": "0",
+                         "contradiction": "0"},
+              "resolved": False, "stakes": "0", "anchors": [], "embedding": None}
+    record.update(fields)
+    return json.dumps(record)
+
+
 MISSING_OR_MISTYPED = {
     '{"kind":"ko","id":"x"}': "missing field 'scores'",
     '{"kind":"edge","source":"a"}': "missing field 'target'",
     NUMERIC_CREATED_AT: "created_at must be a timestamp",
+    corpus_ko_line(embedding=[float("nan"), 1.0]): "embedding for 'x' has non-finite values",
+    corpus_ko_line(anchors=["ok", ""]): "anchors for 'x' must be non-empty strings",
+    corpus_ko_line(id=5): "id must be a string, got 5",
+    corpus_ko_line(content=5): "content must be a string, got 5",
 }
 
 
@@ -518,8 +540,26 @@ def test_replay_rejects_a_cycle_that_runs_backwards():
         CorpusStore.replay(events, params=SIM)
 
 
-# Each state rule: the live operation that breaks it, and the kind and
-# payload of the event that carries the same change in a log.
+# An object the seeded store has not got, as ``ingest_ko`` arguments.
+NEW_KO = dict(cls=EpistemicClass.PLAN, koc=make_koc(EpistemicClass.PLAN, entity="new"),
+              content="new plan", ko_id="new", created_at=200000)
+
+
+def bad_ko(**fields):
+    """The rule a field of a new object breaks: ``ingest_ko`` of NEW_KO with
+    ``fields``, and the payload it logs with the same values in them."""
+    def event(_):
+        fresh = CorpusStore(params=SIM)
+        fresh.ingest_ko(**NEW_KO)
+        payload = dict(fresh.events[0].payload)
+        payload.update({"id" if k == "ko_id" else k: v for k, v in fields.items()})
+        return EventKind.KO_CREATED, payload
+    return lambda s: s.ingest_ko(**dict(NEW_KO, **fields)), event
+
+
+# Each rule, on the store's state, a field or an event time: the live
+# operation that breaks it, and the kind and payload of the event that
+# carries the same change in a log.
 STATE_RULES = {
     "duplicate id": (
         lambda s: s.ingest_ko(cls=EpistemicClass.DECISION,
@@ -560,6 +600,26 @@ STATE_RULES = {
     "backwards cycle": (
         lambda s: s.apply_cycle(now=50),
         lambda s: (EventKind.CYCLE_APPLIED, {"at": 50})),
+    "NaN embedding": bad_ko(embedding=[float("nan"), 1.0]),
+    "embedding norm overflows": bad_ko(embedding=[1e200, 1e200]),
+    "embedding a string": bad_ko(embedding="ab"),
+    "empty anchor": bad_ko(anchors=["ok", ""]),
+    "anchors a string": bad_ko(anchors="ab"),
+    "id an int": bad_ko(ko_id=5),
+    "content an int": bad_ko(content=5),
+    "created_at a float": bad_ko(created_at=200000.0),
+    "created_at out of range": bad_ko(created_at=10**12),
+    "confidence above 1": bad_ko(confidence=2.0),
+    "float edge time": (
+        lambda s: s.add_edge("ev1", "q1", EdgeType.SUPPORTS, at=200000.0),
+        lambda s: (EventKind.EDGE_CREATED, {"source": "ev1", "target": "q1",
+                                            "type": "SUPPORTS", "at": 200000.0})),
+    "float retrieval time": (
+        lambda s: s.record_retrieval("ev1", at=200000.0),
+        lambda s: (EventKind.KO_RETRIEVED, {"id": "ev1", "at": 200000.0})),
+    "float cycle time": (
+        lambda s: s.apply_cycle(now=200000.0),
+        lambda s: (EventKind.CYCLE_APPLIED, {"at": 200000.0})),
 }
 
 
@@ -574,6 +634,7 @@ def test_live_and_replay_enforce_the_same_state_rules(tmp_path, rule):
     with pytest.raises(ValidationError) as live:
         operation(store)
     assert store.events == events
+    write_corpus(store, tmp_path / "corpus.jsonl")  # what it holds still exports
 
     kind, payload = event(store)
     log = tmp_path / "events.jsonl"
