@@ -22,19 +22,37 @@ across cycles (the store keeps one); each cycle re-filters only the targets
 that gained an edge or have a source that changed between dormant and not
 dormant, and an edge dated after ``now`` waits until a cycle reaches its
 time. ``cycle_index`` and ``gravity_force`` without an index build a
-structure for the one snapshot. ``run_cycle``, ``gravity_force``,
-``cycle_inputs`` and the convergence checks in ``dynamics`` all read the
-index, so no object's zone is recomputed and no node's edges are re-sorted
-per force; at radius 1 the id-sorted sources are the neighbourhood as they
-are. The neighbourhood mean is ``fsum(ks) / n``, as ``statistics.fmean``
+structure for the one snapshot.
+
+``run_cycle`` is one loop over the objects in id order. For each updated
+object it computes, inline and from locals, the usage sum over its
+retrievals, its count of new SUPPORTS edges, its radius-1 gravity, its
+contradiction term, the update and the decay term: the float expressions
+of ``usage_force``, ``evidence_force``, ``gravity_force``,
+``contradiction_penalty`` and ``kge_step``, operand for operand, so the
+bits are theirs (the tests pin the loop to them); only a neighbour at or
+below the mean is skipped, as its term, coeff * tanh(0.0), is a zero that
+leaves the sum's bits as they are. The class's seed and decay rate come
+from a table built once per cycle and keyed by the class's plain value,
+with one more entry for a resolved QUESTION, so the loop hashes no
+``Enum``. Held inputs (``frozen_usage``, ``frozen_evidence``) and
+a radius above 1 (``gravity_force`` on the cycle's index) are branches of
+the same loop. A non-finite ``raw`` goes to ``kge_update``, which names the
+non-finite input and raises. The public single-object functions stay for
+the library, ``dynamics`` and the tests; ``cycle_inputs`` and the
+convergence checks in ``dynamics`` read the index too.
+
+The neighbourhood mean is ``fsum(ks) / n``, as ``statistics.fmean``
 computes it. Sigma skips the exact ``statistics.pstdev`` when the
 neighbourhood's k values span less than twice ``sigma_floor``: a population
 standard deviation is at most half the span (Popoviciu), so the floor wins;
 under the default floor of 0.5 that holds for every neighbourhood, as
-non-dormant k lies in [0.05, 1]. Updated objects are built by
-``KnowledgeObject.rescored``, a trusted constructor that skips re-validation
-(k is clamped and quantized, urgency clamped); an object whose k and urgency
-did not change is reused as it is.
+non-dormant k lies in [0.05, 1]. Each update's ``ForceBreakdown`` is built
+by a trusted constructor that sets its slots directly, skipping the frozen
+dataclass's ``__init__``; updated objects are built by
+``KnowledgeObject.rescored``, the model's trusted constructor (k is clamped
+and quantized, urgency clamped); an object whose k and urgency did not
+change is reused as it is.
 """
 
 from __future__ import annotations
@@ -61,6 +79,7 @@ from .model import (
     KnowledgeObject,
     MemoryZone,
     class_profile,
+    slot_setters,
 )
 
 SECONDS_PER_DAY = 86400
@@ -203,6 +222,29 @@ class ForceBreakdown:
     k_after: float
 
 
+_new = object.__new__
+(_fb_ko_id, _fb_seed, _fb_usage, _fb_evidence, _fb_gravity, _fb_decay_term,
+ _fb_contradiction, _fb_k_before, _fb_k_after) = slot_setters(ForceBreakdown)
+
+
+def _trusted_breakdown(ko_id: str, seed: float, usage: float, evidence: float,
+                       gravity: float, decay_term: float, contradiction: float,
+                       k_before: float, k_after: float) -> ForceBreakdown:
+    """``ForceBreakdown(...)`` without the dataclass ``__init__``, which
+    sets each of the nine fields through the frozen ``__setattr__``."""
+    fb = _new(ForceBreakdown)
+    _fb_ko_id(fb, ko_id)
+    _fb_seed(fb, seed)
+    _fb_usage(fb, usage)
+    _fb_evidence(fb, evidence)
+    _fb_gravity(fb, gravity)
+    _fb_decay_term(fb, decay_term)
+    _fb_contradiction(fb, contradiction)
+    _fb_k_before(fb, k_before)
+    _fb_k_after(fb, k_after)
+    return fb
+
+
 # ---------------------------------------------------------------------------
 # Forces
 # ---------------------------------------------------------------------------
@@ -249,18 +291,6 @@ def gravity_force(
     """
     index = cycle_index(snapshot, now) if _index is None else _index
     k, g_scale = index.k, params.g_scale
-    if params.gravity_radius == 1:
-        # The id-sorted sources are the whole neighbourhood, each at distance
-        # 1, and x / 1 == x: the path below without its dict and sort.
-        sources = index.sources.get(ko_id)
-        if sources is None:
-            return 0.0
-        ks = [k[j] for j in sources]
-        mu, sigma = _spread(ks, params.sigma_floor)
-        total = 0.0
-        for coeff, kj in zip(index.coefficients[ko_id], ks):
-            total += coeff * math.tanh(g_scale * max(0.0, (kj - mu) / sigma))
-        return params.a_g * total
     neighborhood = gravity_neighborhood(ko_id, index, params.gravity_radius)
     if not neighborhood:
         return 0.0
@@ -563,6 +593,24 @@ def cycle_inputs(ko: KnowledgeObject, index: CycleIndex,
     return usage_force(ages, params), evidence_force(new_supports, params)
 
 
+_RESOLVED = "resolved QUESTION"
+
+
+def _class_rates(params: EngineParams) -> dict[str, tuple[float, float, float, float]]:
+    """Each class's seed, decay rate, rate times ``delta_t`` and the decay
+    term's factor ``-rate * delta_t``, keyed by the class's value, and once
+    more under ``_RESOLVED`` for a resolved QUESTION (the OBSERVATION rate,
+    as ``lambda_for`` gives it). The cycle looks a class up by its plain
+    value, so it never hashes an ``Enum`` member."""
+    def rates_of(cls: EpistemicClass, resolved: bool = False) -> tuple[float, ...]:
+        lam = params.lambda_for(cls, resolved=resolved)
+        return (CLASS_PROFILES[cls].seed_k, lam, lam * params.delta_t,
+                -lam * params.delta_t)
+    rates = {cls._value_: rates_of(cls) for cls in EpistemicClass}
+    rates[_RESOLVED] = rates_of(EpistemicClass.QUESTION, resolved=True)
+    return rates
+
+
 def run_cycle(
     snapshot: GraphSnapshot,
     now: int,
@@ -588,36 +636,78 @@ def run_cycle(
     across cycles, whose edges were checked as they were added; without
     one, the snapshot's edges are checked and a structure is built for
     this cycle alone.
+
+    Each object's forces and update are computed inline, with the float
+    expressions of ``usage_force``, ``evidence_force``, ``gravity_force``
+    (a radius above 1 calls it), ``contradiction_penalty`` and ``kge_step``.
     """
     if edges is None:
         snapshot.validate()
         edges = EdgeStructure(snapshot.edges)
     index = edges.index(snapshot, now)
-    prev, dormant, negatives = index.prev, index.dormant, index.negatives
-    held = frozen_usage is not None and frozen_evidence is not None
+    prev, dormant, k = index.prev, index.dormant, index.k
+    sources_of, coefficients_of = index.sources, index.coefficients
+    negatives, supports_of = index.negatives, index.supports
+    rates = _class_rates(params)
+    eta, a_u, a_e, a_g, a_c = params.eta, params.a_u, params.a_e, params.a_g, params.a_c
+    keep, sigma_recency, g_scale = 1.0 - eta, params.sigma_recency, params.g_scale
+    floor, narrow = params.sigma_floor, params.gravity_radius == 1
+    exp, tanh, isfinite = math.exp, math.tanh, math.isfinite
+    question = EpistemicClass.QUESTION
 
+    kos = snapshot.kos
     new_kos: dict[str, KnowledgeObject] = {}
     breakdowns: list[ForceBreakdown] = []
     for ko_id in snapshot.zones:
-        ko = snapshot.kos[ko_id]
+        ko = kos[ko_id]
+        retrieved = ko.retrieved_at
         if ko_id in dormant and not any((prev is None or t > prev) and t <= now
-                                        for t in ko.retrieved_at):
+                                        for t in retrieved):
             new_kos[ko_id] = ko
             continue
 
-        if not held:
-            u, e_force = cycle_inputs(ko, index, params)
-        if frozen_usage is not None:
+        if frozen_usage is None:  # usage_force over the ages up to now
+            total = 0.0
+            for t in retrieved:
+                if t <= now:
+                    total += exp(-((now - t) / SECONDS_PER_DAY) / sigma_recency)
+            u = a_u * total
+        else:
             u = frozen_usage.get(ko_id, 0.0)
-        if frozen_evidence is not None:
-            e_force = frozen_evidence.get(ko_id, 0.0)
-        g = gravity_force(ko_id, snapshot, params, _index=index)
-        c = params.a_c * negatives.get(ko_id, 0)  # contradiction_penalty
+        if frozen_evidence is None:  # evidence_force: SUPPORTS since prev
+            supports = supports_of.get(ko_id, ())
+            e = a_e * (len(supports)
+                       - (0 if prev is None else bisect_right(supports, prev)))
+        else:
+            e = frozen_evidence.get(ko_id, 0.0)
+        if not narrow:
+            g = gravity_force(ko_id, snapshot, params, _index=index)
+        elif (sources := sources_of.get(ko_id)) is None:
+            g = 0.0
+        else:  # gravity_force at radius 1: the sources, each at distance 1
+            ks = [k[j] for j in sources]
+            mu, sigma = _spread(ks, floor)
+            total = 0.0
+            for coeff, kj in zip(coefficients_of[ko_id], ks):
+                z = (kj - mu) / sigma
+                if z > 0.0:  # else the term is coeff * tanh(0.0), a zero
+                    total += coeff * tanh(g_scale * z)
+            g = a_g * total
+        c = a_c * negatives.get(ko_id, 0)  # contradiction_penalty
 
-        fb = kge_step(ko, (u, e_force, g, c), params)
-        breakdowns.append(fb)
+        # kge_step
+        seed, lam, lam_dt, decay = rates[_RESOLVED if ko.resolved else ko.cls._value_]
+        scores = ko.scores
+        k_before = scores.k
+        raw = keep * k_before + eta * (seed + u + e + g) - lam_dt * k_before - c
+        if isfinite(raw):
+            k_after = round(min(1.0, max(0.0, raw)), SCORE_DECIMALS)
+        else:  # finds the non-finite input and raises, or clamps an overflow
+            k_after = kge_update(k_before, seed, lam, u, e, g, c, params)
+        breakdowns.append(_trusted_breakdown(
+            ko_id, seed, u, e, g, decay * k_before, c, k_before, k_after))
 
-        if ko.cls is EpistemicClass.QUESTION:
+        if ko.cls is question:
             urgency = question_urgency(
                 (now - ko.created_at) / SECONDS_PER_DAY,
                 index.outbound_blocks.get(ko_id, 0),
@@ -625,9 +715,9 @@ def run_cycle(
                 resolved=ko.resolved)
         else:
             urgency = 0.0
-        if fb.k_after == ko.scores.k and urgency == ko.scores.urgency:
+        if k_after == k_before and urgency == scores.urgency:
             new_kos[ko_id] = ko
         else:
-            new_kos[ko_id] = ko.rescored(fb.k_after, urgency)
+            new_kos[ko_id] = ko.rescored(k_after, urgency)
 
     return GraphSnapshot(kos=new_kos, edges=snapshot.edges, cycle_at=now), breakdowns

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -395,40 +395,57 @@ class KnowledgeObject:
 # through the validating constructors.
 
 _new = object.__new__
-_set = object.__setattr__  # bypasses the frozen dataclass's __setattr__
+
+
+def slot_setters(cls) -> tuple[Callable[[object, object], None], ...]:
+    """The ``__set__`` of each of a slotted dataclass's field descriptors, in
+    field order. Calling one stores a value in its slot without the frozen
+    ``__setattr__`` or the attribute lookup that ``object.__setattr__``
+    pays on every call."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+(_koc_entity, _koc_domain, _koc_cls, _koc_epoch, _koc_depth, _koc_author,
+ _koc_variant) = slot_setters(Koc)
+_edge_source, _edge_target, _edge_type, _edge_created_at = slot_setters(Edge)
+(_scores_k, _scores_confidence, _scores_freshness, _scores_urgency,
+ _scores_contradiction) = slot_setters(ScoreVector)
+(_ko_id, _ko_koc, _ko_cls, _ko_content, _ko_scores, _ko_created_at,
+ _ko_retrieved_at, _ko_resolved, _ko_stakes, _ko_anchors,
+ _ko_embedding) = slot_setters(KnowledgeObject)
 
 
 def trusted_koc(entity: str, domain: str, cls: EpistemicClass, epoch: str,
                 depth: str, author: str, variant: str) -> Koc:
     koc = _new(Koc)
-    _set(koc, "entity", entity)
-    _set(koc, "domain", domain)
-    _set(koc, "cls", cls)
-    _set(koc, "epoch", epoch)
-    _set(koc, "depth", depth)
-    _set(koc, "author", author)
-    _set(koc, "variant", variant)
+    _koc_entity(koc, entity)
+    _koc_domain(koc, domain)
+    _koc_cls(koc, cls)
+    _koc_epoch(koc, epoch)
+    _koc_depth(koc, depth)
+    _koc_author(koc, author)
+    _koc_variant(koc, variant)
     return koc
 
 
 def trusted_edge(source_id: str, target_id: str, edge_type: EdgeType,
                  created_at: int) -> Edge:
     edge = _new(Edge)
-    _set(edge, "source_id", source_id)
-    _set(edge, "target_id", target_id)
-    _set(edge, "edge_type", edge_type)
-    _set(edge, "created_at", created_at)
+    _edge_source(edge, source_id)
+    _edge_target(edge, target_id)
+    _edge_type(edge, edge_type)
+    _edge_created_at(edge, created_at)
     return edge
 
 
 def trusted_scores(k: float, confidence: float, freshness: float,
                    urgency: float, contradiction: float) -> ScoreVector:
     scores = _new(ScoreVector)
-    _set(scores, "k", k)
-    _set(scores, "confidence", confidence)
-    _set(scores, "freshness", freshness)
-    _set(scores, "urgency", urgency)
-    _set(scores, "contradiction", contradiction)
+    _scores_k(scores, k)
+    _scores_confidence(scores, confidence)
+    _scores_freshness(scores, freshness)
+    _scores_urgency(scores, urgency)
+    _scores_contradiction(scores, contradiction)
     return scores
 
 
@@ -438,17 +455,17 @@ def trusted_ko(id: str, koc: Koc, cls: EpistemicClass, content: str,
                anchors: frozenset[str],
                embedding: tuple[float, ...] | None) -> KnowledgeObject:
     ko = _new(KnowledgeObject)
-    _set(ko, "id", id)
-    _set(ko, "koc", koc)
-    _set(ko, "cls", cls)
-    _set(ko, "content", content)
-    _set(ko, "scores", scores)
-    _set(ko, "created_at", created_at)
-    _set(ko, "retrieved_at", retrieved_at)
-    _set(ko, "resolved", resolved)
-    _set(ko, "stakes", stakes)
-    _set(ko, "anchors", anchors)
-    _set(ko, "embedding", embedding)
+    _ko_id(ko, id)
+    _ko_koc(ko, koc)
+    _ko_cls(ko, cls)
+    _ko_content(ko, content)
+    _ko_scores(ko, scores)
+    _ko_created_at(ko, created_at)
+    _ko_retrieved_at(ko, retrieved_at)
+    _ko_resolved(ko, resolved)
+    _ko_stakes(ko, stakes)
+    _ko_anchors(ko, anchors)
+    _ko_embedding(ko, embedding)
     return ko
 
 

@@ -11,7 +11,8 @@ into the payload it logs, and every rule is checked once, in ``_apply``,
 before any mutation, so a live operation (ValidationError) and a replay
 (ReplayError) reject the same events with the same message. Each event
 time must survive the log's ISO-8601 round trip (whole seconds, years 1000
-to 9999), which runs in C both ways, through ``datetime``'s own methods. An
+to 9999), which runs in C both ways, through ``datetime``'s own methods, and
+a log line's own time must be the one its payload records. An
 object's fields are checked by :func:`_ko_from_record`, which a corpus
 load shares: ``id`` and ``content`` strings, a known class equal to its
 coordinate's, ``stakes`` and scores in [0, 1], ``anchors`` non-empty
@@ -57,6 +58,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 from .engine import (
@@ -145,6 +148,16 @@ def _check_ts(name: str, value) -> int:
             f"{name} {value!r} is not a timestamp the event log can hold "
             "(whole seconds, years 1000 to 9999)")
     return value
+
+
+def _check_line_at(line_at: int | None, at: int) -> None:
+    """A log line's own time must be the time its payload records (for a
+    PARAMS_CHANGED, the latest event's): ``latest_event_at``, and through
+    it the next default cycle, reads the line's. Checked last, after every
+    rule of the payload. ``None`` is no line: a record of a corpus file."""
+    if line_at is not None and line_at != at:
+        raise ValidationError(
+            f"event time {line_at!r} differs from its payload's time {at!r}")
 
 
 def _fmt_score(x: float) -> str:
@@ -245,16 +258,29 @@ def _anchors(ko_id, value) -> tuple[str, ...]:
     return tuple(sorted(set(anchors)))
 
 
+@lru_cache(maxsize=4096)
+def _anchor_set(anchors: tuple[str, ...]) -> frozenset[str]:
+    """The frozenset of ``anchors``, one per distinct tuple: objects take
+    their anchors from a small vocabulary, and often none, so most can
+    share their set with another object, in the same store or another."""
+    return frozenset(anchors)
+
+
 def _embedding(ko_id, value) -> tuple[float, ...] | None:
     """An embedding as a tuple of finite numbers whose norm is finite too."""
     if value is None:
         return None
     if not _is_list(value):
         raise ValidationError(f"embedding must be a list of numbers, got {value!r}")
-    embedding = tuple(value)  # read twice below; an iterator once
-    if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in embedding):
-        raise ValidationError(f"embedding for {ko_id!r} has non-finite values")
+    embedding = tuple(value)  # read more than once below; an iterator once
+    non_finite = f"embedding for {ko_id!r} has non-finite values"
+    if not all(map(isinstance, embedding, repeat((int, float)))):
+        raise ValidationError(non_finite)
     if not math.isfinite(embedding_norm(embedding)):
+        # A non-finite element makes the norm non-finite, so the elements
+        # are searched for one only now.
+        if not all(map(math.isfinite, embedding)):
+            raise ValidationError(non_finite)
         raise ValidationError(
             f"embedding for {ko_id!r} has a norm too large to compute")
     return embedding
@@ -281,7 +307,9 @@ class CorpusStore:
         self._params = params if params is not None else EngineParams.production()
         self._kos: dict[str, KnowledgeObject] = {}
         self._edges: list[Edge] = []
-        self._edge_keys: set[tuple[str, str, EdgeType]] = set()
+        # Each source's edges, for the duplicate-edge rule: a few per source,
+        # scanned, cost less memory than a set of (source, target, type) keys.
+        self._out_edges: dict[str, list[Edge]] = {}
         self._events: list[EventRecord] = []
         # seq and time of the last event before ``_events`` (a checkpoint's)
         self._base_seq = 0
@@ -465,14 +493,15 @@ class CorpusStore:
                       _number("confidence", payload["confidence"]),
                       _number("freshness", payload["freshness"]), urgency, 0.0)
             return self._add_ko(_ko_from_record(
-                payload, scores, _check_ts("created_at", payload["created_at"])))
+                payload, scores, _check_ts("created_at", payload["created_at"])),
+                event.at)
         if kind is EventKind.EDGE_CREATED:
             return self._add_edge(payload["source"], payload["target"],
                                   _parse_edge_type(payload["type"]),
-                                  _check_ts("edge time", payload["at"]))
+                                  _check_ts("edge time", payload["at"]), event.at)
         if kind is EventKind.KO_SUPERSEDED:
             return self._add_edge(payload["new"], payload["old"], EdgeType.SUPERSEDES,
-                                  _check_ts("supersede time", payload["at"]))
+                                  _check_ts("supersede time", payload["at"]), event.at)
         if kind is EventKind.QUESTION_RESOLVED:
             at = _check_ts("resolution time", payload["at"])
             question = self._known(payload["question"])
@@ -482,12 +511,13 @@ class CorpusStore:
             if question.resolved:
                 raise ValidationError(f"question {question.id!r} already resolved")
             edge = self._add_edge(payload["resolver"], question.id,
-                                  EdgeType.IMPLEMENTS, at)
+                                  EdgeType.IMPLEMENTS, at, event.at)
             self._kos[question.id] = replace(question, resolved=True)
             return edge
         if kind is EventKind.KO_RETRIEVED:
             at = _check_ts("retrieval time", payload["at"])
             ko = self._known(payload["id"])
+            _check_line_at(event.at, at)
             self._kos[ko.id] = ko.with_retrieval(at)
             return None
         if kind is EventKind.CYCLE_APPLIED:
@@ -496,6 +526,7 @@ class CorpusStore:
                 raise ValidationError(
                     f"cycle at {now} is earlier than the last cycle at "
                     f"{self._last_cycle_at}; cycle time never runs backwards")
+            _check_line_at(event.at, now)
             if self._structure is None:
                 self._structure = EdgeStructure(self._edges)
             try:
@@ -508,7 +539,9 @@ class CorpusStore:
             self._last_cycle_at = now
             return breakdowns
         if kind is EventKind.PARAMS_CHANGED:
-            self._params = EngineParams.from_dict(payload["params"])
+            params = EngineParams.from_dict(payload["params"])
+            _check_line_at(event.at, self.latest_event_at())
+            self._params = params
             return None
         raise ReplayError(f"unknown event kind {kind!r}")
 
@@ -518,37 +551,45 @@ class CorpusStore:
             raise ValidationError(f"unknown knowledge object {ko_id!r}")
         return ko
 
-    def _add_ko(self, ko: KnowledgeObject) -> str:
+    def _add_ko(self, ko: KnowledgeObject, line_at: int | None = None) -> str:
         """Store a new object; an id already taken is rejected, since an
         object is never replaced, and so is an embedding of another length
-        than the store's, which no query could be compared with."""
+        than the store's, which no query could be compared with. ``line_at``
+        is the time of the log line that creates it, if one does."""
         if ko.id in self._kos:
             raise ValidationError(f"duplicate knowledge object id {ko.id!r}")
-        if ko.embedding is not None:
-            dim = len(ko.embedding)
-            if self._embedding_dim is None:
-                self._embedding_dim = dim
-            elif dim != self._embedding_dim:
-                raise ValidationError(
-                    f"embedding of {ko.id!r} has {dim} dimensions; "
-                    f"the store's embeddings have {self._embedding_dim}")
+        dim = None if ko.embedding is None else len(ko.embedding)
+        if dim is not None and self._embedding_dim not in (None, dim):
+            raise ValidationError(
+                f"embedding of {ko.id!r} has {dim} dimensions; "
+                f"the store's embeddings have {self._embedding_dim}")
+        _check_line_at(line_at, ko.created_at)
+        if self._embedding_dim is None:
+            self._embedding_dim = dim
         self._kos[ko.id] = ko
         return ko.id
 
     def _add_edge(self, source: str, target: str, edge_type: EdgeType,
-                  at: int) -> Edge:
-        """Store a new edge under the rules :meth:`add_edge` states."""
+                  at: int, line_at: int | None = None) -> Edge:
+        """Store a new edge under the rules :meth:`add_edge` states;
+        ``line_at`` is the time of the log line that creates it, if one
+        does."""
         if source == target:
             raise ValidationError(f"self-loop edge on {source!r}")
         self._known(source)
         self._known(target)
-        key = (source, target, edge_type)
-        if key in self._edge_keys:
-            raise ValidationError(
-                f"duplicate edge {source!r} -{edge_type.value}-> {target!r}")
+        out = self._out_edges.get(source)
+        for e in out or ():
+            if e.target_id == target and e.edge_type is edge_type:
+                raise ValidationError(
+                    f"duplicate edge {source!r} -{edge_type.value}-> {target!r}")
+        _check_line_at(line_at, at)
         edge = trusted_edge(source, target, edge_type, at)  # no self-loop: checked above
         self._edges.append(edge)
-        self._edge_keys.add(key)
+        if out is None:
+            self._out_edges[source] = [edge]
+        else:
+            out.append(edge)
         if self._structure is not None:
             self._structure.add(edge)
         return edge
@@ -599,7 +640,7 @@ def _ko_from_record(record: dict, scores: tuple[float, ...], created_at: int,
             scores=ScoreVector(*scores), created_at=created_at,
             retrieved_at=retrieved_at, resolved=resolved,
             stakes=_number("stakes", record["stakes"]),
-            anchors=frozenset(_anchors(ko_id, record["anchors"])),
+            anchors=_anchor_set(_anchors(ko_id, record["anchors"])),
             embedding=_embedding(ko_id, record.get("embedding")))
     except ModelError as exc:
         raise ValidationError(str(exc)) from None
@@ -855,7 +896,7 @@ def _restored_store(text: str, params: EngineParams) -> CorpusStore:
                 _written_ts(record["created_at"]),
                 tuple(map(_written_ts, record["retrieved_at"])),
                 bool(record["resolved"]), float(record["stakes"]),
-                frozenset(record["anchors"]),
+                _anchor_set(tuple(record["anchors"])),
                 tuple(embedding) if embedding is not None else None)
             add_ko(ko)
             ko_lines[ko.id] = (ko, line)
@@ -884,11 +925,12 @@ def _event_from_dict(data: dict) -> EventRecord:
     if type(seq) is not int or not isinstance(at, str) or not isinstance(payload, dict):
         raise ValueError("seq must be an integer, at a string and payload an object")
     ts = iso_to_ts(at)
+    kind = EventKind(data["kind"])
     payload = _interned(payload)
-    same = payload.get("at")
+    same = payload.get("created_at" if kind is EventKind.KO_CREATED else "at")
     if type(same) is int and same == ts:
         ts = same  # one int object for the event's time, not two
-    return EventRecord(seq=seq, at=ts, kind=EventKind(data["kind"]), payload=payload)
+    return EventRecord(seq=seq, at=ts, kind=kind, payload=payload)
 
 
 def _interned(payload: dict) -> dict:

@@ -406,6 +406,26 @@ def test_cycle_csv_format(cli, tmp_path):
     assert len(lines) == 3
 
 
+def test_a_log_line_dated_after_its_payload_is_a_contract_error(cli, tmp_path, capsys):
+    write_input(tmp_path / "in.jsonl", [ko_rec(0), ko_rec(1)])
+    cli("ingest", str(tmp_path / "in.jsonl"))
+    log = tmp_path / "events.jsonl"
+    lines = log.read_text().splitlines()
+    record = json.loads(lines[-1])
+    record["at"] = "2999-01-01T00:00:00Z"  # its payload still says 2024
+    lines[-1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    log.write_text("\n".join(lines) + "\n")
+    (tmp_path / "events.jsonl.checkpoint").unlink()
+    for argv in (["cycle", "1"], ["query", "x"]):
+        code = main(["--corpus", str(tmp_path / "corpus.jsonl"), "--log", str(log)]
+                    + argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert "corrupt event at position 2" in err and "differs from its payload" in err
+        assert "Traceback" not in err
+    assert log.read_text().splitlines()[-1] == lines[-1]  # nothing appended
+
+
 def test_query_on_non_object_log_line_is_a_contract_error(cli, tmp_path, capsys):
     write_input(tmp_path / "in.jsonl", [ko_rec(0)])
     cli("ingest", str(tmp_path / "in.jsonl"))

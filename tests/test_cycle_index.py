@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 import statistics
 
 import pytest
@@ -300,6 +301,124 @@ def test_gravity_force_view_matches_oracle(radius):
             oracle_neighborhood(ko_id, inbound, snapshot, radius)
         assert gravity_force(ko_id, snapshot, params) == \
             oracle_gravity(ko_id, snapshot, params, inbound)
+
+
+# ---------------------------------------------------------------------------
+# The cycle's loop against the public single-object functions
+# ---------------------------------------------------------------------------
+
+def public_breakdowns(snapshot, now, params, frozen_usage=None, frozen_evidence=None):
+    """Each updated object's breakdown from ``kge_step`` over the forces of
+    ``usage_force``, ``evidence_force``, ``gravity_force`` (which indexes
+    the snapshot itself) and ``contradiction_penalty``."""
+    prev = snapshot.cycle_at
+    breakdowns = []
+    for ko_id in sorted(snapshot.kos):
+        ko = snapshot.kos[ko_id]
+        if ko.dormant and not any((prev is None or t > prev) and t <= now
+                                  for t in ko.retrieved_at):
+            continue
+        inbound = [e for e in snapshot.edges if e.target_id == ko_id
+                   and e.created_at <= now and not snapshot.kos[e.source_id].dormant]
+        if frozen_usage is None:
+            u = usage_force([(now - t) / SECONDS_PER_DAY
+                             for t in ko.retrieved_at if t <= now], params)
+        else:
+            u = frozen_usage.get(ko_id, 0.0)
+        if frozen_evidence is None:
+            e = evidence_force(sum(1 for e in inbound if e.edge_type is EdgeType.SUPPORTS
+                                   and (prev is None or e.created_at > prev)), params)
+        else:
+            e = frozen_evidence.get(ko_id, 0.0)
+        g = gravity_force(ko_id, snapshot, params, now=now)
+        c = contradiction_penalty(inbound, params)
+        breakdowns.append(kge_step(ko, (u, e, g, c), params))
+    return breakdowns
+
+
+def assert_same_bits(got, want):
+    assert [fb.ko_id for fb in got] == [fb.ko_id for fb in want]
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(ForceBreakdown)[1:]:
+            assert float.hex(getattr(a, f.name)) == float.hex(getattr(b, f.name)), \
+                (a.ko_id, f.name)
+
+
+def test_cycle_loop_equals_the_public_per_object_forces():
+    """Ten store cycles: objects suppressed into dormancy and one revived by
+    a retrieval, open and resolved QUESTIONs, SUPPORTS edges dated between
+    cycles and after them, two cycles at radius 2, and at every cycle a
+    call with held usage and evidence."""
+    store = CorpusStore()
+    rng = random.Random(4)
+    classes = list(EpistemicClass)
+    clock = 1_700_000_000
+    for n in range(45):
+        cls = classes[n % len(classes)]
+        store.ingest_ko(cls=cls, koc=make_koc(cls, entity=f"e{n % 6}"),
+                        content=f"object {n}", ko_id=f"o{n:02d}", created_at=clock,
+                        stakes=0.6 if cls is EpistemicClass.QUESTION else 0.0)
+    ids = sorted(store.snapshot().kos)
+    questions = [i for i in ids if store.snapshot().kos[i].cls is EpistemicClass.QUESTION]
+    suppressed = ["o01", "o02"]  # CONSTRAINT and EVIDENCE
+    for target in suppressed:
+        for source in ids[10:18]:
+            store.add_edge(source, target, EdgeType.CONTRADICTS, at=clock)
+    for source, target in zip(ids[20:], ids[21:]):
+        store.add_edge(source, target, rng.choice(list(EdgeType)), at=clock)
+    period = PROD.cycle_period_s
+    revived = updated_dormant = frozen_dormant = supported = 0
+    for cycle in range(10):
+        if cycle == 1:
+            store.resolve_question(questions[0], ids[3], at=clock + 60)
+        if cycle in (4, 6):
+            store.set_params(EngineParams.production(gravity_radius=2)
+                             if cycle == 4 else PROD)
+        for _ in range(4):  # between the last cycle and this one, or later
+            source, target = rng.sample(ids[20:], 2)
+            try:
+                store.add_edge(source, target, EdgeType.SUPPORTS,
+                               at=clock + rng.choice((period // 2, period // 2, 2 * period)))
+            except ValueError:
+                pass  # a duplicate edge
+        if cycle == 7:
+            store.record_retrieval(suppressed[0], at=clock + period // 3)
+        for ko_id in rng.sample(ids[20:], 3):
+            store.record_retrieval(ko_id, at=clock + rng.randrange(period))
+        before, now = store.snapshot(), clock + period
+        params = store.params
+        got = store.apply_cycle(now=now)[1]
+        assert_same_bits(got, public_breakdowns(before, now, params))
+        held = {"frozen_usage": {i: rng.uniform(0.0, 0.3) for i in ids[::2]},
+                "frozen_evidence": {i: rng.choice((0.0, 0.1)) for i in ids[::3]}}
+        for frozen in (held, {"frozen_usage": held["frozen_usage"]}):
+            assert_same_bits(run_cycle(before, now, params, **frozen)[1],
+                             public_breakdowns(before, now, params, **frozen))
+        dormant = {i for i, ko in before.kos.items() if ko.dormant}
+        updated = {fb.ko_id for fb in got}
+        updated_dormant += len(dormant & updated)
+        frozen_dormant += len(dormant - updated)
+        revived += suppressed[0] in dormant & updated
+        supported += sum(fb.evidence > 0 for fb in got)
+        clock = now
+    assert revived and updated_dormant and frozen_dormant and supported
+    kos = store.snapshot().kos.values()
+    assert {ko.resolved for ko in kos if ko.cls is EpistemicClass.QUESTION} == {True, False}
+
+
+@pytest.mark.parametrize("force", ["u", "e"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_force_input_raises(force, value):
+    snapshot = churned_graph(1)
+    now = CYCLE_AT + PROD.cycle_period_s
+    ko_id = run_cycle(snapshot, now, PROD)[1][0].ko_id
+    held = {"frozen_usage" if force == "u" else "frozen_evidence": {ko_id: value}}
+    message = f"non-finite force input {force}={value!r}"
+    with pytest.raises(EngineError, match=re.escape(message)):
+        run_cycle(snapshot, now, PROD, **held)
+    forces = (value, 0.0, 0.0, 0.0) if force == "u" else (0.0, value, 0.0, 0.0)
+    with pytest.raises(EngineError, match=re.escape(message)):
+        kge_step(snapshot.kos[ko_id], forces, PROD)
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,9 @@ MISSING_OR_MISTYPED = {
     '{"kind":"edge","source":"a"}': "missing field 'target'",
     NUMERIC_CREATED_AT: "created_at must be a timestamp",
     corpus_ko_line(embedding=[float("nan"), 1.0]): "embedding for 'x' has non-finite values",
+    # the norm overflows too, but the infinite element is what is wrong
+    corpus_ko_line(embedding=[1e200, 1e200, float("-inf")]):
+        "embedding for 'x' has non-finite values",
     corpus_ko_line(anchors=["ok", ""]): "anchors for 'x' must be non-empty strings",
     corpus_ko_line(id=5): "id must be a string, got 5",
     corpus_ko_line(content=5): "content must be a string, got 5",
@@ -603,6 +606,8 @@ STATE_RULES = {
     "NaN embedding": bad_ko(embedding=[float("nan"), 1.0]),
     "embedding norm overflows": bad_ko(embedding=[1e200, 1e200]),
     "embedding a string": bad_ko(embedding="ab"),
+    "embedding element a string": bad_ko(embedding=[1.0, "2"]),
+    "infinite embedding beside large values": bad_ko(embedding=[1e200, 1e200, float("inf")]),
     "empty anchor": bad_ko(anchors=["ok", ""]),
     "anchors a string": bad_ko(anchors="ab"),
     "id an int": bad_ko(ko_id=5),
@@ -670,6 +675,61 @@ def test_store_rejects_a_second_embedding_dimension():
         event.payload, id="three", embedding=(1.0, 0.0, 0.0)))]
     with pytest.raises(ReplayError, match="position 2.*3 dimensions"):
         CorpusStore.replay(mixed)
+
+
+def test_embedding_of_ints_bools_and_floats_is_accepted():
+    store = CorpusStore()
+    store.ingest_ko(cls=EpistemicClass.PLAN, koc=make_koc(EpistemicClass.PLAN),
+                    content="c", ko_id="x", embedding=[1, True, 0.5, 1e150])
+    assert store.snapshot().kos["x"].embedding == (1, True, 0.5, 1e150)
+
+
+def two_event_log(tmp_path):
+    """A log of an object created at 1700000000 and retrieved 100 s later."""
+    store = CorpusStore()
+    store.ingest_ko(cls=EpistemicClass.PLAN, koc=make_koc(EpistemicClass.PLAN),
+                    content="c", ko_id="x", created_at=1_700_000_000)
+    store.record_retrieval("x", at=1_700_000_100)
+    log = tmp_path / "events.jsonl"
+    append_events(log, store.events)
+    return log
+
+
+def rewrite_line(log, number: int, **fields) -> None:
+    lines = log.read_text().splitlines()
+    record = json.loads(lines[number - 1])
+    record.update(fields)
+    lines[number - 1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    log.write_text("\n".join(lines) + "\n")
+
+
+def test_an_event_time_that_disagrees_with_its_payload_is_rejected(tmp_path):
+    log = two_event_log(tmp_path)
+    assert CorpusStore.replay(read_events(log)).latest_event_at() == 1_700_000_100
+    # the payload unchanged, the next default cycle would run in 2999
+    rewrite_line(log, 2, at="2999-01-01T00:00:00Z")
+    with pytest.raises(ReplayError, match="position 2") as raised:
+        CorpusStore.replay(read_events(log))
+    assert str(raised.value.__cause__) == (
+        "event time 32472144000 differs from its payload's time 1700000100")
+
+
+@pytest.mark.parametrize("kind", ["KO_CREATED", "EDGE_CREATED", "KO_SUPERSEDED",
+                                  "QUESTION_RESOLVED", "CYCLE_APPLIED",
+                                  "PARAMS_CHANGED"])
+def test_every_event_kind_has_its_line_time_checked(kind):
+    store = seeded_store()
+    store.add_edge("ev1", "dec1", EdgeType.SUPPORTS, at=2000)
+    store.supersede("ev1", "q1", at=2100)
+    store.resolve_question("q1", "dec1", at=2500)
+    store.apply_cycle(now=100000)
+    store.set_params(SIM)
+    events = list(store.events)
+    assert CorpusStore.replay(events, params=SIM).events == store.events
+    i = next(i for i, e in enumerate(events) if e.kind.value == kind)
+    events[i] = dataclasses.replace(events[i], at=events[i].at + 1)
+    with pytest.raises(ReplayError, match=f"position {i + 1}: .*differs from its payload"):
+        CorpusStore.replay(events, params=SIM)
 
 
 def test_corpus_rejects_unsupported_version(tmp_path):
