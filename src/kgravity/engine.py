@@ -224,7 +224,9 @@ class ForceBreakdown:
 
 _new = object.__new__
 (_fb_ko_id, _fb_seed, _fb_usage, _fb_evidence, _fb_gravity, _fb_decay_term,
- _fb_contradiction, _fb_k_before, _fb_k_after) = slot_setters(ForceBreakdown)
+ _fb_contradiction, _fb_k_before, _fb_k_after) = slot_setters(
+    ForceBreakdown, "ko_id", "seed", "usage", "evidence", "gravity",
+    "decay_term", "contradiction", "k_before", "k_after")
 
 
 def _trusted_breakdown(ko_id: str, seed: float, usage: float, evidence: float,

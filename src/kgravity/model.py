@@ -397,22 +397,33 @@ class KnowledgeObject:
 _new = object.__new__
 
 
-def slot_setters(cls) -> tuple[Callable[[object, object], None], ...]:
-    """The ``__set__`` of each of a slotted dataclass's field descriptors, in
-    field order. Calling one stores a value in its slot without the frozen
-    ``__setattr__`` or the attribute lookup that ``object.__setattr__``
-    pays on every call."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+def slot_setters(cls, *names: str) -> tuple[Callable[[object, object], None], ...]:
+    """The ``__set__`` of the slot descriptor of each named field of a
+    slotted dataclass, in the order named; the names must be all of its
+    fields, so a trusted builder sets every slot. Calling one stores a
+    value in its slot without the frozen ``__setattr__`` or the attribute
+    lookup that ``object.__setattr__`` pays on every call. Looked up by
+    name, so reordering the class's fields cannot send a value to another
+    slot."""
+    if sorted(names) != sorted(f.name for f in fields(cls)):
+        raise TypeError(f"{cls.__name__} fields are "
+                        f"{[f.name for f in fields(cls)]}, not {list(names)}")
+    return tuple(cls.__dict__[name].__set__ for name in names)
 
 
 (_koc_entity, _koc_domain, _koc_cls, _koc_epoch, _koc_depth, _koc_author,
- _koc_variant) = slot_setters(Koc)
-_edge_source, _edge_target, _edge_type, _edge_created_at = slot_setters(Edge)
+ _koc_variant) = slot_setters(Koc, "entity", "domain", "cls", "epoch",
+                              "depth", "author", "variant")
+_edge_source, _edge_target, _edge_type, _edge_created_at = slot_setters(
+    Edge, "source_id", "target_id", "edge_type", "created_at")
 (_scores_k, _scores_confidence, _scores_freshness, _scores_urgency,
- _scores_contradiction) = slot_setters(ScoreVector)
+ _scores_contradiction) = slot_setters(ScoreVector, "k", "confidence",
+                                       "freshness", "urgency", "contradiction")
 (_ko_id, _ko_koc, _ko_cls, _ko_content, _ko_scores, _ko_created_at,
  _ko_retrieved_at, _ko_resolved, _ko_stakes, _ko_anchors,
- _ko_embedding) = slot_setters(KnowledgeObject)
+ _ko_embedding) = slot_setters(KnowledgeObject, "id", "koc", "cls", "content",
+                               "scores", "created_at", "retrieved_at",
+                               "resolved", "stakes", "anchors", "embedding")
 
 
 def trusted_koc(entity: str, domain: str, cls: EpistemicClass, epoch: str,

@@ -58,7 +58,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
-from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -184,6 +183,28 @@ class EventRecord:
     payload: dict
 
 
+class _Retrieval:
+    """A KO_RETRIEVED event as a store holds the ones it logs: seq, time and
+    object id, without the payload dict ``{"id": ko_id, "at": at}``, which
+    costs three times the rest. Most events of a long log are retrievals,
+    and a store keeps every event it applied. A replayed store keeps the
+    events it was given: they are already built, and while the caller's
+    list holds them a compact copy would only add to its memory."""
+
+    __slots__ = ("seq", "at", "ko_id")
+
+    def __init__(self, seq: int, at: int, ko_id: str) -> None:
+        self.seq, self.at, self.ko_id = seq, at, ko_id
+
+
+def _record(held: EventRecord | _Retrieval) -> EventRecord:
+    """The event that ``held`` keeps, equal to the one applied."""
+    if type(held) is _Retrieval:
+        return EventRecord(held.seq, held.at, EventKind.KO_RETRIEVED,
+                           {"id": held.ko_id, "at": held.at})
+    return held
+
+
 # Each member keyed by itself and by its value: a lookup accepts what
 # ``EpistemicClass(...)`` and ``EdgeType(...)`` accept, without their call.
 _CLASSES = {key: c for c in EpistemicClass for key in (c, c.value)}
@@ -258,14 +279,6 @@ def _anchors(ko_id, value) -> tuple[str, ...]:
     return tuple(sorted(set(anchors)))
 
 
-@lru_cache(maxsize=4096)
-def _anchor_set(anchors: tuple[str, ...]) -> frozenset[str]:
-    """The frozenset of ``anchors``, one per distinct tuple: objects take
-    their anchors from a small vocabulary, and often none, so most can
-    share their set with another object, in the same store or another."""
-    return frozenset(anchors)
-
-
 def _embedding(ko_id, value) -> tuple[float, ...] | None:
     """An embedding as a tuple of finite numbers whose norm is finite too."""
     if value is None:
@@ -307,10 +320,8 @@ class CorpusStore:
         self._params = params if params is not None else EngineParams.production()
         self._kos: dict[str, KnowledgeObject] = {}
         self._edges: list[Edge] = []
-        # Each source's edges, for the duplicate-edge rule: a few per source,
-        # scanned, cost less memory than a set of (source, target, type) keys.
-        self._out_edges: dict[str, list[Edge]] = {}
-        self._events: list[EventRecord] = []
+        self._edge_keys: set[tuple[str, str, EdgeType]] = set()
+        self._events: list[EventRecord | _Retrieval] = []
         # seq and time of the last event before ``_events`` (a checkpoint's)
         self._base_seq = 0
         self._base_at = 0
@@ -336,7 +347,7 @@ class CorpusStore:
     def events(self) -> tuple[EventRecord, ...]:
         """The events this store applied: the whole log for a new or
         replayed store, the events after the checkpoint for a restored one."""
-        return tuple(self._events)
+        return tuple(map(_record, self._events))
 
     @property
     def last_seq(self) -> int:
@@ -350,7 +361,7 @@ class CorpusStore:
         if seq < self._base_seq:
             raise ValueError(f"events up to seq {self._base_seq} are not held "
                              f"(restored from a checkpoint); asked for after {seq}")
-        return tuple(self._events[seq - self._base_seq:])
+        return tuple(map(_record, self._events[seq - self._base_seq:]))
 
     @property
     def last_cycle_at(self) -> int | None:
@@ -478,7 +489,9 @@ class CorpusStore:
         event = EventRecord(seq=self.last_seq + 1, at=at, kind=kind,
                             payload=payload)
         result = self._apply(event)
-        self._events.append(event)
+        # record_retrieval logs {"id": ..., "at": at}: held as a _Retrieval
+        self._events.append(_Retrieval(event.seq, at, payload["id"])
+                            if kind is EventKind.KO_RETRIEVED else event)
         return result
 
     def _apply(self, event: EventRecord):
@@ -578,18 +591,14 @@ class CorpusStore:
             raise ValidationError(f"self-loop edge on {source!r}")
         self._known(source)
         self._known(target)
-        out = self._out_edges.get(source)
-        for e in out or ():
-            if e.target_id == target and e.edge_type is edge_type:
-                raise ValidationError(
-                    f"duplicate edge {source!r} -{edge_type.value}-> {target!r}")
+        key = (source, target, edge_type)
+        if key in self._edge_keys:
+            raise ValidationError(
+                f"duplicate edge {source!r} -{edge_type.value}-> {target!r}")
         _check_line_at(line_at, at)
         edge = trusted_edge(source, target, edge_type, at)  # no self-loop: checked above
         self._edges.append(edge)
-        if out is None:
-            self._out_edges[source] = [edge]
-        else:
-            out.append(edge)
+        self._edge_keys.add(key)
         if self._structure is not None:
             self._structure.add(edge)
         return edge
@@ -640,7 +649,7 @@ def _ko_from_record(record: dict, scores: tuple[float, ...], created_at: int,
             scores=ScoreVector(*scores), created_at=created_at,
             retrieved_at=retrieved_at, resolved=resolved,
             stakes=_number("stakes", record["stakes"]),
-            anchors=_anchor_set(_anchors(ko_id, record["anchors"])),
+            anchors=frozenset(_anchors(ko_id, record["anchors"])),
             embedding=_embedding(ko_id, record.get("embedding")))
     except ModelError as exc:
         raise ValidationError(str(exc)) from None
@@ -896,7 +905,7 @@ def _restored_store(text: str, params: EngineParams) -> CorpusStore:
                 _written_ts(record["created_at"]),
                 tuple(map(_written_ts, record["retrieved_at"])),
                 bool(record["resolved"]), float(record["stakes"]),
-                _anchor_set(tuple(record["anchors"])),
+                frozenset(record["anchors"]),
                 tuple(embedding) if embedding is not None else None)
             add_ko(ko)
             ko_lines[ko.id] = (ko, line)

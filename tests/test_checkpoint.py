@@ -489,7 +489,7 @@ def test_trusted_restore_equals_the_validating_load(tmp_path, seed):
         assert restored._kos[ko_id] == ko and repr(restored._kos[ko_id]) == repr(ko)
     assert restored._edges == loaded._edges
     assert [repr(e) for e in restored._edges] == [repr(e) for e in loaded._edges]
-    assert restored._out_edges == loaded._out_edges
+    assert restored._edge_keys == loaded._edge_keys
     assert restored._embedding_dim == loaded._embedding_dim is not None
     assert restored._last_cycle_at == loaded._last_cycle_at is not None
     # each object keeps its own line, and the store's objects are the log's

@@ -43,6 +43,7 @@ from kgravity.model import (
     Koc,
     ModelError,
     ScoreVector,
+    slot_setters,
 )
 from kgravity.store import CorpusStore, EventKind, EventRecord
 
@@ -662,6 +663,23 @@ def test_slotted_dataclasses_keep_their_behaviour(cls):
     first = SLOTTED[cls][0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, first, getattr(value, first))
+
+
+def test_slot_setters_are_looked_up_by_name():
+    # A trusted builder names each field it sets, so its setters do not
+    # depend on the order of the class's fields, and it must name all.
+    set_target, set_source, set_type, set_at = slot_setters(
+        Edge, "target_id", "source_id", "edge_type", "created_at")
+    edge = object.__new__(Edge)
+    set_target(edge, "b")
+    set_source(edge, "a")
+    set_type(edge, EdgeType.SUPPORTS)
+    set_at(edge, 3)
+    assert edge == Edge("a", "b", EdgeType.SUPPORTS, 3)
+    with pytest.raises(TypeError, match="Edge fields are"):
+        slot_setters(Edge, "source_id", "target_id", "edge_type")
+    with pytest.raises(TypeError, match="Edge fields are"):
+        slot_setters(Edge, "source_id", "target_id", "edge_type", "created")
 
 
 def test_replace_still_validates_slotted_values():

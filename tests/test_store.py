@@ -226,6 +226,33 @@ def test_retrieval_of_missing_ko_rejected():
         store.record_retrieval("ghost", at=2500)
 
 
+def test_logged_retrievals_read_back_as_applied(tmp_path):
+    # A store holds the retrievals it logs without their payload dicts;
+    # events, events_after and the log file give each back as applied.
+    store = seeded_store()
+    store.record_retrieval("ev1", at=1500)
+    before = store.last_seq
+    store.record_retrieval("dec1", at=1600)
+    store.apply_cycle(now=5000)
+    assert [(e.seq, e.at, e.kind, e.payload) for e in store.events[3:]] == [
+        (4, 1500, EventKind.KO_RETRIEVED, {"id": "ev1", "at": 1500}),
+        (5, 1600, EventKind.KO_RETRIEVED, {"id": "dec1", "at": 1600}),
+        (6, 5000, EventKind.CYCLE_APPLIED, {"at": 5000})]
+    assert store.events_after(before)[0] == EventRecord(
+        5, 1600, EventKind.KO_RETRIEVED, {"id": "dec1", "at": 1600})
+    assert store.latest_event_at() == 5000
+    path = tmp_path / "events.jsonl"
+    append_events(path, store.events)
+    assert path.read_text().splitlines()[4] == (
+        '{"at":"1970-01-01T00:26:40Z","kind":"KO_RETRIEVED",'
+        '"payload":{"at":1600,"id":"dec1"},"seq":5}')
+    replayed = CorpusStore.replay(read_events(path), params=SIM)
+    assert states_equal(replayed, store)
+    replayed.record_retrieval("q1", at=5100)
+    assert replayed.events[-1] == EventRecord(
+        7, 5100, EventKind.KO_RETRIEVED, {"id": "q1", "at": 5100})
+
+
 # ---------------------------------------------------------------------------
 # Replay
 # ---------------------------------------------------------------------------
