@@ -21,7 +21,6 @@ from .engine import (
     EdgeStructure,
     EngineParams,
     cycle_index,
-    cycle_inputs,
     fixed_point,
     gravity_neighborhood,
     kge_update,
@@ -144,8 +143,9 @@ def empirical_convergence(snapshot: GraphSnapshot, params: EngineParams,
     per-node k change drops below tol (or max_iters is hit).
 
     Non-convergence is reported, not raised. The usage and evidence forces
-    are evaluated once against the first cycle window and then held, so the
-    iterated map is autonomous in the k vector.
+    of the non-dormant objects are taken from one cycle over the first
+    window and then held (a dormant object revived in it is held at 0.0),
+    so the iterated map is autonomous in the k vector.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -155,18 +155,15 @@ def empirical_convergence(snapshot: GraphSnapshot, params: EngineParams,
     now = (prev_cycle if prev_cycle is not None else 0) + params.cycle_period_s
     snapshot.validate()
     edges = EdgeStructure(snapshot.edges)  # one structure for every iteration
-    index = edges.index(snapshot, now)
-    active = [ko_id for ko_id in snapshot.zones if ko_id not in index.dormant]
-    if not active:
+    _, breakdowns = run_cycle(snapshot, now, params, edges=edges)
+    held = [fb for fb in breakdowns if not snapshot.kos[fb.ko_id].dormant]
+    if not held:
         report.empirical_converged = True
         report.iterations_to_converge = 0
         return report
 
-    frozen_usage: dict[str, float] = {}
-    frozen_evidence: dict[str, float] = {}
-    for ko_id in active:
-        frozen_usage[ko_id], frozen_evidence[ko_id] = cycle_inputs(
-            snapshot.kos[ko_id], index, params)
+    frozen_usage = {fb.ko_id: fb.usage for fb in held}
+    frozen_evidence = {fb.ko_id: fb.evidence for fb in held}
 
     current = snapshot
     for iteration in range(1, max_iters + 1):

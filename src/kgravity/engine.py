@@ -13,22 +13,22 @@ penalty. Under stationary forces the update has the closed-form fixed point
 The cycle is synchronous: all forces read the previous snapshot, so two runs
 over equal snapshots are bit-identical.
 
-A cycle reads its ``CycleIndex``, a view of an ``EdgeStructure``: each
-target's non-dormant sources sorted by id with their coefficients summed,
-its counts of negative edges and its SUPPORTS times, the outbound BLOCKS
-counts, the dormant set from one zone lookup per object, and each k. Edges
-are only ever added, so the structure grows one edge at a time and is kept
-across cycles (the store keeps one); each cycle re-filters only the targets
-that gained an edge or have a source that changed between dormant and not
-dormant, and an edge dated after ``now`` waits until a cycle reaches its
-time. ``cycle_index`` and ``gravity_force`` without an index build a
-structure for the one snapshot.
+A cycle reads its ``CycleIndex``, a view of an ``EdgeStructure``: one
+entry per target with a non-dormant source, holding those sources sorted by
+id with their coefficients summed, its count of negative edges and its
+SUPPORTS times; the outbound BLOCKS counts; the dormant set from one zone
+lookup per object; and each k. Edges are only ever added, so the structure
+grows one edge at a time and is kept across cycles (the store keeps one);
+each cycle re-filters only the targets that gained an edge or have a source
+that changed between dormant and not dormant, and an edge dated after
+``now`` waits until a cycle reaches its time. ``cycle_index`` and
+``gravity_force`` without an index build a structure for the one snapshot.
 
 ``run_cycle`` is one loop over the objects in id order. For each updated
-object it computes, inline and from locals, the usage sum over its
-retrievals, its count of new SUPPORTS edges, its radius-1 gravity, its
-contradiction term, the update and the decay term: the float expressions
-of ``usage_force``, ``evidence_force``, ``gravity_force``,
+object it looks its entry up once and computes, inline and from locals, the
+usage sum over its retrievals, its count of new SUPPORTS edges, its radius-1
+gravity, its contradiction term, the update and the decay term: the float
+expressions of ``usage_force``, ``evidence_force``, ``gravity_force``,
 ``contradiction_penalty`` and ``kge_step``, operand for operand, so the
 bits are theirs (the tests pin the loop to them); only a neighbour at or
 below the mean is skipped, as its term, coeff * tanh(0.0), is a zero that
@@ -38,9 +38,10 @@ with one more entry for a resolved QUESTION, so the loop hashes no
 ``Enum``. Held inputs (``frozen_usage``, ``frozen_evidence``) and
 a radius above 1 (``gravity_force`` on the cycle's index) are branches of
 the same loop. A non-finite ``raw`` goes to ``kge_update``, which names the
-non-finite input and raises. The public single-object functions stay for
-the library, ``dynamics`` and the tests; ``cycle_inputs`` and the
-convergence checks in ``dynamics`` read the index too.
+non-finite input and raises. The loop is the one place a cycle's inputs are
+computed: the convergence lab in ``dynamics`` holds the usage and evidence
+of one cycle's breakdowns. The public single-object functions stay for the
+library and the tests.
 
 The neighbourhood mean is ``fsum(ks) / n``, as ``statistics.fmean``
 computes it. Sigma skips the exact ``statistics.pstdev`` when the
@@ -402,31 +403,31 @@ _NEGATIVE = frozenset(t._value_ for t in NEGATIVE_EDGE_TYPES)
 _SUPPORTS, _BLOCKS = EdgeType.SUPPORTS._value_, EdgeType.BLOCKS._value_
 
 
+_NO_INPUTS = ((), (), 0, ())  # the entry of a target with no non-dormant source
+
+
 @dataclass(frozen=True)
 class CycleIndex:
     """A cycle's inputs that depend only on its snapshot and time.
 
-    The per-target maps read only edges created by ``now`` from non-dormant
-    sources (dormant objects exert no force; this is the one dormant
-    filter), and hold only non-empty entries. ``sources`` keeps a target's
-    sources sorted by id, and ``coefficients`` beside them the coefficients
-    of each source's edges summed in edge-type order; ``negatives`` counts
-    its CONTRADICTS and BLOCKS edges; ``supports`` holds the creation times
-    of its SUPPORTS edges, sorted. ``outbound_blocks`` counts BLOCKS edges
-    from every source, dormant or not. ``now=None`` admits every edge.
+    ``inputs`` maps each target with a non-dormant source to one entry,
+    ``(sources, coefficients, negatives, supports)``, read from the edges
+    created by the cycle's time (all of them for ``now=None``) whose source
+    is not dormant (dormant objects exert no force; this is the one dormant
+    filter). ``sources`` are sorted by id, and ``coefficients`` beside them
+    sum each source's edge coefficients in edge-type order; ``negatives``
+    counts CONTRADICTS and BLOCKS edges; ``supports`` holds the creation
+    times of the SUPPORTS edges, sorted. Any other target reads as
+    ``((), (), 0, ())``. ``outbound_blocks`` counts BLOCKS edges from every
+    source, dormant or not.
 
     An index is a view of the :class:`EdgeStructure` that made it: its maps
     are the structure's own, valid until that structure next changes.
     """
 
-    now: int | None
-    prev: int | None
     dormant: frozenset[str]
     k: dict[str, float]
-    sources: dict[str, tuple[str, ...]]
-    coefficients: dict[str, tuple[float, ...]]
-    negatives: dict[str, int]
-    supports: dict[str, tuple[int, ...]]
+    inputs: dict[str, tuple[tuple[str, ...], tuple[float, ...], int, tuple[int, ...]]]
     outbound_blocks: dict[str, int]
 
 
@@ -438,9 +439,9 @@ class EdgeStructure:
     across cycles. It holds each target's inbound edges, each source's
     targets and BLOCKS count, and the edges dated after the latest ``now``
     it was asked for, which enter only once a cycle reaches their time.
-    For each target it caches its entries of the :class:`CycleIndex` maps,
-    and :meth:`index` rebuilds them only for the targets that gained an edge
-    or have a source that changed between dormant and not dormant.
+    For each target it caches its :class:`CycleIndex` entry, and
+    :meth:`index` rebuilds it only for the targets that gained an edge or
+    have a source that changed between dormant and not dormant.
     """
 
     def __init__(self, edges: Iterable[Edge] = ()) -> None:
@@ -452,10 +453,7 @@ class EdgeStructure:
         self._blocks: dict[str, int] = {}
         self._dirty: set[str] = set()
         self._dormant: frozenset[str] = frozenset()
-        self._sources: dict[str, tuple[str, ...]] = {}
-        self._coefficients: dict[str, tuple[float, ...]] = {}
-        self._negatives: dict[str, int] = {}
-        self._supports: dict[str, tuple[int, ...]] = {}
+        self._inputs: dict[str, tuple] = {}
 
     def add(self, edge: Edge) -> None:
         self._size += 1
@@ -508,9 +506,7 @@ class EdgeStructure:
         dirty.clear()
         self._dormant = dormant
         k = {ko_id: ko.scores.k for ko_id, ko in snapshot.kos.items()}
-        return CycleIndex(now=now, prev=snapshot.cycle_at, dormant=dormant, k=k,
-                          sources=self._sources, coefficients=self._coefficients,
-                          negatives=self._negatives, supports=self._supports,
+        return CycleIndex(dormant=dormant, k=k, inputs=self._inputs,
                           outbound_blocks=self._blocks)
 
     def _refilter(self, target: str, dormant: frozenset[str]) -> None:
@@ -534,21 +530,12 @@ class EdgeStructure:
                 supports.append(e.created_at)
             elif edge_type in _NEGATIVE:
                 negatives += 1
-        if by_source:
-            self._sources[target] = tuple(by_source)
-            self._coefficients[target] = tuple(by_source.values())
-        else:
-            self._sources.pop(target, None)
-            self._coefficients.pop(target, None)
-        if negatives:
-            self._negatives[target] = negatives
-        else:
-            self._negatives.pop(target, None)
-        if supports:
+        if by_source:  # every counted edge has a source here
             supports.sort()
-            self._supports[target] = tuple(supports)
+            self._inputs[target] = (tuple(by_source), tuple(by_source.values()),
+                                    negatives, tuple(supports))
         else:
-            self._supports.pop(target, None)
+            self._inputs.pop(target, None)
 
 
 def cycle_index(snapshot: GraphSnapshot, now: int | None) -> CycleIndex:
@@ -571,8 +558,8 @@ def gravity_neighborhood(ko_id: str, index: CycleIndex,
     for depth in range(1, radius + 1):
         nxt: list[tuple[str, float]] = []
         for node, path_coeff in frontier:
-            for src, coeff in zip(index.sources.get(node, ()),
-                                  index.coefficients.get(node, ())):
+            sources, coefficients, _, _ = index.inputs.get(node, _NO_INPUTS)
+            for src, coeff in zip(sources, coefficients):
                 if src in seen:
                     continue
                 seen.add(src)
@@ -581,18 +568,6 @@ def gravity_neighborhood(ko_id: str, index: CycleIndex,
                 nxt.append((src, coeff))
         frontier = nxt
     return found
-
-
-def cycle_inputs(ko: KnowledgeObject, index: CycleIndex,
-                 params: EngineParams) -> tuple[float, float]:
-    """The usage and evidence forces on ``ko`` in the indexed cycle: its
-    retrievals up to ``now``, and its inbound SUPPORTS edges from non-dormant
-    sources created since the previous cycle."""
-    now, prev = index.now, index.prev
-    ages = [(now - t) / SECONDS_PER_DAY for t in ko.retrieved_at if t <= now]
-    supports = index.supports.get(ko.id, ())
-    new_supports = len(supports) - (0 if prev is None else bisect_right(supports, prev))
-    return usage_force(ages, params), evidence_force(new_supports, params)
 
 
 _RESOLVED = "resolved QUESTION"
@@ -647,9 +622,7 @@ def run_cycle(
         snapshot.validate()
         edges = EdgeStructure(snapshot.edges)
     index = edges.index(snapshot, now)
-    prev, dormant, k = index.prev, index.dormant, index.k
-    sources_of, coefficients_of = index.sources, index.coefficients
-    negatives, supports_of = index.negatives, index.supports
+    prev, dormant, k, inputs = snapshot.cycle_at, index.dormant, index.k, index.inputs
     rates = _class_rates(params)
     eta, a_u, a_e, a_g, a_c = params.eta, params.a_u, params.a_e, params.a_g, params.a_c
     keep, sigma_recency, g_scale = 1.0 - eta, params.sigma_recency, params.g_scale
@@ -667,6 +640,7 @@ def run_cycle(
                                         for t in retrieved):
             new_kos[ko_id] = ko
             continue
+        sources, coefficients, negatives, supports = inputs.get(ko_id, _NO_INPUTS)
 
         if frozen_usage is None:  # usage_force over the ages up to now
             total = 0.0
@@ -677,25 +651,24 @@ def run_cycle(
         else:
             u = frozen_usage.get(ko_id, 0.0)
         if frozen_evidence is None:  # evidence_force: SUPPORTS since prev
-            supports = supports_of.get(ko_id, ())
             e = a_e * (len(supports)
                        - (0 if prev is None else bisect_right(supports, prev)))
         else:
             e = frozen_evidence.get(ko_id, 0.0)
         if not narrow:
             g = gravity_force(ko_id, snapshot, params, _index=index)
-        elif (sources := sources_of.get(ko_id)) is None:
+        elif not sources:
             g = 0.0
         else:  # gravity_force at radius 1: the sources, each at distance 1
             ks = [k[j] for j in sources]
             mu, sigma = _spread(ks, floor)
             total = 0.0
-            for coeff, kj in zip(coefficients_of[ko_id], ks):
+            for coeff, kj in zip(coefficients, ks):
                 z = (kj - mu) / sigma
                 if z > 0.0:  # else the term is coeff * tanh(0.0), a zero
                     total += coeff * tanh(g_scale * z)
             g = a_g * total
-        c = a_c * negatives.get(ko_id, 0)  # contradiction_penalty
+        c = a_c * negatives  # contradiction_penalty
 
         # kge_step
         seed, lam, lam_dt, decay = rates[_RESOLVED if ko.resolved else ko.cls._value_]

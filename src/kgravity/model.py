@@ -610,9 +610,6 @@ class GraphSnapshot:
 # Taxonomy adequacy
 # ---------------------------------------------------------------------------
 
-ADEQUACY_FEATURES = ("decay_kind", "seed_k", "rate_or_half_life", "role")
-
-
 @dataclass(frozen=True)
 class PairAdequacy:
     """Distinguishing features for one unordered class pair."""

@@ -167,10 +167,6 @@ def _structural(q: Query, koc_weights: Sequence[float] | None
     return lambda ko: ((entity == ko.koc.entity) + (domain == ko.koc.domain)) / 2.0
 
 
-def semantic_available(q: Query, ko: KnowledgeObject) -> bool:
-    return q.embedding is not None and ko.embedding is not None
-
-
 def _rescaled_cosine(a: tuple[float, ...], na: float,
                      ko: KnowledgeObject, nb: float) -> float:
     """Cosine of ``a`` and ``ko``'s embedding from their norms, in [0, 1]."""
@@ -189,7 +185,7 @@ def _mismatch(query_dim: int, ko_id: str, ko_dim: int) -> RetrievalError:
 def semantic_sim(q: Query, ko: KnowledgeObject) -> float:
     """Cosine similarity rescaled to [0, 1]; 0 when either embedding is
     missing (the caller flags the result degraded)."""
-    if not semantic_available(q, ko):
+    if q.embedding is None or ko.embedding is None:
         return 0.0
     return _rescaled_cosine(q.embedding, embedding_norm(q.embedding),
                             ko, embedding_norm(ko.embedding))

@@ -741,13 +741,26 @@ def write_corpus(store: CorpusStore, path: str | Path) -> str:
     return _write_atomic(path, corpus_lines(store))
 
 
+def _decoded(text: str | bytes, build=None):
+    """``json.loads(text)``, passed to ``build`` if one is given: every JSON
+    the store reads is decoded here. Text nested too deeply to parse or to
+    build from (a RecursionError) is a ValueError, as any other malformed
+    text is, so each reader reports it as its own error."""
+    try:
+        value = json.loads(text)
+        return value if build is None else build(value)
+    except RecursionError:
+        raise ValueError("nested too deeply to parse") from None
+
+
 def read_corpus(path: str | Path) -> tuple[dict, list[tuple[int, dict]], list[tuple[int, str]]]:
     """Parse a corpus file into (header, numbered records, per-line errors).
 
     Unparseable lines are collected as (line number, message) so ingestion
-    can proceed with the valid remainder.
+    can proceed with the valid remainder; a file that is not UTF-8 is a
+    ValidationError naming the first bad line.
     """
-    header, items = _parse_corpus(Path(path).read_text(encoding="utf-8"))
+    header, items = _parse_corpus(path)
     records: list[tuple[int, dict]] = []
     errors: list[tuple[int, str]] = []
     for lineno, item in items:
@@ -755,10 +768,16 @@ def read_corpus(path: str | Path) -> tuple[dict, list[tuple[int, dict]], list[tu
     return header, records, errors
 
 
-def _parse_corpus(text: str) -> tuple[dict, Iterator[tuple[int, dict | str]]]:
-    """The header of a corpus text, and its other non-blank lines parsed
-    one at a time, each as (line number, record or error message)."""
-    lines = text.splitlines()
+def _parse_corpus(path: str | Path) -> tuple[dict, Iterator[tuple[int, dict | str]]]:
+    """The header of a corpus file, and its other non-blank lines parsed
+    one at a time, each as (line number, record or error message). A file
+    that is not UTF-8 is a ValidationError naming the first bad line."""
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"line {lineno}: not UTF-8: {exc.reason}") from None
     if not lines:
         return {"kind": "header", "format_version": CORPUS_FORMAT_VERSION,
                 "embedding_dim": None}, iter(())
@@ -767,8 +786,8 @@ def _parse_corpus(text: str) -> tuple[dict, Iterator[tuple[int, dict | str]]]:
 
 def _corpus_header(line: str) -> dict:
     try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
+        header = _decoded(line)
+    except ValueError as exc:
         raise ValidationError(f"line 1: corpus header is not valid JSON: {exc}")
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValidationError("line 1: corpus file must start with a header record")
@@ -784,8 +803,8 @@ def _corpus_items(lines: list[str]) -> Iterator[tuple[int, dict | str]]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = _decoded(line)
+        except ValueError as exc:
             yield lineno, f"invalid JSON: {exc}"
             continue
         if not isinstance(record, dict):
@@ -803,7 +822,7 @@ def load_corpus(path: str | Path, params: EngineParams | None = None) -> CorpusS
     state but an empty event log. Strict: any bad record raises a
     ValidationError naming its line.
     """
-    header, items = _parse_corpus(Path(path).read_text(encoding="utf-8"))
+    header, items = _parse_corpus(path)
     store = CorpusStore(params=params)
     if header.get("last_cycle_at"):
         try:
@@ -864,7 +883,7 @@ def _written_records(lines: list[str]) -> Iterator[tuple[str, dict]]:
     joined into one JSON array per parse."""
     for start in range(0, len(lines), _RESTORE_CHUNK):
         chunk = lines[start:start + _RESTORE_CHUNK]
-        records = json.loads("[" + ",".join(chunk) + "]")
+        records = _decoded("[" + ",".join(chunk) + "]")
         if len(records) != len(chunk):
             raise ValueError("a corpus line holds other than one record")
         yield from zip(chunk, records)
@@ -996,7 +1015,7 @@ def read_events_from(path: str | Path,
             if not raw.strip():
                 continue
             try:
-                events.append(_event_from_dict(json.loads(raw.decode("utf-8"))))
+                events.append(_decoded(raw.decode("utf-8"), _event_from_dict))
             except (KeyError, ValueError) as exc:
                 raise ReplayError(f"corrupt event log line {lineno}: {exc}") from exc
     return events, LogPosition(offset, lineno)
@@ -1076,7 +1095,7 @@ def restore_checkpoint(log: str | Path,
     parsed, for :func:`corpus_lines` to re-emit.
     """
     try:
-        record = json.loads(checkpoint_path(log).read_bytes())
+        record = _decoded(checkpoint_path(log).read_bytes())
         seq, offset, lines = record["seq"], record["offset"], record["lines"]
         if not all(type(v) is int and v > 0 for v in (seq, offset, lines)):
             raise CheckpointError("seq, offset and lines must be positive integers")
@@ -1086,7 +1105,7 @@ def restore_checkpoint(log: str | Path,
             line = _line_ending_at(f, offset)
         if not line.endswith(b"\n") or _sha256(line) != record["line_sha256"]:
             raise CheckpointError(f"log line {lines} changed since the checkpoint")
-        if _event_from_dict(json.loads(line)).seq != seq:
+        if _decoded(line, _event_from_dict).seq != seq:
             raise CheckpointError(f"log line {lines} is not event {seq}")
         store = _restored_store(text, params)
         latest = _check_ts("latest_event_at", record["latest_event_at"])

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from kgravity.cli import main
 
@@ -435,3 +441,128 @@ def test_query_on_non_object_log_line_is_a_contract_error(cli, tmp_path, capsys)
                  "--log", str(tmp_path / "events.jsonl"), "query", "x"])
     assert code == 1
     assert "error: corrupt event log line 2" in capsys.readouterr().err
+
+
+DEEP_LINE = "[" * 200_000
+
+
+def run_main(workdir: Path, *argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--corpus", str(workdir / "corpus.jsonl"),
+                     "--log", str(workdir / "events.jsonl"), *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_verify_log_replays_the_log_when_no_checkpoint_is_beside_it(cli, tmp_path):
+    write_input(tmp_path / "in.jsonl", [ko_rec(0), ko_rec(1)])
+    cli("ingest", str(tmp_path / "in.jsonl"))
+    log = tmp_path / "events.jsonl"
+    (tmp_path / "events.jsonl.checkpoint").unlink()
+    assert cli("verify-log") == "no checkpoint: a full replay of 2 events succeeds\n"
+    lines = log.read_text().splitlines()
+    record = json.loads(lines[-1])
+    record["at"] = "2999-01-01T00:00:00Z"  # its payload still says 2024
+    lines[-1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    log.write_text("\n".join(lines) + "\n")
+    code, out, err = run_main(tmp_path, "verify-log")
+    assert (code, out) == (1, "")
+    assert "corrupt event at position 2" in err and "Traceback" not in err
+
+
+def test_an_ingest_line_that_is_too_deep_or_not_utf8_names_its_line(tmp_path):
+    header = json.dumps({"kind": "header", "format_version": 1}).encode()
+    record = json.dumps(ko_rec(0)).encode()
+    (tmp_path / "deep.jsonl").write_bytes(
+        b"\n".join([header, DEEP_LINE.encode(), record]) + b"\n")
+    code, out, _ = run_main(tmp_path, "ingest", str(tmp_path / "deep.jsonl"))
+    assert code == 0
+    assert out.splitlines() == ["1 KOs, 0 edges ingested; 1 rejected",
+                                "  line 2: invalid JSON: nested too deeply to parse"]
+    (tmp_path / "bytes.jsonl").write_bytes(
+        b"\n".join([header, record.replace(b"k000", b"k\xff01")]) + b"\n")
+    code, out, err = run_main(tmp_path, "ingest", str(tmp_path / "bytes.jsonl"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 2: not UTF-8: invalid start byte")
+
+
+def test_a_deep_line_in_the_log_or_checkpoint_is_reported(cli, tmp_path):
+    write_input(tmp_path / "in.jsonl", [ko_rec(0), ko_rec(1)])
+    cli("ingest", str(tmp_path / "in.jsonl"))
+    log, checkpoint = tmp_path / "events.jsonl", tmp_path / "events.jsonl.checkpoint"
+    good_log, good_checkpoint = log.read_bytes(), checkpoint.read_bytes()
+    with open(log, "a", encoding="utf-8") as f:
+        f.write(DEEP_LINE + "\n")
+    for argv in (["query", "x"], ["cycle", "1"], ["verify-log"]):
+        code, _, err = run_main(tmp_path, *argv)
+        assert code == 1, argv
+        assert err == "error: corrupt event log line 3: nested too deeply to parse\n"
+    log.write_bytes(good_log)
+    checkpoint.write_text(DEEP_LINE + "\n")  # a full replay stands in for it
+    assert run_main(tmp_path, "query", "x")[0] == 0
+    code, out, _ = run_main(tmp_path, "verify-log")
+    assert code == 2 and out.startswith("checkpoint mismatch")
+    assert checkpoint.read_bytes() != good_checkpoint  # not rewritten by a query
+
+
+FUZZ_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.too_slow])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12)
+KO_LIKE = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["ko", "edge"])},
+    optional={name: JSON_VALUES | st.sampled_from(list(ko_rec(0).values()))
+              for name in list(ko_rec(0))[1:] + ["source", "target", "type", "scores"]})
+CORPUS_LINES = st.lists(
+    st.text(max_size=40).map(str.encode) | st.binary(max_size=40)
+    | JSON_VALUES.map(json.dumps).map(str.encode)
+    | KO_LIKE.map(json.dumps).map(str.encode),
+    max_size=6)
+
+
+@FUZZ_SETTINGS
+@given(CORPUS_LINES)
+@example([DEEP_LINE.encode()])
+@example([json.dumps(ko_rec(0)).encode().replace(b"k000", b"k\xff01")])
+@example([b"\x80", json.dumps(ko_rec(1)).encode()])
+def test_ingest_of_arbitrary_lines_exits_0_or_1(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        header = json.dumps({"kind": "header", "format_version": 1}).encode()
+        (workdir / "in.jsonl").write_bytes(b"\n".join([header, *lines]) + b"\n")
+        assert run_main(workdir, "ingest", str(workdir / "in.jsonl"))[0] in (0, 1)
+        assert run_main(workdir, "query", "x")[0] in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def session_files(tmp_path_factory):
+    """The files of a short valid session: an ingest and two cycles."""
+    workdir = tmp_path_factory.mktemp("session")
+    write_input(workdir / "in.jsonl",
+                [ko_rec(i, cls) for i, cls in enumerate(CLASSES_CYCLE)]
+                + [edge_rec("k000", "k001"), edge_rec("k002", "k001", "CONTRADICTS")])
+    assert run_main(workdir, "ingest", str(workdir / "in.jsonl"))[0] == 0
+    assert run_main(workdir, "cycle", "2")[0] == 0
+    return {name: (workdir / name).read_bytes()
+            for name in ("events.jsonl", "events.jsonl.checkpoint", "corpus.jsonl")}
+
+
+@FUZZ_SETTINGS
+@given(tail=st.binary(max_size=60) | st.text(max_size=60).map(str.encode),
+       command=st.sampled_from([("query", "x"), ("cycle", "1"), ("verify-log",)]))
+@example(tail=DEEP_LINE.encode(), command=("query", "x"))
+@example(tail=DEEP_LINE.encode(), command=("cycle", "1"))
+@example(tail=DEEP_LINE.encode(), command=("verify-log",))
+@example(tail=b"\xff\n", command=("verify-log",))
+def test_commands_after_arbitrary_bytes_appended_to_the_log_exit_0_or_1(
+        session_files, tail, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, data in session_files.items():
+            (workdir / name).write_bytes(data)
+        with open(workdir / "events.jsonl", "ab") as f:
+            f.write(tail)
+        assert run_main(workdir, *command)[0] in (0, 1)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import io
+import random
 
 import pytest
 
+import kgravity.dynamics as dynamics
 from kgravity import (
+    CorpusStore,
     Edge,
     EdgeType,
     EngineParams,
@@ -19,7 +23,8 @@ from kgravity import (
     verify_t2,
 )
 from kgravity.dynamics import write_residuals_csv, write_trajectory_csv
-from tests.conftest import make_ko, snapshot_of
+from kgravity.engine import SECONDS_PER_DAY, evidence_force, usage_force
+from tests.conftest import make_ko, make_koc, snapshot_of
 
 PROD = EngineParams.production()
 SIM = EngineParams.simulation()
@@ -111,6 +116,97 @@ def test_star8_converges_despite_failing_bound():
 def test_rejects_non_positive_tolerance():
     with pytest.raises(ValueError):
         empirical_convergence(chain3(), PROD, tol=0.0)
+
+
+def held_inputs_state():
+    """A store state whose next window holds retrievals, SUPPORTS edges
+    dated after the last cycle, and a retrieval of a dormant object."""
+    store = CorpusStore()
+    rng = random.Random(7)
+    classes = list(EpistemicClass)
+    clock = 1_700_000_000
+    for n in range(30):
+        cls = classes[n % len(classes)]
+        store.ingest_ko(cls=cls, koc=make_koc(cls, entity=f"e{n % 5}"),
+                        content=f"object {n}", ko_id=f"o{n:02d}", created_at=clock)
+    ids = sorted(store.snapshot().kos)
+    for source in ids[10:18]:  # suppress o01, a CONSTRAINT, into dormancy
+        store.add_edge(source, "o01", EdgeType.CONTRADICTS, at=clock)
+    for source, target in zip(ids[20:], ids[21:]):
+        store.add_edge(source, target, EdgeType.SUPPORTS, at=clock)
+    period = PROD.cycle_period_s
+    for _ in range(12):
+        clock += period
+        for ko_id in rng.sample(ids[18:], 3):
+            store.record_retrieval(ko_id, at=clock - rng.randrange(period))
+        store.apply_cycle(now=clock)
+    assert store.snapshot().kos["o01"].dormant
+    # inside the next window (clock, clock + period]
+    store.record_retrieval("o01", at=clock + period // 3)
+    for source, target in rng.sample(list(zip(ids[18:], ids[2:14])), 6):
+        store.add_edge(source, target, EdgeType.SUPPORTS, at=clock + period // 2)
+    for ko_id in rng.sample(ids[18:], 4):
+        store.record_retrieval(ko_id, at=clock + rng.randrange(1, period))
+    return store.snapshot()
+
+
+def test_held_inputs_are_the_public_usage_and_evidence_forces(monkeypatch):
+    snapshot = held_inputs_state()
+    calls = []
+    real_run_cycle = dynamics.run_cycle
+
+    def recording(*args, **kwargs):
+        result = real_run_cycle(*args, **kwargs)
+        calls.append((kwargs.get("frozen_usage"), kwargs.get("frozen_evidence"), result[1]))
+        return result
+
+    monkeypatch.setattr(dynamics, "run_cycle", recording)
+    report = empirical_convergence(snapshot, PROD, max_iters=3)
+    assert len(report.residual_history) == 3
+    unheld = calls[0][2]
+    usage, evidence = calls[1][0], calls[1][1]
+    assert all(call[:2] == (usage, evidence) for call in calls[1:])
+
+    prev = snapshot.cycle_at
+    now = prev + PROD.cycle_period_s
+    active = sorted(i for i, ko in snapshot.kos.items() if not ko.dormant)
+    assert sorted(usage) == sorted(evidence) == active
+    assert "o01" in {fb.ko_id for fb in unheld}  # revived in the un-held cycle
+    assert "o01" not in usage and "o01" not in evidence  # so held at 0.0
+    for ko_id in active:
+        ages = [(now - t) / SECONDS_PER_DAY
+                for t in snapshot.kos[ko_id].retrieved_at if t <= now]
+        new_supports = sum(
+            1 for e in snapshot.edges
+            if e.target_id == ko_id and e.edge_type is EdgeType.SUPPORTS
+            and prev < e.created_at <= now and not snapshot.kos[e.source_id].dormant)
+        assert float.hex(usage[ko_id]) == float.hex(usage_force(ages, PROD)), ko_id
+        assert float.hex(evidence[ko_id]) == \
+            float.hex(evidence_force(new_supports, PROD)), ko_id
+    assert sum(u > 0 for u in usage.values()) >= 4
+    assert sum(e > 0 for e in evidence.values()) >= 4
+
+
+#: SHA-256 of the residual histories of ``conservatism_sweep(n_graphs=3)``,
+#: each value as ``float.hex``, as computed before the held inputs came from
+#: the cycle's own breakdowns.
+CONSERVATISM_RESIDUALS_SHA256 = (
+    "9f3878b05b5d45ae337f8e05af8c88d5fe697734c632d421793727ad5b04ab36")
+
+
+def test_conservatism_sweep_keeps_its_residual_histories(monkeypatch):
+    histories = []
+    real = dynamics.empirical_convergence
+
+    def recording(*args, **kwargs):
+        report = real(*args, **kwargs)
+        histories.append(report.residual_history)
+        return report
+
+    monkeypatch.setattr(dynamics, "empirical_convergence", recording)
+    conservatism_sweep(n_graphs=3)
+    text = "\n".join(" ".join(map(float.hex, history)) for history in histories)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSERVATISM_RESIDUALS_SHA256
 
 
 # ---------------------------------------------------------------------------
