@@ -504,8 +504,9 @@ class GraphSnapshot:
     (None before the first cycle); it is the lower bound of the next cycle's
     "new edge" window.
 
-    The cached properties below form the snapshot's index, and ``hop_memo``
-    keeps the hop distances retrieval has computed on it. Each is built on
+    The cached properties below form the snapshot's index; ``hop_memo``
+    keeps the hop distances retrieval has computed on it, and
+    ``focus_memo`` the foci it has found by a full scan. Each is built on
     first use and stored on the instance without being a field, so
     equality, ``repr`` and ``replace`` ignore it; a snapshot must therefore
     not be mutated once it has been used.
@@ -539,6 +540,13 @@ class GraphSnapshot:
         """Hop distances per query focus, filled by retrieval: entry i of a
         focus's array is h + 1 for the object at position i, h hops from the
         focus, and 0 for an object it does not reach."""
+        return {}
+
+    @cached_property
+    def focus_memo(self) -> dict[tuple, str]:
+        """The focus of each anchor coordinate no object holds exactly,
+        filled by retrieval, keyed by (anchor, axis weights as a tuple or
+        None)."""
         return {}
 
     @cached_property

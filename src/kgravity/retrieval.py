@@ -13,32 +13,44 @@ The hop distances from a focus are such a function too, of the snapshot and
 the focus, so each focus's BFS runs once per snapshot: its result is kept in
 ``GraphSnapshot.hop_memo`` as one small integer per object, and the memo is
 emptied whenever the next entry would take it over ``_HOP_MEMO_BYTES``.
-Racing queries may both run a BFS for one focus or lose an entry to a
-clear; either way each reads a complete array of the same values.
+So is the focus of an anchor coordinate that no object holds exactly, of
+the snapshot, the anchor and the axis weights: its full scan runs once per
+snapshot, and ``GraphSnapshot.focus_memo`` keeps the answer, emptied
+before an entry that would take it past ``_FOCUS_MEMO_ENTRIES``. Racing
+queries may both compute one entry or lose an entry to a clear; either way
+each reads a complete entry of the same value.
 
 ``rank`` scores only the objects that can still reach the top k, as in the
 threshold algorithm (Fagin, Lotem and Naor, PODS 2001). It splits the
-eligible objects into four groups by whether they share the query's entity
-and its domain, and walks each group in descending k, keeping a min-heap of
-the top_k best rank scores so far. A group's walk stops at the first object
-whose bound is below the k-th best score. Within a group the match terms
-of S_struct and phi are known, S_struct is at most 1 with an anchor
-coordinate, S_sem and S_topo are at most 1, and anchor overlap is at most 1
-(0 without active anchors), so a member has
+eligible objects into eight groups by whether they share the query's
+entity, its domain and any of its active anchors, and walks each group in
+descending k, keeping a min-heap of the top_k best rank scores so far. A
+group's walk stops at the first object whose bound is below the k-th best
+score. The focus alone has S_topo = 1, so ``rank`` scores it before any
+walk and leaves it out of the groups; every other object is at least one
+hop away and has S_topo at most 1/2. Within a group the match terms of
+S_struct and phi are known, S_struct is at most 1 with an anchor
+coordinate, S_sem is at most 1, and anchor overlap is at most 1 for a
+member that shares an anchor and exactly 0 for one that shares none, so a
+member has
 
-    R <= H_cap * (k * M),  H_cap = alpha * S_struct_cap + beta * S_sem_cap + gamma,
+    R <= H_cap * (k * M),  H_cap = alpha * S_struct_cap + beta * S_sem_cap + gamma * 0.5,
                            M = max(k_eff_floor, phi_cap)
 
 where each cap goes through the very float expressions that compute R. On
 non-negative values float ``+`` and ``*`` are monotone, so the bound holds
 bit for bit; it is monotone in k, so no member after the stop can reach
-the top k. Only the cosine's cap is not exact: rounding can lift a cosine
-of 1, and ``_COSINE_CAP`` covers that for embeddings of at most 2**20
-dimensions whose nonzero norms lie in [2**-500, 2**500]. Outside that
-range, or with a negative weight, the bound is infinite and every eligible
-object is scored. The stop test is strict, so an object whose R could tie
-the k-th best is still scored. The result is then chosen from the scored
-rows exactly as from a full scan: the same rows, order and tie-breaks.
+the top k. A member before the stop is still left unscored when its own
+bound, H with its actual S_struct and S_topo and S_sem at its cap, times
+k * M, is below the k-th best: both terms are cheap to look up, and only
+the cosine and phi are left to compute. Only the cosine's cap is not
+exact: rounding can lift a cosine of 1, and ``_COSINE_CAP`` covers that
+for embeddings of at most 2**20 dimensions whose nonzero norms lie in
+[2**-500, 2**500]. Outside that range, or with a negative weight, there is
+no bound and every eligible object is scored. Both tests are strict, so an
+object whose R could tie the k-th best is still scored. The result is then
+chosen from the scored rows exactly as from a full scan: the same rows,
+order and tie-breaks.
 """
 
 from __future__ import annotations
@@ -210,8 +222,27 @@ def resolve_focus(q: Query, snapshot: GraphSnapshot,
     exact = snapshot.first_ids.get(q.anchor_koc)
     if exact is not None:
         return exact
+    memo = snapshot.focus_memo
+    key = (q.anchor_koc, None if koc_weights is None else tuple(koc_weights))
+    focus = memo.get(key)
+    if focus is None:
+        focus = _closest(q, snapshot, koc_weights)
+        if len(memo) >= _FOCUS_MEMO_ENTRIES:
+            memo.clear()
+        memo[key] = focus
+    return focus
+
+
+#: The most entries one snapshot's focus memo may hold.
+_FOCUS_MEMO_ENTRIES = 1024
+
+
+def _closest(q: Query, snapshot: GraphSnapshot,
+             koc_weights: Sequence[float] | None) -> str:
+    """The id of the highest structural similarity to the query's anchor,
+    ties broken by id: a scan of every object."""
     structural = _structural(q, koc_weights)
-    best_id, best_sim = None, -1.0
+    best_id, best_sim = "", -1.0
     for ko_id in snapshot.zones:
         sim = structural(snapshot.kos[ko_id])
         if sim > best_sim:
@@ -274,10 +305,11 @@ def k_eff(ko: KnowledgeObject, phi: float, w: RetrievalWeights) -> float:
 
 def _scorer(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
             koc_weights: Sequence[float] | None):
-    """The one scorer. The focus, its hop distances and the query norm are
-    looked up or computed once; the returned function scores one object,
-    given its embedding norm and zone, as a tuple in ``RankedResult`` field
-    order."""
+    """The focus, the one scorer and its hybrid cap. The focus, its hop
+    distances and the query norm are looked up or computed once. ``score``
+    scores one object, given its embedding norm and zone, as a tuple in
+    ``RankedResult`` field order; ``hybrid_cap`` gives an object's H with
+    S_sem replaced by a cap on it, by the same expression."""
     focus = resolve_focus(q, snapshot, koc_weights)
     hops = b"" if focus is None else _focus_hops(snapshot, focus)
     position = snapshot.positions
@@ -285,25 +317,32 @@ def _scorer(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
     qe = q.embedding
     qn = None if qe is None else embedding_norm(qe)
 
+    def topological(ko: KnowledgeObject) -> float:
+        i = position.get(ko.id)
+        v = 0 if i is None else hops[i]  # h + 1, so 1.0 / v == 1.0 / (1.0 + h)
+        return 1.0 / v if v else 0.0
+
     def score(ko: KnowledgeObject, nb: float | None, zone: MemoryZone) -> tuple:
         s_struct = structural(ko)
         degraded = qe is None or nb is None
         s_sem = 0.0 if degraded else _rescaled_cosine(qe, qn, ko, nb)
-        i = position.get(ko.id)
-        v = 0 if i is None else hops[i]  # h + 1, so 1.0 / v == 1.0 / (1.0 + h)
-        s_topo = 1.0 / v if v else 0.0
+        s_topo = topological(ko)
         hybrid = w.alpha * s_struct + w.beta * s_sem + w.gamma * s_topo
         phi = contextual_attention(q, ko, w)
         eff = k_eff(ko, phi, w)
         return (ko.id, hybrid, eff, hybrid * eff, s_struct, s_sem, s_topo, phi,
                 ko.scores.k, ko.scores.urgency, zone, degraded)
-    return score
+
+    def hybrid_cap(ko: KnowledgeObject, s_sem: float) -> float:
+        return w.alpha * structural(ko) + w.beta * s_sem + w.gamma * topological(ko)
+    return focus, score, hybrid_cap
 
 
 def _score_one(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot,
                w: RetrievalWeights) -> RankedResult:
     nb = None if ko.embedding is None else embedding_norm(ko.embedding)
-    return RankedResult(*_scorer(q, snapshot, w, None)(ko, nb, ko.zone))
+    _, score, _ = _scorer(q, snapshot, w, None)
+    return RankedResult(*score(ko, nb, ko.zone))
 
 
 def topological_sim(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot) -> float:
@@ -331,15 +370,20 @@ _MAX_DIM = 2 ** 20
 _NORMS = (2.0 ** -500, 2.0 ** 500)
 
 #: The groups ``rank`` walks, as (shares the query's entity, shares its
-#: domain), in the order it walks them.
-_GROUPS = ((True, True), (True, False), (False, True), (False, False))
+#: domain, shares any of its active anchors), in the order it walks them:
+#: by M under the default weights, highest first, so the top k fills early.
+_GROUPS = ((True, True, True), (True, True, False), (True, False, True),
+           (False, True, True), (True, False, False), (False, True, False),
+           (False, False, True), (False, False, False))
 
 
 def _group_bounds(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
-                  koc_weights: Sequence[float] | None) -> list[tuple[float, float]]:
-    """For each of ``_GROUPS``, (H_cap, M) such that a member has
-    R <= H_cap * (k * M); (inf, inf) when there is no bound."""
-    no_bound = [(math.inf, math.inf)] * len(_GROUPS)
+                  koc_weights: Sequence[float] | None
+                  ) -> tuple[float | None, list[tuple[float, float]]]:
+    """The cap on S_sem, and for each of ``_GROUPS``, (H_cap, M) such that
+    a member other than the focus has R <= H_cap * (k * M); (None, (inf,
+    inf) each) when there is no bound."""
+    no_bound = None, [(math.inf, math.inf)] * len(_GROUPS)
     weights = (w.alpha, w.beta, w.gamma, w.w_e, w.w_d, w.w_a, *(koc_weights or ()))
     if not all(x >= 0.0 for x in weights):
         return no_bound
@@ -352,15 +396,16 @@ def _group_bounds(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
                 and (qn == 0.0 or low <= qn <= high)):
             return no_bound
         s_sem = (_COSINE_CAP + 1.0) / 2.0
-    overlap = 1.0 if q.active_anchors else 0.0
     bounds = []
-    for entity, domain in _GROUPS:
-        # the scorer's own expressions, with each unknown at its cap
+    for entity, domain, shares in _GROUPS:
+        # the scorer's own expressions, with each unknown at its cap; S_topo
+        # is at most 1.0 / 2 off the focus, and a member that shares no
+        # active anchor has an overlap of exactly 0.0
         s_struct = 1.0 if q.anchor_koc is not None else (entity + domain) / 2.0
-        phi = w.w_e * float(entity) + w.w_d * float(domain) + w.w_a * overlap
-        bounds.append((w.alpha * s_struct + w.beta * s_sem + w.gamma,
+        phi = w.w_e * float(entity) + w.w_d * float(domain) + w.w_a * float(shares)
+        bounds.append((w.alpha * s_struct + w.beta * s_sem + w.gamma * 0.5,
                        max(w.k_eff_floor, phi)))
-    return bounds
+    return s_sem, bounds
 
 
 def _check_dimensions(q: Query, snapshot: GraphSnapshot,
@@ -387,7 +432,7 @@ def rank(q: Query, snapshot: GraphSnapshot,
     docstring); the result is the full scan's.
     """
     w = RetrievalWeights() if w is None else w
-    score = _scorer(q, snapshot, w, koc_weights)
+    focus, score, hybrid_cap = _scorer(q, snapshot, w, koc_weights)
     excluded = frozenset(
         zone for zone, out in ((MemoryZone.DORMANT, not q.include_dormant),
                                (MemoryZone.PERIPHERAL, q.exclude_peripheral)) if out)
@@ -406,19 +451,31 @@ def rank(q: Query, snapshot: GraphSnapshot,
         else:
             heapq.heappushpop(best, row[3])
 
-    e, d = q.primary_entity, q.domain
-    by_entity, by_domain = snapshot.entity_ids.get(e, ()), snapshot.domain_ids.get(d, ())
-    walks = (by_entity, by_entity, by_domain, snapshot.by_k)  # each in descending k
-    for (entity, domain), ids, (h_cap, m_cap) in zip(
-            _GROUPS, walks, _group_bounds(q, snapshot, w, koc_weights)):
-        for ko_id in ids:
+    if focus is not None and zones[focus] not in excluded:
+        take(focus)  # the one object with S_topo above 1/2
+    e, d, anchors = q.primary_entity, q.domain, q.active_anchors
+    by_entity = snapshot.entity_ids.get(e, ())
+    walks = {(True, True): by_entity, (True, False): by_entity,  # each in descending k
+             (False, True): snapshot.domain_ids.get(d, ()), (False, False): snapshot.by_k}
+    s_sem_cap, bounds = _group_bounds(q, snapshot, w, koc_weights)
+    for (entity, domain, shares), (h_cap, m_cap) in zip(_GROUPS, bounds):
+        if shares and not anchors:
+            continue  # no object shares an anchor the query lacks
+        for ko_id in walks[entity, domain]:
             ko = kos[ko_id]
+            full = len(best) == top_k
             # k only falls from here on; strict, so an R that could tie the
             # k-th best is still scored
-            if len(best) == top_k and h_cap * (ko.scores.k * m_cap) < best[0]:
+            if full and h_cap * (ko.scores.k * m_cap) < best[0]:
                 break
-            if ((ko.koc.entity == e) == entity and (ko.koc.domain == d) == domain
-                    and zones[ko_id] not in excluded):
-                take(ko_id)
+            if not ((ko.koc.entity == e) == entity and (ko.koc.domain == d) == domain
+                    and ko.anchors.isdisjoint(anchors) != shares
+                    and zones[ko_id] not in excluded and ko_id != focus):
+                continue
+            # the same bound with the member's own S_struct and S_topo
+            if full and s_sem_cap is not None and (
+                    hybrid_cap(ko, s_sem_cap) * (ko.scores.k * m_cap) < best[0]):
+                continue
+            take(ko_id)
     top = heapq.nsmallest(top_k, rows, key=lambda row: (-row[3], row[0]))
     return [RankedResult(*row) for row in top]

@@ -770,14 +770,19 @@ def read_corpus(path: str | Path) -> tuple[dict, list[tuple[int, dict]], list[tu
 
 def _parse_corpus(path: str | Path) -> tuple[dict, Iterator[tuple[int, dict | str]]]:
     """The header of a corpus file, and its other non-blank lines parsed
-    one at a time, each as (line number, record or error message). A file
-    that is not UTF-8 is a ValidationError naming the first bad line."""
+    one at a time, each as (line number, record or error message). Only a
+    line feed ends a line, as JSON allows other line separators raw inside
+    a string; a carriage return before it is dropped. A file that is not
+    UTF-8 is a ValidationError naming the first bad line."""
     data = Path(path).read_bytes()
     try:
-        lines = data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"line {lineno}: not UTF-8: {exc.reason}") from None
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    if lines[-1] == "":
+        lines.pop()  # the file's final newline ends a line, it does not start one
     if not lines:
         return {"kind": "header", "format_version": CORPUS_FORMAT_VERSION,
                 "embedding_dim": None}, iter(())

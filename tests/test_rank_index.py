@@ -300,6 +300,15 @@ def test_pruned_rank_equals_full_scan(data):
         _outcome(oracle_rank, q, snapshot, w, koc_weights)
 
 
+def _scored_ids(monkeypatch) -> list[str]:
+    """The id of every object scored from here on."""
+    scored = []
+    real_k_eff = retrieval.k_eff
+    monkeypatch.setattr(retrieval, "k_eff", lambda ko, phi, w: (
+        scored.append(ko.id), real_k_eff(ko, phi, w))[1])
+    return scored
+
+
 def test_rank_scores_only_what_can_reach_the_top_k(monkeypatch):
     """On a graph where most objects share neither the query's entity nor
     its domain, rank scores far fewer objects than are eligible; with a
@@ -307,10 +316,7 @@ def test_rank_scores_only_what_can_reach_the_top_k(monkeypatch):
     snapshot = random_graph(400, seed=3, edge_factor=2.0)
     q = Query(primary_entity=snapshot.kos[sorted(snapshot.kos)[0]].koc.entity,
               domain="d0", top_k=5, include_dormant=True)
-    scored = []
-    real_k_eff = retrieval.k_eff
-    monkeypatch.setattr(retrieval, "k_eff", lambda ko, phi, w: (
-        scored.append(ko.id), real_k_eff(ko, phi, w))[1])
+    scored = _scored_ids(monkeypatch)
 
     assert rank(q, snapshot) == oracle_rank(q, snapshot)
     assert len(scored) == len(set(scored)) < len(snapshot.kos) // 4
@@ -318,6 +324,124 @@ def test_rank_scores_only_what_can_reach_the_top_k(monkeypatch):
     negative = RetrievalWeights(alpha=1.2, beta=-0.4, gamma=0.2)
     assert rank(q, snapshot, negative) == oracle_rank(q, snapshot, negative)
     assert len(scored) == len(snapshot.kos)
+
+
+# ---------------------------------------------------------------------------
+# The eight groups: entity, domain and anchor overlap
+# ---------------------------------------------------------------------------
+
+GROUP_ANCHORS = ("m0", "m1", "m2", "m3")
+NON_UNIFORM = (0.05, 0.05, 0.5, 0.1, 0.1, 0.1, 0.1)
+
+
+def anchored_graph(seed: int) -> GraphSnapshot:
+    """``seeded_graph`` with up to three of four anchors per object, so a
+    query's anchors are shared by some objects wholly, by some in part and
+    by others not at all."""
+    rng = random.Random(seed)
+    base = seeded_graph(seed)
+    return GraphSnapshot(kos={ko_id: dataclasses.replace(
+        ko, anchors=frozenset(rng.sample(GROUP_ANCHORS, rng.randint(0, 3))))
+        for ko_id, ko in base.kos.items()}, edges=base.edges)
+
+
+def anchored_queries(seed: int, snapshot: GraphSnapshot) -> list[Query]:
+    """Each of ``seeded_queries`` with 0, 1, 2 and 3 active anchors."""
+    rng = random.Random(seed)
+    return [dataclasses.replace(q, active_anchors=frozenset(rng.sample(GROUP_ANCHORS, n)))
+            for q in seeded_queries(seed, snapshot) for n in range(4)]
+
+
+def _group(q: Query, ko: KnowledgeObject) -> tuple[bool, bool, bool]:
+    return (ko.koc.entity == q.primary_entity, ko.koc.domain == q.domain,
+            bool(ko.anchors & q.active_anchors))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_equals_oracle_in_every_anchor_group(seed):
+    snapshot = anchored_graph(seed)
+    koc_weights = NON_UNIFORM if seed % 2 else None
+    for q in anchored_queries(seed, snapshot):
+        for w in (W, *WEIGHTS[2:]):  # with the bound, and both no-bound paths
+            assert rank(q, snapshot, w, koc_weights) == oracle_rank(q, snapshot, w, koc_weights)
+
+
+def test_anchor_group_cases_are_covered():
+    """The inputs above put eligible objects in each of the eight groups,
+    and reach every case the test names."""
+    cases = [(q, s) for seed in range(6) for s in [anchored_graph(seed)]
+             for q in anchored_queries(seed, s)]
+    groups = {_group(q, ko) for q, s in cases for ko in s.kos.values()
+              if ko.zone is not MemoryZone.DORMANT or q.include_dormant}
+    assert groups == set(retrieval._GROUPS)
+    assert {len(q.active_anchors) for q, _ in cases} == {0, 1, 2, 3}
+    assert any(ko.anchors & q.active_anchors and not q.active_anchors <= ko.anchors
+               for q, s in cases for ko in s.kos.values())  # some but not all
+    assert any(q.active_anchors and q.active_anchors <= ko.anchors
+               for q, s in cases for ko in s.kos.values())  # every one
+    assert any(q.include_dormant for q, _ in cases)
+    assert any(q.exclude_peripheral for q, _ in cases)
+    assert any(q.anchor_koc is not None and q.anchor_koc not in s.first_ids
+               for q, s in cases)
+
+
+def test_rank_does_not_score_high_k_objects_that_share_no_anchor(monkeypatch):
+    """Three objects share the query's entity, domain and anchor, with R =
+    0.3 * 0.3 or more. Twenty more share none of them, but have k = 1 and
+    the query's own embedding: an overlap of 0 caps their R at about
+    0.6 * (1 * 0.10) = 0.06, so none of them is scored once the top 3 is
+    full; an overlap cap of 1 would give 0.6 * (1 * 0.25) = 0.15 and score
+    them all."""
+    near = [make_ko(f"a{i}", EpistemicClass.DECISION, k=0.3, anchors=frozenset({"m"}),
+                    koc=make_koc(EpistemicClass.DECISION, entity="e", domain="d"),
+                    embedding=(-1.0, 0.0)) for i in range(3)]
+    far = [make_ko(f"z{i:02d}", EpistemicClass.DECISION, k=1.0, embedding=(1.0, 0.0),
+                   koc=make_koc(EpistemicClass.DECISION, entity=f"x{i}", domain="y"))
+           for i in range(20)]
+    snapshot = snapshot_of(near + far)
+    q = Query(embedding=(1.0, 0.0), primary_entity="e", domain="d",
+              active_anchors=frozenset({"m"}), top_k=3)
+    scored = _scored_ids(monkeypatch)
+    got = rank(q, snapshot)
+    assert got == oracle_rank(q, snapshot)
+    assert [r.ko_id for r in got] == ["a0", "a1", "a2"]
+    assert sorted(scored) == ["a0", "a1", "a2"]
+
+
+def test_rank_scores_the_focus_first_as_only_it_has_s_topo_1(monkeypatch):
+    """The focus "far" shares nothing with the query; it tops the ranking
+    only through S_topo = 1 (R = 0.5 * (1 * 0.10) = 0.05 against about
+    0.048 for "near"). Its group's bound, with S_topo at most 1/2, is 0.04,
+    so it is reached only because rank scores the focus before any walk."""
+    far_koc = make_koc(EpistemicClass.DECISION, entity="x", domain="y")
+    far = make_ko("far", EpistemicClass.DECISION, k=1.0, koc=far_koc)
+    near = make_ko("near", EpistemicClass.DECISION, k=0.3,
+                   koc=make_koc(EpistemicClass.DECISION, entity="e", domain="d"))
+    snapshot = snapshot_of([far, near])
+    q = Query(primary_entity="e", domain="d", anchor_koc=far_koc, top_k=1)
+    scored = _scored_ids(monkeypatch)
+    got = rank(q, snapshot)
+    assert got == oracle_rank(q, snapshot)
+    assert [r.ko_id for r in got] == ["far"] and got[0].s_topo == 1.0
+    assert scored[0] == "far"
+
+
+def test_rank_skips_a_member_by_its_own_s_struct_and_s_topo(monkeypatch):
+    """"top" is the focus: R = 0.5 * (0.5 * 0.75) = 0.1875. Its five twins
+    have k = 0.7 and no edge, so their group's bound, with S_topo at most
+    1/2, is 0.4 * (0.7 * 0.75) = 0.21 and does not stop the walk; but each
+    twin's own S_topo is 0, which caps its R at 0.3 * (0.7 * 0.75) = 0.1575,
+    so none of them is scored."""
+    koc = make_koc(EpistemicClass.DECISION, entity="e", domain="d")
+    snapshot = snapshot_of(
+        [make_ko("top", EpistemicClass.DECISION, k=0.5, koc=koc)]
+        + [make_ko(f"twin{i}", EpistemicClass.DECISION, k=0.7, koc=koc) for i in range(5)])
+    q = Query(primary_entity="e", domain="d", top_k=1)
+    scored = _scored_ids(monkeypatch)
+    got = rank(q, snapshot)
+    assert got == oracle_rank(q, snapshot)
+    assert [r.ko_id for r in got] == ["top"] and got[0].rank_score == 0.5 * (0.5 * 0.75)
+    assert scored == ["top"]
 
 
 def test_rank_is_exact_for_embeddings_too_small_to_bound():
@@ -534,6 +658,94 @@ def test_memo_holds_the_focus_of_an_anchor_with_no_exact_match(monkeypatch):
     assert len(foci) == len(set(foci)) == len(snapshot.hop_memo)
 
 
+# ---------------------------------------------------------------------------
+# The focus memo of anchors with no exact match
+# ---------------------------------------------------------------------------
+
+def _focus_scans(monkeypatch) -> list[tuple]:
+    """The (anchor, axis weights) of every full focus scan from here on."""
+    scans = []
+    real = retrieval._closest
+    monkeypatch.setattr(retrieval, "_closest", lambda q, snapshot, koc_weights: (
+        scans.append((q.anchor_koc, koc_weights)), real(q, snapshot, koc_weights))[1])
+    return scans
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_focus_scan_runs_once_per_anchor_and_weights(seed, monkeypatch):
+    snapshot = seeded_graph(seed)
+    queries = seeded_queries(seed, snapshot)
+    no_exact = {q.anchor_koc for q in queries
+                if q.anchor_koc is not None and q.anchor_koc not in snapshot.first_ids}
+    assert len(no_exact) > 3
+    scans = _focus_scans(monkeypatch)
+    for koc_weights in (None, NON_UNIFORM, list(NON_UNIFORM)):
+        for q in queries + queries[::-1]:
+            assert rank(q, snapshot, W, koc_weights) == oracle_rank(q, snapshot, W, koc_weights)
+    keys = {(anchor, weights) for anchor in no_exact for weights in (None, NON_UNIFORM)}
+    assert len(scans) == len(keys)  # a list of weights is keyed as its tuple
+    assert set(snapshot.focus_memo) == keys
+
+
+def _two_way_snapshot() -> GraphSnapshot:
+    """An anchor that "ent" matches on its entity alone and "auth" on its
+    author and variant: uniform axis weights pick "auth", and weights on
+    the entity axis pick "ent"."""
+    kos = [make_ko("auth", EpistemicClass.PLAN, k=0.5,
+                   koc=make_koc(EpistemicClass.PLAN, entity="x", domain="y", author="bo",
+                                variant="v9", epoch="t1", depth="l2")),
+           make_ko("ent", EpistemicClass.PLAN, k=0.5,
+                   koc=make_koc(EpistemicClass.PLAN, entity="e", domain="z", author="cy",
+                                variant="v8", epoch="t2", depth="l3"))]
+    return snapshot_of(kos, [Edge("auth", "ent", EdgeType.SUPPORTS, 0)])
+
+
+TWO_WAY_ANCHOR = make_koc(EpistemicClass.DECISION, entity="e", domain="d", author="bo",
+                          variant="v9", epoch="t9", depth="l9")
+ENTITY_HEAVY = (0.7, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05)
+
+
+def test_focus_memo_keeps_one_answer_per_weight_vector(monkeypatch):
+    snapshot = _two_way_snapshot()
+    q = Query(anchor_koc=TWO_WAY_ANCHOR, primary_entity="e", domain="d", top_k=2)
+    scans = _focus_scans(monkeypatch)
+    for _ in range(2):
+        for koc_weights in (None, ENTITY_HEAVY):
+            assert rank(q, snapshot, W, koc_weights) == oracle_rank(q, snapshot, W, koc_weights)
+    assert snapshot.focus_memo == {(TWO_WAY_ANCHOR, None): "auth",
+                                   (TWO_WAY_ANCHOR, ENTITY_HEAVY): "ent"}
+    assert len(scans) == 2
+    assert list(snapshot.hop_memo) == ["auth", "ent"]
+
+
+def test_focus_memo_is_not_part_of_snapshot_value():
+    snapshot = _two_way_snapshot()
+    q = Query(anchor_koc=TWO_WAY_ANCHOR, top_k=2)
+    rank(q, snapshot)
+    copy = dataclasses.replace(snapshot)
+    assert copy == snapshot and "focus_memo" not in vars(copy)
+    rank(q, copy, W, ENTITY_HEAVY)
+    assert list(copy.focus_memo.values()) == ["ent"]
+    assert list(snapshot.focus_memo.values()) == ["auth"]
+
+
+def test_focus_memo_stays_within_its_entry_bound(monkeypatch):
+    monkeypatch.setattr(retrieval, "_FOCUS_MEMO_ENTRIES", 3)
+    snapshot = seeded_graph(4)
+    anchors = [make_koc(cls, entity=entity, domain="d1", epoch="t0", depth="l1",
+                        author="other", variant="none")
+               for cls in CLASSES for entity in ENTITIES[:3]]
+    assert not set(anchors) & set(snapshot.first_ids)
+    scans = _focus_scans(monkeypatch)
+    held = []
+    for anchor in anchors * 2:
+        q = Query(anchor_koc=anchor, primary_entity="e0", domain="d1", top_k=5)
+        assert rank(q, snapshot) == oracle_rank(q, snapshot)
+        held.append(len(snapshot.focus_memo))
+    assert max(held) == 3 and held.count(1) > 1  # cleared when full, then refilled
+    assert len(scans) == len(anchors) * 2  # nine anchors cycle through three places
+
+
 def test_topological_sim_and_hybrid_score_read_the_memo(monkeypatch):
     snapshot = seeded_graph(3)
     foci = _bfs_foci(monkeypatch)
@@ -597,13 +809,17 @@ def test_hop_memo_stays_within_its_byte_budget(monkeypatch):
 @pytest.mark.parametrize("budget", [None, 2])
 def test_threads_ranking_one_snapshot_get_the_serial_results(budget, monkeypatch):
     """Eight threads walk one query list, each from its own offset, on one
-    snapshot; with a budget of two arrays they also race on clearing it."""
+    snapshot; with a budget of two arrays and two foci they also race on
+    clearing the hop and focus memos."""
     base = seeded_graph(7)
     queries = seeded_queries(7, base)
+    assert any(q.anchor_koc is not None and q.anchor_koc not in base.first_ids
+               for q in queries)
     serial = [rank(q, base) for q in queries]
     if budget is not None:
         one = _entry_bytes(base)
         monkeypatch.setattr(retrieval, "_HOP_MEMO_BYTES", budget * one)
+        monkeypatch.setattr(retrieval, "_FOCUS_MEMO_ENTRIES", budget)
     shared = dataclasses.replace(base)
     results: dict[int, list] = {}
     errors: list[BaseException] = []

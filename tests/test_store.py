@@ -422,6 +422,46 @@ def test_corpus_collects_per_line_errors(tmp_path):
     assert errors and errors[0][0] == 3
 
 
+#: Line separators that JSON allows raw inside a string.
+RAW_SEPARATORS = "one\u2028two\u2029three\x85four"
+
+
+def test_a_raw_line_separator_inside_a_string_keeps_its_line(tmp_path):
+    """Only "\\n" ends a corpus line: a record whose content holds a raw
+    U+2028, U+2029 or U+0085 is accepted whole, and the lines after it keep
+    their numbers."""
+    lines = corpus_lines(seeded_store())
+    record = json.loads(lines[1])
+    record["content"] = RAW_SEPARATORS
+    lines[1] = json.dumps(record, ensure_ascii=False)
+    lines.insert(2, "this is not json")
+    path = tmp_path / "raw.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _, records, errors = read_corpus(path)
+    assert [lineno for lineno, _ in records] == [2, 4, 5]
+    assert records[0][1]["content"] == RAW_SEPARATORS
+    assert [lineno for lineno, _ in errors] == [3]
+    del lines[2]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_corpus(path, params=SIM).snapshot().kos[record["id"]].content == \
+        RAW_SEPARATORS
+
+
+def test_a_crlf_corpus_reads_as_its_lf_twin(tmp_path):
+    store = seeded_store()
+    lines = corpus_lines(store)
+    lines.insert(2, "this is not json")
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    assert read_corpus(crlf) == read_corpus(lf)
+    assert [lineno for lineno, _ in read_corpus(crlf)[2]] == [3]
+    del lines[2]
+    crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert load_corpus(crlf, params=SIM).snapshot() == store.snapshot()
+
+
 # ---------------------------------------------------------------------------
 # Event log files
 # ---------------------------------------------------------------------------
