@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -42,7 +43,6 @@ from .store import (
     append_events,
     checkpoint_path,
     corpus_lines,
-    parse_field_ts,
     read_corpus,
     read_events,
     read_events_from,
@@ -71,6 +71,32 @@ _INGEST_IGNORED = ("retrieved_at", "resolved")
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are contract violations (exit 1), in subparsers too."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _flag(convert, accept, expected: str):
+    """An argparse ``type=`` that converts a flag's text and checks the value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_COUNT = _flag(int, lambda n: n >= 0, "an integer >= 0")
+# An empty --embedding leaves the query without one, as omitting it does.
+_NUMBERS = _flag(lambda text: tuple(map(float, text.split(","))) if text else None,
+                 lambda _: True, "comma-separated numbers")
 
 
 def _coerce(key: str, raw: str):
@@ -168,52 +194,38 @@ def cmd_ingest(args, params, weights, params_explicit) -> int:
     store, persisted, end = _open_store(args, params, params_explicit)
     _, records, errors = read_corpus(args.path)
     rejections = [(lineno, message) for lineno, message in errors]
-    kos = edges = 0
-    # Two passes so edges may reference objects defined later in the file.
-    for lineno, record in records:
-        if record["kind"] != "ko":
-            continue
-        try:
-            store.ingest_record(record)
-            kos += 1
-        except (ValidationError, ModelError, ValueError) as exc:
-            rejections.append((lineno, str(exc)))
-            continue
-        ignored = [name for name in _INGEST_IGNORED if name in record]
-        if ignored:
-            print(f"warning: line {lineno}: ignored field(s) {', '.join(ignored)}",
-                  file=sys.stderr)
-    for lineno, record in records:
-        if record["kind"] != "edge":
-            continue
-        try:
-            store.add_edge(record["source"], record["target"], record["type"],
-                           at=_iso_ts(record.get("created_at")))
-            edges += 1
-        except (ValidationError, ModelError, KeyError, ValueError) as exc:
-            rejections.append((lineno, str(exc)))
+    ingested = {"ko": 0, "edge": 0}
+    # Objects first, so edges may reference objects defined later in the file.
+    for kind in ingested:
+        for lineno, record in records:
+            if record["kind"] != kind:
+                continue
+            try:
+                store.ingest_record(record)
+                ingested[kind] += 1
+            except (ValidationError, ModelError, ValueError) as exc:
+                rejections.append((lineno, str(exc)))
+                continue
+            ignored = [name for name in _INGEST_IGNORED if name in record]
+            if ignored:
+                print(f"warning: line {lineno}: ignored field(s) {', '.join(ignored)}",
+                      file=sys.stderr)
     rejections.sort()
     _save_store(args, store, persisted, end)
 
     if args.format == "records":
-        print(json.dumps({"kos": kos, "edges": edges,
+        print(json.dumps({"kos": ingested["ko"], "edges": ingested["edge"],
                           "rejections": [{"line": ln, "error": msg}
                                          for ln, msg in rejections]},
                          sort_keys=True))
     else:
-        print(f"{kos} KOs, {edges} edges ingested; {len(rejections)} rejected")
+        print(f"{ingested['ko']} KOs, {ingested['edge']} edges ingested; {len(rejections)} rejected")
         for lineno, message in rejections:
             print(f"  line {lineno}: {message}")
     return EXIT_OK
 
 
-def _iso_ts(value) -> int:
-    return 0 if value is None else parse_field_ts("created_at", value)
-
-
 def cmd_cycle(args, params, weights, params_explicit) -> int:
-    if args.n < 0:
-        raise ConfigError("cycle count must be >= 0")
     store, persisted, end = _open_store(args, params, params_explicit)
     summaries = []
     for i in range(args.n):
@@ -257,11 +269,8 @@ def cmd_cycle(args, params, weights, params_explicit) -> int:
 
 def cmd_query(args, params, weights, params_explicit) -> int:
     store, _, _ = _open_store(args, params, params_explicit)
-    embedding = None
-    if args.embedding:
-        embedding = tuple(float(x) for x in args.embedding.split(","))
     anchors = frozenset(a for a in (args.anchors or "").split(",") if a)
-    query = Query(text=args.text, embedding=embedding,
+    query = Query(text=args.text, embedding=args.embedding,
                   primary_entity=args.entity or "", domain=args.domain or "",
                   active_anchors=anchors, top_k=args.top_k,
                   include_dormant=args.include_dormant,
@@ -302,8 +311,6 @@ def cmd_simulate(args, params, weights, params_explicit) -> int:
         cls = EpistemicClass(args.cls)
     except ValueError:
         raise ConfigError(f"unknown epistemic class {args.cls!r}") from None
-    if args.days < 0:
-        raise ConfigError("days must be >= 0")
     # Trajectories are defined under the daily preset; --set overrides still apply.
     sim_params, _ = build_config("simulation", args.sets)
     points = simulate_trajectory(cls, args.days, k0=args.k0, params=sim_params)
@@ -407,7 +414,7 @@ def cmd_verify_log(args, params, weights, params_explicit) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgravity",
         description="Epistemic knowledge-graph engine: typed knowledge objects, "
                     "per-cycle importance scoring, and hybrid retrieval.")
@@ -431,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ingest)
 
     p = sub.add_parser("cycle", help="run n scoring cycles")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_COUNT)
     p.set_defaults(handler=cmd_cycle)
 
     p = sub.add_parser("query", help="rank the corpus for a query")
@@ -440,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="")
     p.add_argument("--anchors", default="", help="comma-separated anchor tokens")
     p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--embedding", default="",
+    p.add_argument("--embedding", type=_NUMBERS, default=None,
                    help="comma-separated floats (omit to degrade the semantic layer)")
     p.add_argument("--include-dormant", action="store_true")
     p.add_argument("--exclude-peripheral", action="store_true")
@@ -448,16 +455,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="per-class trajectory to CSV")
     p.add_argument("cls", metavar="class")
-    p.add_argument("days", type=int)
-    p.add_argument("--k0", type=float, default=0.5)
+    p.add_argument("days", type=_COUNT)
+    p.add_argument("--k0", type=_flag(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
+                   default=0.5)
     p.add_argument("--out", default="")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("check-convergence", help="degree-bound and contraction report")
     p.add_argument("--empirical", action="store_true",
                    help="also iterate the corpus to a residual tolerance")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--tol", default=1e-6,
+                   type=_flag(float, lambda x: 0.0 < x < math.inf, "a finite number > 0"))
+    p.add_argument("--max-iters", default=500, type=_flag(int, lambda n: n >= 1, "an integer >= 1"))
     p.set_defaults(handler=cmd_check_convergence)
 
     p = sub.add_parser("verify-t2", help="smoke-test the divergence diagnostics")
@@ -471,9 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         params, weights = build_config(args.preset, args.sets)
         params_explicit = args.preset is not None or bool(args.sets)
         return args.handler(args, params, weights, params_explicit)

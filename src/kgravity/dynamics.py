@@ -20,7 +20,6 @@ from typing import IO, Iterable
 from .engine import (
     EdgeStructure,
     EngineParams,
-    cycle_index,
     fixed_point,
     gravity_neighborhood,
     kge_update,
@@ -105,8 +104,8 @@ def gershgorin_check(snapshot: GraphSnapshot, params: EngineParams) -> Convergen
     off-diagonal mass is bounded by eta * a_g * |coeff| * g_scale / d^2
     summed over the gravity neighborhood.
     """
-    index = cycle_index(snapshot, None)
-    active = snapshot.kos.keys() - index.dormant
+    edges = EdgeStructure(snapshot.edges)
+    active = snapshot.kos.keys() - edges.advance(snapshot, None)
     degree: dict[str, int] = {ko_id: 0 for ko_id in active}
     for e in snapshot.edges:
         if e.source_id in active and e.target_id in active:
@@ -123,7 +122,7 @@ def gershgorin_check(snapshot: GraphSnapshot, params: EngineParams) -> Convergen
         ko = snapshot.kos[ko_id]
         lam = params.lambda_for(ko.cls, resolved=ko.resolved)
         diagonals.append((1.0 - params.eta) - lam * params.delta_t)
-        neighborhood = gravity_neighborhood(ko_id, index, params.gravity_radius)
+        neighborhood = gravity_neighborhood(ko_id, edges, params.gravity_radius)
         offdiag.append(left_sum(
             params.eta * params.a_g * abs(coeff) * params.g_scale / (d * d)
             for d, coeff in neighborhood.values()))
@@ -147,7 +146,7 @@ def empirical_convergence(snapshot: GraphSnapshot, params: EngineParams,
     window and then held (a dormant object revived in it is held at 0.0),
     so the iterated map is autonomous in the k vector.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError(f"tol must be positive, got {tol}")
     report = gershgorin_check(snapshot, params)
 

@@ -13,16 +13,15 @@ penalty. Under stationary forces the update has the closed-form fixed point
 The cycle is synchronous: all forces read the previous snapshot, so two runs
 over equal snapshots are bit-identical.
 
-A cycle reads its ``CycleIndex``, a view of an ``EdgeStructure``: one
-entry per target with a non-dormant source, holding those sources sorted by
-id with their coefficients summed, its count of negative edges and its
-SUPPORTS times; the outbound BLOCKS counts; the dormant set from one zone
-lookup per object; and each k. Edges are only ever added, so the structure
-grows one edge at a time and is kept across cycles (the store keeps one);
-each cycle re-filters only the targets that gained an edge or have a source
-that changed between dormant and not dormant, and an edge dated after
-``now`` waits until a cycle reaches its time. ``cycle_index`` and
-``gravity_force`` without an index build a structure for the one snapshot.
+A cycle reads its edges from an ``EdgeStructure``, kept across cycles (the
+store keeps one) as edges are only ever added: one entry per target with a
+non-dormant source, holding those sources sorted by id with their
+coefficients summed, its count of negative edges and its SUPPORTS times;
+and the outbound BLOCKS counts. ``EdgeStructure.advance`` brings it to a
+cycle's snapshot and time, re-filtering only the targets that gained an
+edge or have a source that changed between dormant and not dormant (an edge
+dated after ``now`` waits until a cycle reaches its time), and returns the
+dormant set. ``gravity_force`` without one builds it for the one snapshot.
 
 ``run_cycle`` is one loop over the objects in id order. For each updated
 object it looks its entry up once and computes, inline and from locals, the
@@ -36,7 +35,7 @@ leaves the sum's bits as they are. The class's seed and decay rate come
 from a table built once per cycle and keyed by the class's plain value,
 with one more entry for a resolved QUESTION, so the loop hashes no
 ``Enum``. Held inputs (``frozen_usage``, ``frozen_evidence``) and
-a radius above 1 (``gravity_force`` on the cycle's index) are branches of
+a radius above 1 (``gravity_force`` on the cycle's structure) are branches of
 the same loop. A non-finite ``raw`` goes to ``kge_update``, which names the
 non-finite input and raises. The loop is the one place a cycle's inputs are
 computed: the convergence lab in ``dynamics`` holds the usage and evidence
@@ -283,26 +282,31 @@ def gravity_force(
     snapshot: GraphSnapshot,
     params: EngineParams,
     now: int | None = None,
-    _index: CycleIndex | None = None,
+    *,
+    edges: EdgeStructure | None = None,
 ) -> float:
     """Signed importance propagation from the neighborhood.
 
     a_g * sum_j coeff(j) * tanh(g_scale * max(0, z_j) / d(j)), where z_j is
     the neighbor's k-score z-scored against the neighborhood (population
     standard deviation, floored at sigma_floor). A single neighbor always
-    contributes 0 because it defines the neighborhood mean.
+    contributes 0 because it defines the neighborhood mean. ``edges`` holds
+    the snapshot's edges advanced to the cycle's time; without it, they are
+    advanced to ``now`` in a structure built for this call.
     """
-    index = cycle_index(snapshot, now) if _index is None else _index
-    k, g_scale = index.k, params.g_scale
-    neighborhood = gravity_neighborhood(ko_id, index, params.gravity_radius)
+    if edges is None:
+        edges = EdgeStructure(snapshot.edges)
+        edges.advance(snapshot, now)
+    kos, g_scale = snapshot.kos, params.g_scale
+    neighborhood = gravity_neighborhood(ko_id, edges, params.gravity_radius)
     if not neighborhood:
         return 0.0
-    ks = [k[j] for j in neighborhood]
+    ks = [kos[j].scores.k for j in neighborhood]
     mu, sigma = _spread(ks, params.sigma_floor)
     total = 0.0
     for j in sorted(neighborhood):
         distance, coeff = neighborhood[j]
-        z = (k[j] - mu) / sigma
+        z = (kos[j].scores.k - mu) / sigma
         k_norm = max(0.0, z)
         total += coeff * math.tanh(g_scale * k_norm / distance)
     return params.a_g * total
@@ -406,54 +410,36 @@ _SUPPORTS, _BLOCKS = EdgeType.SUPPORTS._value_, EdgeType.BLOCKS._value_
 _NO_INPUTS = ((), (), 0, ())  # the entry of a target with no non-dormant source
 
 
-@dataclass(frozen=True)
-class CycleIndex:
-    """A cycle's inputs that depend only on its snapshot and time.
-
-    ``inputs`` maps each target with a non-dormant source to one entry,
-    ``(sources, coefficients, negatives, supports)``, read from the edges
-    created by the cycle's time (all of them for ``now=None``) whose source
-    is not dormant (dormant objects exert no force; this is the one dormant
-    filter). ``sources`` are sorted by id, and ``coefficients`` beside them
-    sum each source's edge coefficients in edge-type order; ``negatives``
-    counts CONTRADICTS and BLOCKS edges; ``supports`` holds the creation
-    times of the SUPPORTS edges, sorted. Any other target reads as
-    ``((), (), 0, ())``. ``outbound_blocks`` counts BLOCKS edges from every
-    source, dormant or not.
-
-    An index is a view of the :class:`EdgeStructure` that made it: its maps
-    are the structure's own, valid until that structure next changes.
-    """
-
-    dormant: frozenset[str]
-    k: dict[str, float]
-    inputs: dict[str, tuple[tuple[str, ...], tuple[float, ...], int, tuple[int, ...]]]
-    outbound_blocks: dict[str, int]
-
-
 class EdgeStructure:
     """The edges of a graph as every cycle needs them, grown one edge at a
-    time.
+    time and kept across cycles (edges are only ever added).
 
-    Edges are only ever added, so the structure is built once and kept
-    across cycles. It holds each target's inbound edges, each source's
-    targets and BLOCKS count, and the edges dated after the latest ``now``
-    it was asked for, which enter only once a cycle reaches their time.
-    For each target it caches its :class:`CycleIndex` entry, and
-    :meth:`index` rebuilds it only for the targets that gained an edge or
-    have a source that changed between dormant and not dormant.
+    It holds each target's inbound edges, each source's targets, and the
+    edges dated after the ``now`` it was last advanced to, which enter once
+    a cycle reaches their time. A cycle reads two maps, as of the last
+    :meth:`advance`. ``inputs`` maps each target with a non-dormant source
+    to ``(sources, coefficients, negatives, supports)``, read from the
+    admitted edges whose source is not dormant (dormant objects exert no
+    force; this is the one dormant filter): ``sources`` sorted by id,
+    ``coefficients`` beside them summing each source's edge coefficients in
+    edge-type order, the count of CONTRADICTS and BLOCKS edges, and the
+    SUPPORTS edges' creation times, sorted. Any other target reads as
+    ``((), (), 0, ())``. ``outbound_blocks`` counts the admitted BLOCKS
+    edges from every source, dormant or not. :meth:`advance` rebuilds an
+    entry only for the targets that gained an edge or have a source that
+    changed between dormant and not dormant.
     """
 
     def __init__(self, edges: Iterable[Edge] = ()) -> None:
         self._horizon = -math.inf  # edges created by then are admitted
-        self._pending: list[Edge] = list(edges)  # the first index admits them
+        self._pending: list[Edge] = list(edges)  # the first advance admits them
         self._size = len(self._pending)
         self._inbound: dict[str, list[Edge]] = {}
         self._targets: dict[str, list[str]] = {}
-        self._blocks: dict[str, int] = {}
         self._dirty: set[str] = set()
         self._dormant: frozenset[str] = frozenset()
-        self._inputs: dict[str, tuple] = {}
+        self.inputs: dict[str, tuple] = {}
+        self.outbound_blocks: dict[str, int] = {}
 
     def add(self, edge: Edge) -> None:
         self._size += 1
@@ -463,7 +449,7 @@ class EdgeStructure:
         """Enter each edge created by the horizon; hold the others back."""
         horizon, pending = self._horizon, self._pending
         inbound, targets, blocks, dirty = (self._inbound, self._targets,
-                                           self._blocks, self._dirty)
+                                           self.outbound_blocks, self._dirty)
         for edge in edges:
             if edge.created_at > horizon:
                 pending.append(edge)
@@ -483,9 +469,10 @@ class EdgeStructure:
                 blocks[source] = blocks.get(source, 0) + 1
             dirty.add(target)
 
-    def index(self, snapshot: GraphSnapshot, now: int | None) -> CycleIndex:
-        """The index of a cycle at ``now`` over ``snapshot``, which must
-        hold exactly the edges added here. ``now`` never runs backwards."""
+    def advance(self, snapshot: GraphSnapshot, now: int | None) -> frozenset[str]:
+        """Bring the maps to a cycle at ``now`` (every edge for ``None``)
+        over ``snapshot``, which must hold exactly the edges added here, and
+        return its dormant set. ``now`` never runs backwards."""
         if len(snapshot.edges) != self._size:
             raise EngineError(f"snapshot has {len(snapshot.edges)} edges, "
                               f"the edge structure {self._size}")
@@ -505,9 +492,7 @@ class EdgeStructure:
             self._refilter(target, dormant)
         dirty.clear()
         self._dormant = dormant
-        k = {ko_id: ko.scores.k for ko_id, ko in snapshot.kos.items()}
-        return CycleIndex(dormant=dormant, k=k, inputs=self._inputs,
-                          outbound_blocks=self._blocks)
+        return dormant
 
     def _refilter(self, target: str, dormant: frozenset[str]) -> None:
         edges = self._inbound[target]
@@ -532,19 +517,13 @@ class EdgeStructure:
                 negatives += 1
         if by_source:  # every counted edge has a source here
             supports.sort()
-            self._inputs[target] = (tuple(by_source), tuple(by_source.values()),
-                                    negatives, tuple(supports))
+            self.inputs[target] = (tuple(by_source), tuple(by_source.values()),
+                                   negatives, tuple(supports))
         else:
-            self._inputs.pop(target, None)
+            self.inputs.pop(target, None)
 
 
-def cycle_index(snapshot: GraphSnapshot, now: int | None) -> CycleIndex:
-    """The index of a cycle at ``now``, from a structure of the snapshot's
-    edges built for it alone."""
-    return EdgeStructure(snapshot.edges).index(snapshot, now)
-
-
-def gravity_neighborhood(ko_id: str, index: CycleIndex,
+def gravity_neighborhood(ko_id: str, edges: EdgeStructure,
                          radius: int) -> dict[str, tuple[int, float]]:
     """Non-dormant sources acting on ``ko_id`` within ``radius`` inbound hops.
 
@@ -558,7 +537,7 @@ def gravity_neighborhood(ko_id: str, index: CycleIndex,
     for depth in range(1, radius + 1):
         nxt: list[tuple[str, float]] = []
         for node, path_coeff in frontier:
-            sources, coefficients, _, _ = index.inputs.get(node, _NO_INPUTS)
+            sources, coefficients, _, _ = edges.inputs.get(node, _NO_INPUTS)
             for src, coeff in zip(sources, coefficients):
                 if src in seen:
                     continue
@@ -621,8 +600,10 @@ def run_cycle(
     if edges is None:
         snapshot.validate()
         edges = EdgeStructure(snapshot.edges)
-    index = edges.index(snapshot, now)
-    prev, dormant, k, inputs = snapshot.cycle_at, index.dormant, index.k, index.inputs
+    dormant = edges.advance(snapshot, now)
+    prev, inputs, outbound_blocks = snapshot.cycle_at, edges.inputs, edges.outbound_blocks
+    kos = snapshot.kos
+    k = {ko_id: ko.scores.k for ko_id, ko in kos.items()}
     rates = _class_rates(params)
     eta, a_u, a_e, a_g, a_c = params.eta, params.a_u, params.a_e, params.a_g, params.a_c
     keep, sigma_recency, g_scale = 1.0 - eta, params.sigma_recency, params.g_scale
@@ -630,7 +611,6 @@ def run_cycle(
     exp, tanh, isfinite = math.exp, math.tanh, math.isfinite
     question = EpistemicClass.QUESTION
 
-    kos = snapshot.kos
     new_kos: dict[str, KnowledgeObject] = {}
     breakdowns: list[ForceBreakdown] = []
     for ko_id in snapshot.zones:
@@ -656,7 +636,7 @@ def run_cycle(
         else:
             e = frozen_evidence.get(ko_id, 0.0)
         if not narrow:
-            g = gravity_force(ko_id, snapshot, params, _index=index)
+            g = gravity_force(ko_id, snapshot, params, edges=edges)
         elif not sources:
             g = 0.0
         else:  # gravity_force at radius 1: the sources, each at distance 1
@@ -685,7 +665,7 @@ def run_cycle(
         if ko.cls is question:
             urgency = question_urgency(
                 (now - ko.created_at) / SECONDS_PER_DAY,
-                index.outbound_blocks.get(ko_id, 0),
+                outbound_blocks.get(ko_id, 0),
                 ko.stakes,
                 resolved=ko.resolved)
         else:

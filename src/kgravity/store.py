@@ -251,6 +251,11 @@ def parse_field_ts(name: str, value) -> int:
             f"{name} must be a timestamp like 2024-01-01T00:00:00Z, got {value!r}") from None
 
 
+def _created_at(record: dict) -> int:
+    """An ingested record's ``created_at``, 0 when the field is absent."""
+    return parse_field_ts("created_at", record["created_at"]) if "created_at" in record else 0
+
+
 def _is_list(value) -> bool:
     return isinstance(value, Iterable) and not isinstance(value, (str, bytes, dict))
 
@@ -406,14 +411,22 @@ class CorpusStore:
         self._append(EventKind.KO_CREATED, payload, at=created_at)
         return ko_id
 
-    def ingest_record(self, record: dict) -> str:
-        """Ingest a parsed corpus-file record (see README for the schema).
+    def ingest_record(self, record: dict) -> str | Edge:
+        """Ingest a parsed corpus-file record (see README for the schema): an
+        object, returning its id, or an edge, returning the edge.
 
         A missing, unknown or wrongly typed field is a ValidationError that
-        names the field.
+        names the field. Of either kind, an absent ``created_at`` reads as 0.
         """
-        if record.get("kind") != "ko":
-            raise ValidationError(f"not a ko record: kind={record.get('kind')!r}")
+        kind = record.get("kind")
+        if kind == "edge":
+            try:
+                source, target, edge_type = record["source"], record["target"], record["type"]
+            except KeyError as exc:
+                raise ValidationError(f"missing field {exc}") from None
+            return self.add_edge(source, target, edge_type, at=_created_at(record))
+        if kind != "ko":
+            raise ValidationError(f"unknown record kind {kind!r}")
         scores = record.get("scores", {})
         if not isinstance(scores, dict):
             raise ValidationError(f"scores must be an object, got {scores!r}")
@@ -422,8 +435,7 @@ class CorpusStore:
             koc=record.get("koc", {}),
             content=record.get("content", ""),
             ko_id=record.get("id"),
-            created_at=(parse_field_ts("created_at", record["created_at"])
-                        if "created_at" in record else 0),
+            created_at=_created_at(record),
             stakes=record.get("stakes", 0.0),
             anchors=record.get("anchors", ()),
             embedding=record.get("embedding"),

@@ -14,6 +14,7 @@ from kgravity import (
     ScoreVector,
     class_profile,
 )
+from kgravity.engine import EdgeStructure
 
 SECONDS_PER_DAY = 86400
 
@@ -38,6 +39,17 @@ def make_ko(ko_id: str, cls: EpistemicClass, k: float | None = None,
 def snapshot_of(kos, edges=(), cycle_at=None) -> GraphSnapshot:
     return GraphSnapshot(kos={ko.id: ko for ko in kos}, edges=tuple(edges),
                          cycle_at=cycle_at)
+
+
+def assert_kept_structure_is_fresh(kept: EdgeStructure, snapshot: GraphSnapshot,
+                                   now: int | None) -> None:
+    """``kept``, an edge structure grown across cycles, advanced to ``now``
+    gives the dormant set, entries and BLOCKS counts of one built from the
+    snapshot's edges alone."""
+    fresh = EdgeStructure(snapshot.edges)
+    assert kept.advance(snapshot, now) == fresh.advance(snapshot, now)
+    assert kept.inputs == fresh.inputs
+    assert kept.outbound_blocks == fresh.outbound_blocks
 
 
 def random_scenario(store: CorpusStore, seed: int, n_events: int = 200) -> None:

@@ -28,7 +28,6 @@ from kgravity import (
     read_events,
     write_corpus,
 )
-from kgravity.engine import cycle_index
 from kgravity.store import (
     CheckpointError,
     EventKind,
@@ -40,7 +39,7 @@ from kgravity.store import (
     restore_checkpoint,
     write_checkpoint,
 )
-from tests.conftest import make_koc, random_scenario
+from tests.conftest import assert_kept_structure_is_fresh, make_koc, random_scenario
 
 CLASSES = ["DECISION", "CONSTRAINT", "EVIDENCE", "NARRATIVE", "PLAN",
            "EVALUATION", "OBSERVATION", "HYPOTHESIS", "QUESTION"]
@@ -615,11 +614,11 @@ def state_of(store: CorpusStore) -> tuple:
 
 
 def assert_kept_index_is_fresh(store: CorpusStore) -> None:
-    """The store's edge structure, kept across its cycles, indexes its last
+    """The store's edge structure, kept across its cycles, reads its last
     cycle as one built from scratch does."""
     if store._structure is not None:
-        snapshot, now = store.snapshot(), store.last_cycle_at
-        assert store._structure.index(snapshot, now) == cycle_index(snapshot, now)
+        assert_kept_structure_is_fresh(store._structure, store.snapshot(),
+                                       store.last_cycle_at)
 
 
 class CheckpointedStore(RuleBasedStateMachine):

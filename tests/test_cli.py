@@ -386,6 +386,51 @@ def test_simulate_rejects_negative_days_cli(cli):
     cli("simulate", "PLAN", "-3", expect=1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["cycle", "abc"],
+    ["--no-such-flag", "cycle", "1"],
+    ["cycle", "1", "--no-such-flag"],
+    [],
+    ["no-such-command"],
+    ["query", "x", "--embedding", "a,b"],
+    ["check-convergence", "--empirical", "--tol", "0"],
+    ["check-convergence", "--empirical", "--tol", "nan"],
+    ["check-convergence", "--empirical", "--tol", "inf"],
+    ["check-convergence", "--empirical", "--max-iters", "0"],
+    ["simulate", "PLAN", "3", "--k0", "2"],
+    ["simulate", "PLAN", "3", "--k0", "nan"],
+])
+def test_a_usage_error_is_a_contract_violation(argv, tmp_path, capsys):
+    code = main(["--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--log", str(tmp_path / "events.jsonl"), *argv])
+    captured = capsys.readouterr()
+    assert code == 1, argv
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "events.jsonl").exists()  # nothing ran
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["cycle", "--help"])
+    assert exited.value.code == 0 and "usage: kgravity cycle" in capsys.readouterr().out
+
+
+def test_ingest_reads_edge_records_by_the_object_rules(cli, tmp_path):
+    no_source = {k: v for k, v in edge_rec("k000", "k001").items() if k != "source"}
+    no_time = {k: v for k, v in edge_rec("k001", "k000").items() if k != "created_at"}
+    write_input(tmp_path / "in.jsonl", [ko_rec(0), ko_rec(1), no_source,
+                                        dict(edge_rec("k000", "k001"), created_at=None),
+                                        no_time])
+    out = cli("ingest", str(tmp_path / "in.jsonl"))
+    assert out.splitlines() == [
+        "2 KOs, 1 edges ingested; 2 rejected",
+        "  line 4: missing field 'source'",
+        "  line 5: created_at must be a timestamp like 2024-01-01T00:00:00Z, got None"]
+    assert '"created_at":"1970-01-01T00:00:00Z"' in (tmp_path / "corpus.jsonl").read_text()
+
+
 def test_preset_switch_logged_on_replay(cli, tmp_path):
     write_input(tmp_path / "in.jsonl", [ko_rec(0)])
     cli("--preset", "simulation", "ingest", str(tmp_path / "in.jsonl"))

@@ -25,7 +25,6 @@ from kgravity.engine import (
     EngineParams,
     ForceBreakdown,
     contradiction_penalty,
-    cycle_index,
     evidence_force,
     gravity_force,
     gravity_neighborhood,
@@ -47,7 +46,7 @@ from kgravity.model import (
 )
 from kgravity.store import CorpusStore, EventKind, EventRecord
 
-from tests.conftest import make_ko, make_koc
+from tests.conftest import assert_kept_structure_is_fresh, make_ko, make_koc
 
 PROD = EngineParams.production()
 
@@ -296,9 +295,10 @@ def test_gravity_force_view_matches_oracle(radius):
     params = EngineParams.production(gravity_radius=radius)
     snapshot = churned_graph(12)
     inbound = oracle_inbound(snapshot, None)
-    index = cycle_index(snapshot, None)
+    edges = EdgeStructure(snapshot.edges)
+    edges.advance(snapshot, None)
     for ko_id in sorted(snapshot.kos):
-        assert gravity_neighborhood(ko_id, index, radius) == \
+        assert gravity_neighborhood(ko_id, edges, radius) == \
             oracle_neighborhood(ko_id, inbound, snapshot, radius)
         assert gravity_force(ko_id, snapshot, params) == \
             oracle_gravity(ko_id, snapshot, params, inbound)
@@ -310,8 +310,8 @@ def test_gravity_force_view_matches_oracle(radius):
 
 def public_breakdowns(snapshot, now, params, frozen_usage=None, frozen_evidence=None):
     """Each updated object's breakdown from ``kge_step`` over the forces of
-    ``usage_force``, ``evidence_force``, ``gravity_force`` (which indexes
-    the snapshot itself) and ``contradiction_penalty``."""
+    ``usage_force``, ``evidence_force``, ``gravity_force`` (which builds a
+    structure of the snapshot's edges itself) and ``contradiction_penalty``."""
     prev = snapshot.cycle_at
     breakdowns = []
     for ko_id in sorted(snapshot.kos):
@@ -483,7 +483,7 @@ def assert_kept_cycles_agree(seed, params):
             snapshot, edges=snapshot.edges + tuple(added)), ks)
         got = run_cycle(snapshot, now, params, edges=structure)
         assert got == oracle_cycle(snapshot, now, params)
-        assert structure.index(snapshot, now) == cycle_index(snapshot, now)
+        assert_kept_structure_is_fresh(structure, snapshot, now)
         snapshot = got[0]
         now += params.cycle_period_s
 
@@ -510,9 +510,9 @@ def test_kept_scenario_covers_its_cases():
         snapshot = with_k(dataclasses.replace(
             snapshot, edges=snapshot.edges + tuple(added)), ks)
         before, pending = structure._dormant, len(structure._pending)
-        index = structure.index(snapshot, now)
+        dormant = structure.advance(snapshot, now)
         if i == 4:  # a source goes dormant and one revives
-            assert index.dormant - before & sources and before - index.dormant & sources
+            assert dormant - before & sources and before - dormant & sources
         if i:
             admitted_later += pending - len(structure._pending)
         snapshot = run_cycle(snapshot, now, PROD, edges=structure)[0]
@@ -525,11 +525,11 @@ def test_kept_scenario_covers_its_cases():
 def test_kept_structure_refuses_time_running_backwards():
     snapshot = churned_graph(1)
     structure = EdgeStructure(snapshot.edges)
-    structure.index(snapshot, CYCLE_AT + DAY)
+    structure.advance(snapshot, CYCLE_AT + DAY)
     with pytest.raises(EngineError):
-        structure.index(snapshot, CYCLE_AT)
+        structure.advance(snapshot, CYCLE_AT)
     with pytest.raises(EngineError):  # edges the structure does not hold
-        EdgeStructure(snapshot.edges[1:]).index(snapshot, CYCLE_AT)
+        EdgeStructure(snapshot.edges[1:]).advance(snapshot, CYCLE_AT)
 
 
 def test_store_cycles_match_oracle_across_params_changes():
@@ -559,7 +559,7 @@ def test_store_cycles_match_oracle_across_params_changes():
         before, now = store.snapshot(), clock + 3600
         want = oracle_cycle(before, now, store.params)
         assert store.apply_cycle(now=now) == want
-        assert store._structure.index(before, now) == cycle_index(before, now)
+        assert_kept_structure_is_fresh(store._structure, before, now)
 
 
 def test_a_failed_store_cycle_drops_the_structure_it_advanced(monkeypatch):
@@ -573,8 +573,8 @@ def test_a_failed_store_cycle_drops_the_structure_it_advanced(monkeypatch):
     store.apply_cycle(now=DAY)
 
     def failing(snapshot, now, params, *, edges):
-        edges.index(snapshot, now)
-        raise EngineError("fails after indexing")
+        edges.advance(snapshot, now)
+        raise EngineError("fails after advancing")
     with monkeypatch.context() as patch:
         patch.setattr(store_module, "run_cycle", failing)
         with pytest.raises(EngineError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kgravity import (
     CorpusStore,
+    Edge,
     EdgeType,
     EngineParams,
     EpistemicClass,
@@ -718,10 +719,29 @@ def test_live_and_replay_enforce_the_same_state_rules(tmp_path, rule):
     assert str(replayed.value.__cause__) == str(live.value)
 
 
-def test_ingest_record_requires_ko_kind():
+def test_ingest_record_requires_a_known_kind():
     store = CorpusStore()
-    with pytest.raises(ValidationError, match="not a ko record"):
-        store.ingest_record({"kind": "edge"})
+    with pytest.raises(ValidationError, match="unknown record kind 'header'"):
+        store.ingest_record({"kind": "header"})
+    assert store.events == ()
+
+
+def test_ingest_record_reads_edge_records_by_the_object_rules():
+    store = CorpusStore()
+    for ko_id in ("a", "b", "c"):
+        store.ingest_record(valid_record(id=ko_id, koc=dict(valid_record()["koc"], entity=ko_id)))
+    edge = {"kind": "edge", "source": "a", "target": "b", "type": "SUPPORTS",
+            "created_at": "2024-01-02T00:00:00Z"}
+    for field in ("source", "target", "type"):
+        missing = {name: value for name, value in edge.items() if name != field}
+        with pytest.raises(ValidationError, match=f"^missing field '{field}'$"):
+            store.ingest_record(missing)
+    with pytest.raises(ValidationError, match="created_at must be a timestamp"):
+        store.ingest_record(dict(edge, created_at=None))
+    assert len(store.events) == 3  # nothing logged for a rejected edge
+    assert store.ingest_record(edge) == Edge("a", "b", EdgeType.SUPPORTS, 1704153600)
+    absent = {name: value for name, value in edge.items() if name != "created_at"}
+    assert store.ingest_record(dict(absent, target="c")).created_at == 0
 
 
 def test_store_rejects_a_second_embedding_dimension():
