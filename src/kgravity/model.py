@@ -493,7 +493,11 @@ def left_sum(values: Iterable[float]) -> float:
 
 
 def embedding_norm(embedding: Sequence[float]) -> float:
-    return math.sqrt(left_sum(x * x for x in embedding))
+    """The Euclidean norm, its squares added left to right as in :func:`left_sum`."""
+    total = 0
+    for x in embedding:
+        total += x * x
+    return math.sqrt(total)
 
 
 @dataclass(frozen=True)

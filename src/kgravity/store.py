@@ -37,9 +37,13 @@ Three file formats (all JSON, documented in the README):
 A restored store keeps the corpus line of each object and edge it parsed:
 those bytes hash to what :func:`write_corpus` wrote. :func:`corpus_lines`
 re-emits the line of an object the store still holds as that very object,
-and of every restored edge (edges are never replaced), and serializes only
-the rest, so an export costs in proportion to what changed since the
-restore and its bytes are those of a fresh serialization.
+and of every restored edge (edges are never replaced). An object a cycle
+rescored shares every other field with the object parsed from its line,
+so its line is the kept one with a fresh score tail (scores, stakes and
+zone, the last keys), once the kept line is checked to end with the old
+object's tail. Only the rest is serialized, so an export costs in
+proportion to what changed other than scores since the restore, and its
+bytes are those of a fresh serialization.
 
 For its cycles the store keeps an :class:`~kgravity.engine.EdgeStructure`:
 built from its edges at its first cycle and then grown by each new edge, so
@@ -55,10 +59,11 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from itertools import repeat
+from operator import attrgetter, is_
 from pathlib import Path
 
 from .engine import (
@@ -157,10 +162,6 @@ def _check_line_at(line_at: int | None, at: int) -> None:
     if line_at is not None and line_at != at:
         raise ValidationError(
             f"event time {line_at!r} differs from its payload's time {at!r}")
-
-
-def _fmt_score(x: float) -> str:
-    return f"{x:.{SCORE_DECIMALS}f}"
 
 
 class EventKind(Enum):
@@ -667,28 +668,57 @@ def _ko_from_record(record: dict, scores: tuple[float, ...], created_at: int,
         raise ValidationError(str(exc)) from None
 
 
-def _ko_record(ko: KnowledgeObject) -> dict:
+def _ko_head(ko: KnowledgeObject) -> dict:
+    """An object's corpus record but for the three keys that sort last,
+    which :func:`_score_tail` writes."""
     return {
         "kind": "ko",
         "id": ko.id,
         "class": ko.cls.value,
         "koc": _koc_to_dict(ko.koc),
         "content": ko.content,
-        "scores": {
-            "k": _fmt_score(ko.scores.k),
-            "confidence": _fmt_score(ko.scores.confidence),
-            "freshness": _fmt_score(ko.scores.freshness),
-            "urgency": _fmt_score(ko.scores.urgency),
-            "contradiction": _fmt_score(ko.scores.contradiction),
-        },
         "created_at": ts_to_iso(ko.created_at),
         "retrieved_at": [ts_to_iso(t) for t in ko.retrieved_at],
         "resolved": ko.resolved,
-        "stakes": _fmt_score(ko.stakes),
         "anchors": sorted(ko.anchors),
         "embedding": list(ko.embedding) if ko.embedding is not None else None,
-        "zone": ko.zone.name,
     }
+
+
+# The end of an object's corpus line from the comma before its last three
+# keys, as ``_dump_line`` writes them: scores and stakes as fixed decimal
+# strings, so a save/load/save round trip is byte-identical.
+_SCORE = f'"%.{SCORE_DECIMALS}f"'
+_SCORE_TAIL = (f',"scores":{{"confidence":{_SCORE},"contradiction":{_SCORE},'
+               f'"freshness":{_SCORE},"k":{_SCORE},"urgency":{_SCORE}}},'
+               f'"stakes":{_SCORE},"zone":"%s"}}')
+
+
+def _score_tail(ko: KnowledgeObject) -> str:
+    s = ko.scores
+    return _SCORE_TAIL % (s.confidence, s.contradiction, s.freshness, s.k,
+                          s.urgency, ko.stakes, ko.zone.name)
+
+
+# Every field of an object but its scores, the only field a cycle's
+# ``rescored`` does not share with the object it rescores.
+_UNSCORED = attrgetter(*(f.name for f in fields(KnowledgeObject) if f.name != "scores"))
+
+
+def _ko_line(ko: KnowledgeObject, kept: tuple[KnowledgeObject, str] | None) -> str:
+    """``ko``'s corpus line, given the object and line a restore kept for
+    its id: the kept line for that very object; for one that differs from
+    it only in its scores, the kept line with a new score tail once the
+    line is checked to end with the old one; else a fresh serialization."""
+    if kept is not None:
+        old, line = kept
+        if old is ko:
+            return line
+        if all(map(is_, _UNSCORED(ko), _UNSCORED(old))):
+            tail = _score_tail(old)
+            if line.endswith(tail):
+                return line[:-len(tail)] + _score_tail(ko)
+    return _dump_line(_ko_head(ko))[:-1] + _score_tail(ko)
 
 
 def _edge_record(edge: Edge) -> dict:
@@ -703,8 +733,9 @@ def _dump_line(obj: dict) -> str:
 def corpus_lines(store: CorpusStore) -> list[str]:
     """The corpus file's lines: the header, each object in id order, then
     each edge in creation order. A line a checkpoint restore verified is
-    re-emitted as it is for an object the store still holds unchanged (the
-    very object parsed from it) and for each restored edge."""
+    re-emitted as it is for each restored edge and, through ``_ko_line``,
+    for an object the store still holds unchanged (the very object parsed
+    from it), or with a new score tail for one a cycle rescored."""
     header = {
         "kind": "header",
         "format_version": CORPUS_FORMAT_VERSION,
@@ -713,13 +744,9 @@ def corpus_lines(store: CorpusStore) -> list[str]:
         "last_cycle_at": (ts_to_iso(store.last_cycle_at)
                           if store.last_cycle_at is not None else None),
     }
+    kos, kept = store._kos, store._ko_lines
     lines = [_dump_line(header)]
-    kept = store._ko_lines
-    for ko_id in sorted(store._kos):
-        ko = store._kos[ko_id]
-        ko_line = kept.get(ko_id)
-        lines.append(ko_line[1] if ko_line is not None and ko_line[0] is ko
-                     else _dump_line(_ko_record(ko)))
+    lines += [_ko_line(kos[ko_id], kept.get(ko_id)) for ko_id in sorted(kos)]
     lines += store._edge_lines
     lines += [_dump_line(_edge_record(e))
               for e in store._edges[len(store._edge_lines):]]

@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -34,6 +34,7 @@ from kgravity.store import (
     LogPosition,
     checkpoint_path,
     corpus_lines,
+    iso_to_ts,
     load_corpus,
     read_events_from,
     restore_checkpoint,
@@ -501,6 +502,26 @@ def test_trusted_restore_equals_the_validating_load(tmp_path, seed):
     assert restored.snapshot().edges == store.snapshot().edges
 
 
+def test_a_restore_reads_times_at_the_range_ends_as_iso_to_ts(tmp_path):
+    first, before_1970, leap_day, last = (iso_to_ts(text) for text in (
+        "1000-01-01T00:00:00Z", "1969-07-20T20:17:40Z", "2024-02-29T12:00:00Z",
+        "9999-12-31T23:59:59Z"))
+    store = CorpusStore()
+    a, b = (store.ingest_ko(cls=EpistemicClass.EVIDENCE, content=name, created_at=first,
+                            koc=make_koc(EpistemicClass.EVIDENCE, variant=name))
+            for name in "ab")
+    store.add_edge(a, b, EdgeType.SUPPORTS, at=before_1970)
+    for at in (before_1970, leap_day, last):
+        store.record_retrieval(a, at=at)
+    store.apply_cycle(now=last)
+    restored, _ = restore_checkpoint(*checkpointed(store, tmp_path))
+    assert restored._kos[a].created_at == first
+    assert restored._kos[a].retrieved_at == (before_1970, leap_day, last)
+    assert [e.created_at for e in restored._edges] == [before_1970]
+    assert restored.last_cycle_at == last
+    assert restored.snapshot().kos == store.snapshot().kos
+
+
 def _drop(name: str, nested: str | None = None):
     def edit(record):
         del (record[nested] if nested else record)[name]
@@ -586,6 +607,120 @@ def test_export_after_restore_equals_full_replay_export(session, tmp_path):
               if i in kept and kept[i][0] is ko]
     assert reused and "k002" not in reused and "k040" not in kept
     assert len(store._edge_lines) == 5  # the restored edges; the new one is not
+
+
+# Content that could fool a splice that looked for the score tail's key
+# instead of checking the tail: the key itself, quotes, backslashes,
+# non-ASCII text and U+2028, which JSON holds raw.
+TRICKY_TEXT = st.lists(st.sampled_from(
+    [',"scores":{', '"', "\\", "é", "中", "\u2028", "x", " ", "}"]),
+    min_size=1, max_size=6).map("".join)
+DRAWN_CLASSES = [EpistemicClass.QUESTION, EpistemicClass.DECISION,
+                 EpistemicClass.HYPOTHESIS, EpistemicClass.OBSERVATION]
+
+
+def drawn_ingest(store: CorpusStore, data, at: int) -> str:
+    n = len(store.snapshot().kos)
+    cls = data.draw(st.sampled_from(DRAWN_CLASSES))
+    return store.ingest_ko(
+        cls=cls, koc=make_koc(cls, entity=data.draw(TRICKY_TEXT), variant=f"v{n}"),
+        content=data.draw(TRICKY_TEXT), created_at=at,
+        stakes=data.draw(st.sampled_from([0.0, 0.4, 1.0])),
+        anchors=data.draw(st.lists(TRICKY_TEXT, max_size=2)),
+        embedding=data.draw(st.sampled_from([None, [1.0, 0.5], [-0.25, 3.0]])))
+
+
+def assert_export_is_fresh(store: CorpusStore) -> list[str]:
+    """``store``'s export equals, byte for byte, the export of the same
+    state with no kept object lines; returns it."""
+    exported, kept = corpus_lines(store), dict(store._ko_lines)
+    store._ko_lines.clear()
+    try:
+        assert exported == corpus_lines(store)
+    finally:
+        store._ko_lines.update(kept)
+    return exported
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_spliced_export_equals_a_fresh_one(data):
+    clock = 1_700_000_000
+    store = CorpusStore()
+    ids = [drawn_ingest(store, data, clock) for _ in range(data.draw(st.integers(2, 6)))]
+    question = store.ingest_ko(cls=EpistemicClass.QUESTION, content="open?",
+                               koc=make_koc(EpistemicClass.QUESTION, variant="open"),
+                               created_at=clock, stakes=0.8)
+    ids.append(question)
+    store.add_edge(ids[0], question, EdgeType.SUPPORTS, at=clock)
+    store.apply_cycle(now=clock + 86400)
+    with tempfile.TemporaryDirectory() as workdir:
+        log, corpus = checkpointed(store, Path(workdir))
+        restored, _ = restore_checkpoint(log, corpus)
+    ops = data.draw(st.lists(st.sampled_from(["cycle", "resolve", "retrieve", "ingest"]),
+                             max_size=6))
+    for op in ops:
+        clock = max(clock, restored.last_cycle_at) + data.draw(st.sampled_from([0, 3600, 86400]))
+        pick = data.draw(st.sampled_from(ids))
+        try:
+            if op == "cycle":
+                restored.apply_cycle(now=clock)
+            elif op == "resolve":
+                restored.resolve_question(pick, data.draw(st.sampled_from(ids)), at=clock)
+            elif op == "retrieve":
+                restored.record_retrieval(pick, at=clock)
+            else:
+                ids.append(drawn_ingest(restored, data, clock))
+        except ValidationError:
+            pass
+    restored.apply_cycle(now=max(clock, restored.last_cycle_at) + 86400)
+    assert_export_is_fresh(restored)
+    # resolved (urgency 0) or a day older: either way its urgency moved
+    assert (restored.snapshot().kos[question].scores.urgency
+            != store.snapshot().kos[question].scores.urgency)
+
+
+def test_a_rescored_object_keeps_its_line_but_for_a_new_score_tail(
+        session, monkeypatch):
+    log, corpus = session / "events.jsonl", session / "corpus.jsonl"
+    store, _ = restore_checkpoint(log, corpus)
+    store.apply_cycle()
+    assert any(store._ko_lines[ko_id][0] is not ko
+               for ko_id, ko in store.snapshot().kos.items())
+    monkeypatch.setattr(store_module, "_ko_head", lambda ko: pytest.fail(ko.id))
+    exported = corpus_lines(store)  # no object serialized afresh
+    monkeypatch.undo()
+    assert assert_export_is_fresh(store) == exported
+
+
+def _shorten_confidence(record: dict) -> None:
+    # The same value as a shorter decimal: a restore reads it, but the line
+    # no longer ends with the tail its object formats.
+    assert record["kind"] == "ko" and record["scores"]["confidence"] == "1.000000000"
+    record["scores"]["confidence"] = "1"
+
+
+def test_a_kept_line_whose_tail_was_edited_is_serialized_afresh(
+        session, monkeypatch):
+    log, corpus = session / "events.jsonl", session / "corpus.jsonl"
+    store, _ = restore_checkpoint(log, corpus)
+    store.apply_cycle()
+    index = next(i for i, (ko_id, (ko, _)) in enumerate(sorted(store._ko_lines.items()))
+                 if store._kos[ko_id] is not ko)  # the first object the cycle rescores
+    _doctor_corpus_and_rehash(
+        session, lambda corpus: _edit_corpus_record(corpus, index, _shorten_confidence))
+    store, _ = restore_checkpoint(log, corpus)
+    ko_id = sorted(store._kos)[index]
+    assert '"scores":{"confidence":"1",' in store._ko_lines[ko_id][1]
+    store.apply_cycle()
+    serialized = []
+    head = store_module._ko_head
+    monkeypatch.setattr(store_module, "_ko_head",
+                        lambda ko: serialized.append(ko.id) or head(ko))
+    exported = corpus_lines(store)
+    assert serialized == [ko_id]
+    assert '"scores":{"confidence":"1.000000000",' in exported[index + 1]
+    assert assert_export_is_fresh(store) == exported
 
 
 def test_events_after_a_restored_seq_are_the_new_events(session):

@@ -25,7 +25,7 @@ from kgravity import (
     taxonomy_adequacy_report,
     zone_for,
 )
-from kgravity.model import koc_matcher
+from kgravity.model import embedding_norm, koc_matcher, left_sum
 from tests.conftest import make_ko, make_koc
 
 EXPECTED_SEEDS = {
@@ -267,3 +267,9 @@ def test_closest_pairs():
 def test_urgency_is_question_only():
     with pytest.raises(ModelError, match="urgency"):
         make_ko("x1", EpistemicClass.OBSERVATION, urgency=0.5)
+
+
+@given(st.lists(st.one_of(st.floats(), st.integers(-2**60, 2**60)), max_size=24))
+def test_embedding_norm_adds_its_squares_left_to_right(embedding):
+    expected = math.sqrt(left_sum(x * x for x in embedding))
+    assert embedding_norm(embedding).hex() == expected.hex()
