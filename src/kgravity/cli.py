@@ -9,7 +9,8 @@ checkpoint is missing or does not match, it replays the whole log.
 ``verify-log`` checks that both ways give the same state, or, with no
 checkpoint, that the whole log replays. Every command is a pure function of
 its inputs: same state + same flags gives byte-identical output. No
-interactive mode.
+interactive mode. The convergence lab (``dynamics``) is imported only by the
+three commands that use it, so every other command starts without it.
 
 Exit codes: 0 success, 1 contract violation, 2 verification failure.
 """
@@ -23,14 +24,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .dynamics import (
-    diagonal_range,
-    empirical_convergence,
-    gershgorin_check,
-    simulate_trajectory,
-    verify_t2,
-    write_trajectory_csv,
-)
 from .engine import EngineError, EngineParams
 from .model import EpistemicClass, ModelError, MemoryZone
 from .retrieval import Query, RetrievalError, RetrievalWeights, rank
@@ -307,6 +300,8 @@ def cmd_query(args, params, weights, params_explicit) -> int:
 
 
 def cmd_simulate(args, params, weights, params_explicit) -> int:
+    from .dynamics import simulate_trajectory, write_trajectory_csv
+
     try:
         cls = EpistemicClass(args.cls)
     except ValueError:
@@ -324,6 +319,8 @@ def cmd_simulate(args, params, weights, params_explicit) -> int:
 
 
 def cmd_check_convergence(args, params, weights, params_explicit) -> int:
+    from .dynamics import diagonal_range, empirical_convergence, gershgorin_check
+
     store, _, _ = _open_store(args, params, params_explicit)
     snapshot = store.snapshot()
     if args.empirical:
@@ -356,6 +353,8 @@ def cmd_check_convergence(args, params, weights, params_explicit) -> int:
 
 
 def cmd_verify_t2(args, params, weights, params_explicit) -> int:
+    from .dynamics import verify_t2
+
     report = verify_t2()
     checks = [
         ("fixed point (QUESTION)", report.k_star_q, T2_EXPECTED["k_star_q"]),

@@ -47,12 +47,13 @@ computes it. Sigma skips the exact ``statistics.pstdev`` when the
 neighbourhood's k values span less than twice ``sigma_floor``: a population
 standard deviation is at most half the span (Popoviciu), so the floor wins;
 under the default floor of 0.5 that holds for every neighbourhood, as
-non-dormant k lies in [0.05, 1]. Each update's ``ForceBreakdown`` is built
-by a trusted constructor that sets its slots directly, skipping the frozen
-dataclass's ``__init__``; updated objects are built by
-``KnowledgeObject.rescored``, the model's trusted constructor (k is clamped
-and quantized, urgency clamped); an object whose k and urgency did not
-change is reused as it is.
+non-dormant k lies in [0.05, 1], and ``statistics``, whose import costs a
+process about 4 ms, is imported at the first exact call. Each update's
+``ForceBreakdown`` is built by a trusted constructor that sets its slots
+directly, skipping the frozen dataclass's ``__init__``; updated objects are
+built by ``KnowledgeObject.rescored``, the model's trusted constructor (k
+is clamped and quantized, urgency clamped); an object whose k and urgency
+did not change is reused as it is.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -319,7 +319,19 @@ def _spread(ks: list[float], floor: float) -> tuple[float, float]:
     # span below twice the floor (less a margin for rounding) leaves the floor.
     if max(ks) - min(ks) < 2.0 * floor * (1.0 - 1e-9):
         return mu, floor
-    return mu, max(statistics.pstdev(ks, mu=mu), floor)
+    return mu, max(_pstdev(ks, mu), floor)
+
+
+_statistics = None  # the statistics module, once _pstdev has imported it
+
+
+def _pstdev(ks: list[float], mu: float) -> float:
+    """``statistics.pstdev(ks, mu=mu)``, the module imported on the first
+    call and looked up, not its function, so a patched ``pstdev`` is seen."""
+    global _statistics
+    if _statistics is None:
+        import statistics as _statistics
+    return _statistics.pstdev(ks, mu=mu)
 
 
 def question_urgency(age_days: float, blocking_count: int, stakes: float,

@@ -31,7 +31,9 @@ from kgravity import (
 from kgravity.store import (
     CheckpointError,
     EventKind,
+    EventRecord,
     LogPosition,
+    ReplayError,
     checkpoint_path,
     corpus_lines,
     iso_to_ts,
@@ -310,8 +312,11 @@ def test_tail_must_continue_the_checkpoint_seq(session, tmp_path):
 # ---------------------------------------------------------------------------
 
 class _TornFile:
-    def __init__(self, f):
-        self._f = f
+    """A file whose first ``intact`` writes succeed; the next writes half
+    its data and fails."""
+
+    def __init__(self, f, intact: int = 0):
+        self._f, self._intact, self.writes = f, intact, 0
 
     def __enter__(self):
         return self
@@ -320,20 +325,32 @@ class _TornFile:
         self._f.close()
 
     def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes <= self._intact:
+            return self._f.write(text)
         self._f.write(text[: len(text) // 2])
         raise OSError("no space left on device")
 
 
-@pytest.mark.parametrize("failure", ["write", "replace"])
+@pytest.mark.parametrize("failure", ["write", "later write", "replace"])
 def test_failed_corpus_write_keeps_the_previous_corpus(
         session, tmp_path, monkeypatch, starts, failure):
     corpus = session / "corpus.jsonl"
     before = corpus.read_bytes()
+    torn = []
     with monkeypatch.context() as patch:
-        if failure == "write":
+        if failure in ("write", "later write"):
+            # "later write": the corpus spans several batches, and the
+            # failure comes after the first batch was written
+            intact = 1 if failure == "later write" else 0
+            patch.setattr(store_module, "_WRITE_BATCH", 1000)
+
             def torn_open(path, mode="r", *args, **kwargs):
                 f = open(path, mode, *args, **kwargs)
-                return _TornFile(f) if str(path).endswith(".tmp") else f
+                if not str(path).endswith(".tmp"):
+                    return f
+                torn.append(_TornFile(f, intact))
+                return torn[-1]
             patch.setattr(store_module, "open", torn_open, raising=False)
         else:
             def no_replace(src, dst):
@@ -342,6 +359,9 @@ def test_failed_corpus_write_keeps_the_previous_corpus(
         code, _, err = run(session, "cycle", "1")
     assert code == 1 and "error:" in err
     assert corpus.read_bytes() == before
+    if failure != "replace":
+        assert len(before) > 3 * 1000 and [f.writes for f in torn] == [
+            2 if failure == "later write" else 1]
     assert sorted(p.name for p in session.iterdir()) == [
         "corpus.jsonl", "events.jsonl", "events.jsonl.checkpoint"]
 
@@ -490,6 +510,8 @@ def test_trusted_restore_equals_the_validating_load(tmp_path, seed):
     assert restored._edges == loaded._edges
     assert [repr(e) for e in restored._edges] == [repr(e) for e in loaded._edges]
     assert restored._edge_keys == loaded._edge_keys
+    assert restored._edge_keys == CorpusStore.replay(read_events(log))._edge_keys
+    assert {type(key[2]) for key in restored._edge_keys} == {str}
     assert restored._embedding_dim == loaded._embedding_dim is not None
     assert restored._last_cycle_at == loaded._last_cycle_at is not None
     # each object keeps its own line, and the store's objects are the log's
@@ -548,6 +570,22 @@ def _repeat_last_line(corpus: Path) -> None:
     corpus.write_text("\n".join(lines + lines[-1:]) + "\n")
 
 
+def _move_last_edge_line(above: int):
+    """A corpus edit: the last (edge) line moved to body line ``above``, so
+    that object lines follow it; both of its ends are still in the corpus."""
+    def doctor(corpus: Path) -> None:
+        lines = corpus.read_text().splitlines()
+        assert json.loads(lines[-1])["kind"] == "edge"
+        lines.insert(above + 1, lines.pop())
+        corpus.write_text("\n".join(lines) + "\n")
+    return doctor
+
+
+def _self_loop(record: dict) -> None:
+    assert record["kind"] == "edge"
+    record["target"] = record["source"]
+
+
 MALFORMED = {
     "ko missing stakes": _in_record(3, _drop("stakes")),
     "ko missing resolved": _in_record(3, _drop("resolved")),
@@ -567,6 +605,8 @@ MALFORMED = {
     "repeated edge line": _repeat_last_line,
     "edge to an unknown id": _in_record(-1, _set_field("target", "ghost")),
     "repeated object id": _in_record(3, _set_field("id", "k002")),
+    "edge line above the object lines": _move_last_edge_line(0),
+    "self-loop edge": _in_record(-1, _self_loop),
 }
 
 
@@ -581,6 +621,79 @@ def test_a_vouched_for_malformed_corpus_falls_back_to_full_replay(
     code, out, err = run(session, *query)
     assert (code, out, err) == before and code == 0 and out
     assert starts[-1][0] == "replayed"
+
+
+def test_edges_must_follow_every_object_across_parse_chunks(session, monkeypatch):
+    log, corpus = session / "events.jsonl", session / "corpus.jsonl"
+    whole, _ = restore_checkpoint(log, corpus)
+    monkeypatch.setattr(store_module, "_RESTORE_CHUNK", 2)
+    chunked, _ = restore_checkpoint(log, corpus)
+    assert state_of(chunked) == state_of(whole)
+    assert chunked._edge_keys == whole._edge_keys
+    # Two lines a parse: the first chunk, an object and the moved edge, is
+    # in order on its own; the objects after it are parsed in later chunks.
+    _doctor_corpus_and_rehash(session, _move_last_edge_line(1))
+    with pytest.raises(CheckpointError, match="object lines, then edge lines"):
+        restore_checkpoint(log, corpus)
+
+
+def test_a_restored_store_rejects_an_edge_it_holds(session):
+    log, corpus = session / "events.jsonl", session / "corpus.jsonl"
+    store, _ = restore_checkpoint(log, corpus)
+    edge, at = store.snapshot().edges[0], store.latest_event_at()
+    for edge_type in (edge.edge_type, edge.edge_type.value):
+        with pytest.raises(ValidationError, match="duplicate edge"):
+            store.add_edge(edge.source_id, edge.target_id, edge_type, at=at)
+    # the same ends under another type are another edge
+    other = next(t for t in EdgeType if (edge.source_id, edge.target_id, t.value)
+                 not in store._edge_keys)
+    store.add_edge(edge.source_id, edge.target_id, other, at=at)
+
+    # A log tail that creates a restored edge again is corrupt.
+    payload = {"source": edge.source_id, "target": edge.target_id,
+               "type": edge.edge_type.value, "at": at}
+    seq = restore_checkpoint(log, corpus)[0].last_seq + 1
+    append_events(log, [EventRecord(seq, at, EventKind.EDGE_CREATED, payload)])
+    base, start = restore_checkpoint(log, corpus)
+    with pytest.raises(ReplayError, match=f"corrupt event at position {seq}.*duplicate edge"):
+        CorpusStore.replay(read_events_from(log, start)[0], base=base)
+    code, _, err = run(session, "query", "x")
+    assert code == 1 and "duplicate edge" in err
+
+
+@pytest.mark.parametrize("batch", [100, 2000, None], ids=["line", "lines", "default"])
+def test_a_batched_export_is_the_corpus_lines_and_their_hash(
+        tmp_path, monkeypatch, batch):
+    store = varied_store(1)
+    if batch is None:  # enough objects for several default batches
+        for i in range(200):
+            cls = list(EpistemicClass)[i % 9]
+            store.ingest_ko(cls=cls, koc=make_koc(cls, variant=f"bulk{i}"),
+                            content="x" * 400, created_at=store.latest_event_at())
+    else:
+        monkeypatch.setattr(store_module, "_WRITE_BATCH", batch)
+    lines, writes = corpus_lines(store), []
+    limit = store_module._WRITE_BATCH
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        real_write = f.write
+        f.write = lambda data: writes.append(data) or real_write(data)
+        return f
+    monkeypatch.setattr(store_module, "open", recording_open, raising=False)
+    path = tmp_path / "corpus.jsonl"
+    digest = write_corpus(store, path)
+
+    data = path.read_bytes()
+    assert digest == store_module._sha256(data)
+    assert data.decode("utf-8") == "".join(line + "\n" for line in lines)
+    assert len(writes) > 2 and b"".join(writes) == data
+    for chunk in writes:
+        chunk_lines = chunk.decode("utf-8").split("\n")[:-1]
+        # a batch is one line, or lines that together fit the limit
+        assert len(chunk_lines) == 1 or sum(map(len, chunk_lines)) <= limit
+    if batch == 100:  # every line is longer than a batch: one write each
+        assert min(map(len, lines)) > batch and len(writes) == len(lines)
 
 
 # ---------------------------------------------------------------------------
