@@ -27,6 +27,7 @@ from .engine import (
 )
 from .model import (
     EDGE_COEFFICIENTS,
+    NEGATIVE_EDGE_TYPES,
     SIMULATION_LAMBDAS,
     Edge,
     EdgeType,
@@ -251,8 +252,8 @@ def diagonal_range(eta: float = 0.15, delta_t: float = 0.25) -> DiagonalRangeRep
 # Random graphs and sweeps
 # ---------------------------------------------------------------------------
 
-_POSITIVE_TYPES = tuple(t for t in EdgeType if EDGE_COEFFICIENTS[t] > 0)
-_NEGATIVE_TYPES = tuple(t for t in EdgeType if EDGE_COEFFICIENTS[t] < 0)
+_NEGATIVE_TYPES = tuple(t for t in EdgeType if t in NEGATIVE_EDGE_TYPES)
+_POSITIVE_TYPES = tuple(t for t in EdgeType if t not in NEGATIVE_EDGE_TYPES)
 
 
 def random_graph(n_nodes: int, seed: int, *,

@@ -32,14 +32,13 @@ expressions of ``usage_force``, ``evidence_force``, ``gravity_force``,
 bits are theirs (the tests pin the loop to them); only a neighbour at or
 below the mean is skipped, as its term, coeff * tanh(0.0), is a zero that
 leaves the sum's bits as they are. The class's seed and decay rate come
-from a table built once per cycle and keyed by the class's plain value,
-with one more entry for a resolved QUESTION, so the loop hashes no
-``Enum``. Held inputs (``frozen_usage``, ``frozen_evidence``) and
-a radius above 1 (``gravity_force`` on the cycle's structure) are branches of
-the same loop. A non-finite ``raw`` goes to ``kge_update``, which names the
-non-finite input and raises. The loop is the one place a cycle's inputs are
-computed: the convergence lab in ``dynamics`` holds the usage and evidence
-of one cycle's breakdowns. The public single-object functions stay for the
+from a table built once per cycle and keyed by the class, with one more
+entry for a resolved QUESTION. Held inputs (``frozen_usage``,
+``frozen_evidence``) and a radius above 1 (``gravity_force`` on the cycle's
+structure) are branches of the same loop. A non-finite ``raw`` goes to
+``kge_update``, which names the non-finite input and raises. The loop is the
+one place a cycle's inputs are computed: the convergence lab in ``dynamics``
+holds the usage and evidence of one cycle's breakdowns. The public single-object functions stay for the
 library and the tests.
 
 The neighbourhood mean is ``fsum(ks) / n``, as ``statistics.fmean``
@@ -149,6 +148,9 @@ class EngineParams:
         for name in ("a_u", "a_e", "a_g"):
             if getattr(self, name) < 0:
                 raise EngineError(f"{name} must be non-negative")
+        for name in ("gravity_radius", "cycle_period_s"):
+            if type(getattr(self, name)) is not int:
+                raise EngineError(f"{name}={getattr(self, name)!r} must be an integer")
         if self.gravity_radius < 1:
             raise EngineError("gravity_radius must be >= 1")
         if self.lambda_profile not in ("operational", "simulation"):
@@ -410,13 +412,7 @@ def fixed_point(profile: ClassProfile,
 # Whole-graph cycles
 # ---------------------------------------------------------------------------
 
-# ``_value_`` is the enum member's plain value attribute; ``value`` is a
-# Python-level property, too slow for a per-edge sort key. The edge-type
-# tables below are keyed by it too: an Enum member hashes in Python.
-_SOURCE_THEN_TYPE = attrgetter("source_id", "edge_type._value_")
-_COEFFICIENT_OF = {t._value_: c for t, c in EDGE_COEFFICIENTS.items()}
-_NEGATIVE = frozenset(t._value_ for t in NEGATIVE_EDGE_TYPES)
-_SUPPORTS, _BLOCKS = EdgeType.SUPPORTS._value_, EdgeType.BLOCKS._value_
+_SOURCE_THEN_TYPE = attrgetter("source_id", "edge_type")
 
 
 _NO_INPUTS = ((), (), 0, ())  # the entry of a target with no non-dormant source
@@ -459,7 +455,7 @@ class EdgeStructure:
 
     def _admit(self, edges: Iterable[Edge]) -> None:
         """Enter each edge created by the horizon; hold the others back."""
-        horizon, pending = self._horizon, self._pending
+        horizon, pending, blocks_type = self._horizon, self._pending, EdgeType.BLOCKS
         inbound, targets, blocks, dirty = (self._inbound, self._targets,
                                            self.outbound_blocks, self._dirty)
         for edge in edges:
@@ -477,7 +473,7 @@ class EdgeStructure:
                 targets[source] = [target]
             else:
                 out.append(target)
-            if edge.edge_type._value_ == _BLOCKS:
+            if edge.edge_type is blocks_type:
                 blocks[source] = blocks.get(source, 0) + 1
             dirty.add(target)
 
@@ -512,20 +508,20 @@ class EdgeStructure:
             edges = sorted(edges, key=_SOURCE_THEN_TYPE)
         by_source: dict[str, float] = {}
         negatives = 0
-        supports = []
+        supports, supports_type = [], EdgeType.SUPPORTS
         for e in edges:
             source = e.source_id
             if source in dormant:
                 continue
-            edge_type = e.edge_type._value_
-            coeff = _COEFFICIENT_OF[edge_type]
+            edge_type = e.edge_type
+            coeff = EDGE_COEFFICIENTS[edge_type]
             # A source's first coefficient is kept as it is (0.0 + c == c),
             # so a single edge's sum is the shared constant, not a new float.
             total = by_source.get(source)
             by_source[source] = coeff if total is None else total + coeff
-            if edge_type == _SUPPORTS:
+            if edge_type is supports_type:
                 supports.append(e.created_at)
-            elif edge_type in _NEGATIVE:
+            elif edge_type in NEGATIVE_EDGE_TYPES:
                 negatives += 1
         if by_source:  # every counted edge has a source here
             supports.sort()
@@ -561,20 +557,19 @@ def gravity_neighborhood(ko_id: str, edges: EdgeStructure,
     return found
 
 
-_RESOLVED = "resolved QUESTION"
+_RESOLVED = "resolved QUESTION"  # equal to no class value
 
 
 def _class_rates(params: EngineParams) -> dict[str, tuple[float, float, float, float]]:
     """Each class's seed, decay rate, rate times ``delta_t`` and the decay
-    term's factor ``-rate * delta_t``, keyed by the class's value, and once
-    more under ``_RESOLVED`` for a resolved QUESTION (the OBSERVATION rate,
-    as ``lambda_for`` gives it). The cycle looks a class up by its plain
-    value, so it never hashes an ``Enum`` member."""
+    term's factor ``-rate * delta_t``, keyed by the class, and once more
+    under ``_RESOLVED`` for a resolved QUESTION (the OBSERVATION rate, as
+    ``lambda_for`` gives it)."""
     def rates_of(cls: EpistemicClass, resolved: bool = False) -> tuple[float, ...]:
         lam = params.lambda_for(cls, resolved=resolved)
         return (CLASS_PROFILES[cls].seed_k, lam, lam * params.delta_t,
                 -lam * params.delta_t)
-    rates = {cls._value_: rates_of(cls) for cls in EpistemicClass}
+    rates = {cls: rates_of(cls) for cls in EpistemicClass}
     rates[_RESOLVED] = rates_of(EpistemicClass.QUESTION, resolved=True)
     return rates
 
@@ -663,7 +658,7 @@ def run_cycle(
         c = a_c * negatives  # contradiction_penalty
 
         # kge_step
-        seed, lam, lam_dt, decay = rates[_RESOLVED if ko.resolved else ko.cls._value_]
+        seed, lam, lam_dt, decay = rates[_RESOLVED if ko.resolved else ko.cls]
         scores = ko.scores
         k_before = scores.k
         raw = keep * k_before + eta * (seed + u + e + g) - lam_dt * k_before - c

@@ -23,8 +23,10 @@ class ModelError(ValueError):
     """A domain-model contract violation (bad class, bad coordinate, bad edge)."""
 
 
-class EpistemicClass(Enum):
-    """The closed nine-class taxonomy. No user-defined classes exist."""
+class EpistemicClass(str, Enum):
+    """The closed nine-class taxonomy. No user-defined classes exist. Like
+    an ``EdgeType``, a member is a string equal to its value and its name:
+    it hashes, compares and sorts as that string."""
 
     DECISION = "DECISION"
     CONSTRAINT = "CONSTRAINT"
@@ -204,7 +206,7 @@ UNIFORM_KOC_WEIGHTS: tuple[float, ...] = (1.0 / 7.0,) * 7
 # Edges
 # ---------------------------------------------------------------------------
 
-class EdgeType(Enum):
+class EdgeType(str, Enum):
     SUPPORTS = "SUPPORTS"
     BASED_ON = "BASED_ON"
     IMPLEMENTS = "IMPLEMENTS"
@@ -233,7 +235,7 @@ EDGE_COEFFICIENTS: dict[EdgeType, float] = {
     EdgeType.CONTRADICTS: -0.6,
 }
 
-NEGATIVE_EDGE_TYPES = frozenset({EdgeType.BLOCKS, EdgeType.CONTRADICTS})
+NEGATIVE_EDGE_TYPES = frozenset(t for t, c in EDGE_COEFFICIENTS.items() if c < 0)
 
 
 def edge_coefficient(edge_type: EdgeType) -> float:

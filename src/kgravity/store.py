@@ -210,10 +210,10 @@ def _record(held: EventRecord | _Retrieval) -> EventRecord:
     return held
 
 
-# Each member keyed by itself and by its value: a lookup accepts what
+# Keyed by value, which a member equals: a lookup accepts what
 # ``EpistemicClass(...)`` and ``EdgeType(...)`` accept, without their call.
-_CLASSES = {key: c for c in EpistemicClass for key in (c, c.value)}
-_EDGE_TYPES = {key: t for t in EdgeType for key in (t, t.value)}
+_CLASSES = {c.value: c for c in EpistemicClass}
+_EDGE_TYPES = {t.value: t for t in EdgeType}
 
 
 def _parse_class(name: EpistemicClass | str) -> EpistemicClass:
@@ -330,9 +330,7 @@ class CorpusStore:
         self._params = params if params is not None else EngineParams.production()
         self._kos: dict[str, KnowledgeObject] = {}
         self._edges: list[Edge] = []
-        # (source, target, type value): a str hashes in C, an EdgeType
-        # through the Python-level Enum.__hash__
-        self._edge_keys: set[tuple[str, str, str]] = set()
+        self._edge_keys: set[tuple[str, str, EdgeType]] = set()
         self._events: list[EventRecord | _Retrieval] = []
         # seq and time of the last event before ``_events`` (a checkpoint's)
         self._base_seq = 0
@@ -610,7 +608,7 @@ class CorpusStore:
             raise ValidationError(f"self-loop edge on {source!r}")
         self._known(source)
         self._known(target)
-        key = (source, target, edge_type._value_)  # not the Python-level ``value``
+        key = (source, target, edge_type)
         if key in self._edge_keys:
             raise ValidationError(
                 f"duplicate edge {source!r} -{edge_type.value}-> {target!r}")
@@ -969,7 +967,6 @@ def _written_chunks(lines: list[str]) -> Iterator[tuple[list[str], list]]:
 _KIND, _CREATED_AT, _RETRIEVED_AT = (itemgetter("kind"), itemgetter("created_at"),
                                      itemgetter("retrieved_at"))
 _SOURCE, _TARGET, _TYPE = itemgetter("source"), itemgetter("target"), itemgetter("type")
-_TYPE_VALUE = attrgetter("_value_")  # an EdgeType's value, without its property
 
 
 def _restored_store(text: str, params: EngineParams) -> CorpusStore:
@@ -1030,7 +1027,7 @@ def _restored_store(text: str, params: EngineParams) -> CorpusStore:
         types += map(_EDGE_TYPES.__getitem__, map(_TYPE, edges))
         times += ts[n:len(records)]
         edge_lines += chunk[n:]
-    keys = set(zip(sources, targets, map(_TYPE_VALUE, types)))
+    keys = set(zip(sources, targets, types))
     if any(map(eq, sources, targets)):
         raise ValueError("a self-loop edge")
     if not store._kos.keys() >= {*sources, *targets}:

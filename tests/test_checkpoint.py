@@ -511,7 +511,9 @@ def test_trusted_restore_equals_the_validating_load(tmp_path, seed):
     assert [repr(e) for e in restored._edges] == [repr(e) for e in loaded._edges]
     assert restored._edge_keys == loaded._edge_keys
     assert restored._edge_keys == CorpusStore.replay(read_events(log))._edge_keys
-    assert {type(key[2]) for key in restored._edge_keys} == {str}
+    # each key's type is an EdgeType member, which hashes as its value string
+    assert {type(key[2]) for key in restored._edge_keys} == {EdgeType}
+    assert EdgeType.__hash__ is str.__hash__
     assert restored._embedding_dim == loaded._embedding_dim is not None
     assert restored._last_cycle_at == loaded._last_cycle_at is not None
     # each object keeps its own line, and the store's objects are the log's

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kgravity.cli import main
+from kgravity.engine import EngineParams
 
 CLASSES_CYCLE = ["DECISION", "CONSTRAINT", "EVIDENCE", "NARRATIVE", "PLAN",
                  "EVALUATION", "OBSERVATION", "HYPOTHESIS", "QUESTION", "PLAN"]
@@ -513,6 +514,26 @@ def test_verify_log_replays_the_log_when_no_checkpoint_is_beside_it(cli, tmp_pat
     code, out, err = run_main(tmp_path, "verify-log")
     assert (code, out) == (1, "")
     assert "corrupt event at position 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", [{"gravity_radius": 1.5}, {"gravity_radius": True},
+                                    {"cycle_period_s": 21600.0}])
+def test_a_logged_non_integer_radius_or_period_is_a_corrupt_event(cli, tmp_path, change):
+    write_input(tmp_path / "in.jsonl", [ko_rec(0), ko_rec(1)])
+    cli("ingest", str(tmp_path / "in.jsonl"))
+    cli("cycle", "1")
+    log = tmp_path / "events.jsonl"
+    last = json.loads(log.read_text().splitlines()[-1])
+    params = {**EngineParams.production().to_dict(), **change}
+    event = {"seq": last["seq"] + 1, "at": last["at"], "kind": "PARAMS_CHANGED",
+             "payload": {"params": params}}
+    with open(log, "a", encoding="utf-8") as f:
+        f.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
+    code, out, err = run_main(tmp_path, "cycle", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"corrupt event at position {event['seq']}" in err
+    assert "must be an integer" in err and "Traceback" not in err
 
 
 def test_an_ingest_line_that_is_too_deep_or_not_utf8_names_its_line(tmp_path):

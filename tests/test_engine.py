@@ -62,7 +62,8 @@ def test_contradiction_scale_is_calibrated():
 @pytest.mark.parametrize("kwargs", [
     {"eta": 0.0}, {"eta": 1.0}, {"delta_t": 0.0}, {"g_scale": -1.0},
     {"a_u": -0.1}, {"gravity_radius": 0}, {"lambda_profile": "bogus"},
-    {"koc_axis_weights": (0.5, 0.5)},
+    {"koc_axis_weights": (0.5, 0.5)}, {"gravity_radius": 1.5},
+    {"gravity_radius": True}, {"cycle_period_s": 21600.0},
 ])
 def test_param_validation(kwargs):
     with pytest.raises(EngineError):

@@ -25,7 +25,7 @@ from kgravity import (
     taxonomy_adequacy_report,
     zone_for,
 )
-from kgravity.model import embedding_norm, koc_matcher, left_sum
+from kgravity.model import NEGATIVE_EDGE_TYPES, embedding_norm, koc_matcher, left_sum
 from tests.conftest import make_ko, make_koc
 
 EXPECTED_SEEDS = {
@@ -188,6 +188,18 @@ def test_edge_coefficient_table():
     assert len(EDGE_COEFFICIENTS) == 10
     assert max(EDGE_COEFFICIENTS.values()) == 1.0
     assert min(EDGE_COEFFICIENTS.values()) == -0.6
+    assert NEGATIVE_EDGE_TYPES == {EdgeType.BLOCKS, EdgeType.CONTRADICTS}
+
+
+@pytest.mark.parametrize("member", [*EpistemicClass, *EdgeType])
+def test_members_are_their_value_strings(member):
+    assert type(member).__hash__ is str.__hash__
+    assert hash(member) == hash(member.name) == hash(member.value)
+    assert member == member.value
+    if isinstance(member, EdgeType):
+        assert EDGE_COEFFICIENTS[member.value] == EDGE_COEFFICIENTS[member]
+    else:
+        assert CLASS_PROFILES[member.value] is CLASS_PROFILES[member]
 
 
 def test_edge_rejects_self_loop():
