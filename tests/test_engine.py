@@ -268,7 +268,13 @@ def test_fixed_point_rejects_divergent_configuration():
         fixed_point(bad, (0, 0, 0, 0), SIM)  # eta + lambda*dt = -0.1
 
 
-@pytest.mark.parametrize("cls", list(EpistemicClass))
+def _class_id(cls):
+    """Name a class case `EpistemicClass.MEMBER`: pytest would name a
+    str-valued member by its bare value."""
+    return f"EpistemicClass.{cls.name}"
+
+
+@pytest.mark.parametrize("cls", list(EpistemicClass), ids=_class_id)
 @pytest.mark.parametrize("profile_kind", ["operational", "simulation"])
 def test_iteration_converges_to_fixed_point(cls, profile_kind):
     params = PROD if profile_kind == "operational" else SIM
@@ -341,7 +347,7 @@ def test_divergence_at_first_update():
     assert k_q > 0.5 > k_o
 
 
-@pytest.mark.parametrize("cls", list(EpistemicClass))
+@pytest.mark.parametrize("cls", list(EpistemicClass), ids=_class_id)
 def test_contradiction_suppresses_converged_k(cls):
     baseline = converge(snapshot_of([make_ko("b", cls)]), PROD)
     contradicted = converge(snapshot_of(
