@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 contract violation, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -260,6 +261,18 @@ def cmd_cycle(args, params, weights, params_explicit) -> int:
     return EXIT_OK
 
 
+def _csv_row(fields: list) -> str:
+    """``fields`` as one CSV row, quoted where the csv module needs it,
+    without its line end. The writer ends rows with CRLF, under which
+    Python 3.10 to 3.13 quote a field holding a carriage return; with a bare
+    line feed, 3.11 leaves one unquoted, which a csv reader then rejects."""
+    import csv
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2]
+
+
 def cmd_query(args, params, weights, params_explicit) -> int:
     store, _, _ = _open_store(args, params, params_explicit)
     anchors = frozenset(a for a in (args.anchors or "").split(",") if a)
@@ -280,11 +293,12 @@ def cmd_query(args, params, weights, params_explicit) -> int:
                 "urgency": r.urgency, "zone": r.zone.name,
                 "degraded": r.degraded}, sort_keys=True))
     elif args.format == "csv":
-        print("ko_id,rank_score,hybrid,k_eff,k,phi_ctx,s_struct,s_sem,s_topo,urgency,zone")
+        print(_csv_row(["ko_id", "rank_score", "hybrid", "k_eff", "k", "phi_ctx",
+                        "s_struct", "s_sem", "s_topo", "urgency", "zone"]))
         for r in results:
-            print(f"{r.ko_id},{r.rank_score:.9f},{r.hybrid:.9f},{r.k_eff:.9f},"
-                  f"{r.k_global:.9f},{r.phi_ctx:.9f},{r.s_struct:.9f},"
-                  f"{r.s_sem:.9f},{r.s_topo:.9f},{r.urgency:.9f},{r.zone.name}")
+            print(_csv_row([r.ko_id, *(f"{v:.9f}" for v in (
+                r.rank_score, r.hybrid, r.k_eff, r.k_global, r.phi_ctx,
+                r.s_struct, r.s_sem, r.s_topo, r.urgency)), r.zone.name]))
     else:
         if not results:
             print("no results")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import IO, Iterable
 
 from .engine import (
@@ -145,14 +146,22 @@ def empirical_convergence(snapshot: GraphSnapshot, params: EngineParams,
     Non-convergence is reported, not raised. The usage and evidence forces
     of the non-dormant objects are taken from one cycle over the first
     window and then held (a dormant object revived in it is held at 0.0),
-    so the iterated map is autonomous in the k vector.
+    so the iterated map is autonomous in the k vector. That window ends one
+    cycle period after the snapshot's last cycle or, if it never cycled,
+    after the latest time it holds, as a store's first cycle does after its
+    last event, so that no edge is still pending in it.
     """
     if not tol > 0:  # NaN included
         raise ValueError(f"tol must be positive, got {tol}")
     report = gershgorin_check(snapshot, params)
 
-    prev_cycle = snapshot.cycle_at
-    now = (prev_cycle if prev_cycle is not None else 0) + params.cycle_period_s
+    base = snapshot.cycle_at
+    if base is None:
+        kos = snapshot.kos.values()
+        base = max(chain((ko.created_at for ko in kos),
+                         chain.from_iterable(ko.retrieved_at for ko in kos),
+                         (edge.created_at for edge in snapshot.edges)), default=0)
+    now = base + params.cycle_period_s
     snapshot.validate()
     edges = EdgeStructure(snapshot.edges)  # one structure for every iteration
     _, breakdowns = run_cycle(snapshot, now, params, edges=edges)
@@ -421,7 +430,7 @@ def sufficient_condition_sweep(n_graphs: int = 100, base_seed: int = 5000,
 
 def write_trajectory_csv(points: Iterable[TrajectoryPoint], out: IO[str]) -> None:
     """Columns: day, class, k."""
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["day", "class", "k"])
     for p in points:
         writer.writerow([p.day, p.cls.value, f"{p.k:.9f}"])
@@ -429,7 +438,7 @@ def write_trajectory_csv(points: Iterable[TrajectoryPoint], out: IO[str]) -> Non
 
 def write_residuals_csv(runs: Iterable[tuple[str, list[float]]], out: IO[str]) -> None:
     """Columns: iteration, graph_id, residual."""
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["iteration", "graph_id", "residual"])
     for graph_id, residuals in runs:
         for i, r in enumerate(residuals, start=1):

@@ -23,6 +23,9 @@ Three file formats (all JSON, documented in the README):
 * corpus file - a header line followed by one record per knowledge object
   and per edge; scores are serialized as fixed 9-digit decimal strings so a
   save/load/save round trip is byte-identical. It is written atomically.
+  Every reader splits it by one rule (:func:`_split_corpus`), and its lines
+  are written, and parsed by a checkpoint restore, in the same batches
+  (:func:`_batches`).
 * event log file - one EventRecord per line in seq order.
 * checkpoint file - ``<log>.checkpoint``, one object naming the last log
   line whose state the corpus file holds. :func:`restore_checkpoint` checks
@@ -757,31 +760,41 @@ def corpus_lines(store: CorpusStore) -> list[str]:
     return lines
 
 
-# Characters of lines (newlines aside) that _write_atomic encodes, writes
-# and hashes at a time, unless a single line is longer.
-_WRITE_BATCH = 64 * 1024
+# Characters of corpus lines (newlines aside) in one batch: what
+# _write_atomic encodes, writes and hashes at a time, and what a restore
+# parses with one json.loads call, unless a single line is longer. The
+# records of a 16 KiB batch, about 50 object lines, stay under the 700 new
+# containers that start a garbage collection on Python 3.10 to 3.12; with
+# 64 KiB batches a restore ran twice as many collections.
+_WRITE_BATCH = 16 * 1024
+
+
+def _batches(lines: Sequence[str]) -> Iterator[Sequence[str]]:
+    """``lines`` in runs of about ``_WRITE_BATCH`` characters, newlines
+    aside: as many lines as fit, and at least one."""
+    ends = list(accumulate(map(len, lines), initial=0))  # of lines[:i] at i
+    start = 0
+    while start < len(lines):
+        stop = max(start + 1, bisect_right(ends, ends[start] + _WRITE_BATCH) - 1)
+        yield lines[start:stop]
+        start = stop
 
 
 def _write_atomic(path: str | Path, lines: Sequence[str]) -> str:
     """Replace ``path`` with ``lines``, each ended by a newline, through a
     temporary file in the same directory, so a reader, or a crash, sees the
     old file or the new one and never a torn one. The lines go out in
-    batches of about ``_WRITE_BATCH`` characters, three calls a batch and
-    never one buffer of them all. Returns the SHA-256 of the bytes
-    written."""
+    :func:`_batches`, three calls a batch and never one buffer of them all.
+    Returns the SHA-256 of the bytes written."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     digest = hashlib.sha256()
-    ends = list(accumulate(map(len, lines), initial=0))  # of lines[:i] at i
     try:
         with open(tmp, "wb") as f:
-            start = 0
-            while start < len(lines):
-                stop = max(start + 1, bisect_right(ends, ends[start] + _WRITE_BATCH) - 1)
-                data = ("\n".join(lines[start:stop]) + "\n").encode("utf-8")
+            for batch in _batches(lines):
+                data = ("\n".join(batch) + "\n").encode("utf-8")
                 f.write(data)
                 digest.update(data)
-                start = stop
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -814,21 +827,20 @@ def read_corpus(path: str | Path) -> tuple[dict, list[tuple[int, dict]], list[tu
     can proceed with the valid remainder; a file that is not UTF-8 is a
     ValidationError naming the first bad line.
     """
-    header, items = _parse_corpus(path)
     records: list[tuple[int, dict]] = []
     errors: list[tuple[int, str]] = []
-    for lineno, item in items:
+    header, body = _split_corpus(Path(path).read_bytes())
+    for lineno, item in _corpus_items(body):
         (errors if isinstance(item, str) else records).append((lineno, item))
     return header, records, errors
 
 
-def _parse_corpus(path: str | Path) -> tuple[dict, Iterator[tuple[int, dict | str]]]:
-    """The header of a corpus file, and its other non-blank lines parsed
-    one at a time, each as (line number, record or error message). Only a
-    line feed ends a line, as JSON allows other line separators raw inside
-    a string; a carriage return before it is dropped. A file that is not
-    UTF-8 is a ValidationError naming the first bad line."""
-    data = Path(path).read_bytes()
+def _split_corpus(data: bytes) -> tuple[dict, list[str]]:
+    """A corpus file's header and its body lines, for every reader. A file
+    that is not UTF-8 is a ValidationError naming the first bad line. Only
+    a line feed ends a line, as JSON allows other line separators raw
+    inside a string; a carriage return before it is dropped. An empty file
+    has the default header and no body."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -839,8 +851,8 @@ def _parse_corpus(path: str | Path) -> tuple[dict, Iterator[tuple[int, dict | st
         lines.pop()  # the file's final newline ends a line, it does not start one
     if not lines:
         return {"kind": "header", "format_version": CORPUS_FORMAT_VERSION,
-                "embedding_dim": None}, iter(())
-    return _corpus_header(lines[0]), _corpus_items(lines)
+                "embedding_dim": None}, []
+    return _corpus_header(lines[0]), lines[1:]
 
 
 def _corpus_header(line: str) -> dict:
@@ -856,9 +868,10 @@ def _corpus_header(line: str) -> dict:
     return header
 
 
-def _corpus_items(lines: list[str]) -> Iterator[tuple[int, dict | str]]:
-    for lineno in range(2, len(lines) + 1):
-        line = lines[lineno - 1]
+def _corpus_items(body: list[str]) -> Iterator[tuple[int, dict | str]]:
+    """The non-blank body lines parsed one at a time, each as (line number,
+    record or error message)."""
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         try:
@@ -881,14 +894,10 @@ def load_corpus(path: str | Path, params: EngineParams | None = None) -> CorpusS
     state but an empty event log. Strict: any bad record raises a
     ValidationError naming its line.
     """
-    header, items = _parse_corpus(path)
+    header, body = _split_corpus(Path(path).read_bytes())
     store = CorpusStore(params=params)
-    if header.get("last_cycle_at"):
-        try:
-            store._last_cycle_at = parse_field_ts("last_cycle_at", header["last_cycle_at"])
-        except ValidationError as exc:
-            raise ValidationError(f"line 1: {exc}") from None
-    for lineno, record in items:
+    store._last_cycle_at = _header_cycle_at(header)
+    for lineno, record in _corpus_items(body):
         try:
             if isinstance(record, str):
                 raise ValidationError(record)
@@ -903,6 +912,16 @@ def load_corpus(path: str | Path, params: EngineParams | None = None) -> CorpusS
         except (TypeError, ValueError) as exc:  # also ValidationError, ModelError
             raise ValidationError(f"line {lineno}: {exc}") from None
     return store
+
+
+def _header_cycle_at(header: dict) -> int | None:
+    """A corpus header's ``last_cycle_at`` as UTC seconds, None if unset."""
+    if not header.get("last_cycle_at"):
+        return None
+    try:
+        return parse_field_ts("last_cycle_at", header["last_cycle_at"])
+    except ValidationError as exc:
+        raise ValidationError(f"line 1: {exc}") from None
 
 
 def _corpus_ko(record: dict) -> KnowledgeObject:
@@ -943,34 +962,13 @@ def _written_times(texts: Iterable[str]) -> tuple[int, ...]:
                      map(_SECONDS, deltas)))
 
 
-def _written_ts(text: str) -> int:
-    return _written_times((text,))[0]
-
-
-# Corpus lines parsed by one json.loads call in a restore: on a 400 KB
-# corpus as fast as one call for the whole body, which holds every parsed
-# record at once and raised the restore's peak memory by about 70%.
-_RESTORE_CHUNK = 32
-
-
-def _written_chunks(lines: list[str]) -> Iterator[tuple[list[str], list]]:
-    """The lines ``_RESTORE_CHUNK`` at a time, each chunk with the JSON
-    values its lines hold, parsed as one JSON array."""
-    for start in range(0, len(lines), _RESTORE_CHUNK):
-        chunk = lines[start:start + _RESTORE_CHUNK]
-        records = _decoded("[" + ",".join(chunk) + "]")
-        if len(records) != len(chunk):
-            raise ValueError("a corpus line holds other than one record")
-        yield chunk, records
-
-
 _KIND, _CREATED_AT, _RETRIEVED_AT = (itemgetter("kind"), itemgetter("created_at"),
                                      itemgetter("retrieved_at"))
 _SOURCE, _TARGET, _TYPE = itemgetter("source"), itemgetter("target"), itemgetter("type")
 
 
-def _restored_store(text: str, params: EngineParams) -> CorpusStore:
-    """The store a corpus text holds, built through the trusted constructors.
+def _restored_store(data: bytes, params: EngineParams) -> CorpusStore:
+    """The store a corpus file's bytes hold, through the trusted constructors.
 
     Only for the very bytes a :func:`write_corpus` wrote (their SHA-256 is
     the checkpoint's): every value was validated before it was written, so
@@ -979,22 +977,24 @@ def _restored_store(text: str, params: EngineParams) -> CorpusStore:
     ``_add_edge`` once, over the whole restored edge list (no self-loop,
     both ends known, no edge twice). Every object line must come before
     every edge line, the order :func:`corpus_lines` writes, so an edge's
-    ends are known when it is. Each parse chunk's times are converted by
-    one :func:`_written_times` call, and each record's line is kept for
-    :func:`corpus_lines` to re-emit. Malformed bytes raise a KeyError,
-    TypeError, ValueError or AttributeError, which
+    ends are known when it is. The body is parsed in :func:`_batches`, as
+    :func:`_write_atomic` writes it, each as one JSON array whose times are
+    converted by one :func:`_written_times` call; each record's line is
+    kept for :func:`corpus_lines` to re-emit. Malformed bytes raise a
+    KeyError, TypeError, ValueError or AttributeError, which
     :func:`restore_checkpoint` reports as a CheckpointError.
     """
-    lines = text.splitlines()
-    header = _corpus_header(lines[0])
+    header, body = _split_corpus(data)
     if header.get("params_fingerprint") != params.fingerprint():
         raise CheckpointError("the corpus was written under other params")
     store = CorpusStore(params=params)
-    if header["last_cycle_at"] is not None:
-        store._last_cycle_at = _written_ts(header["last_cycle_at"])
+    store._last_cycle_at = _header_cycle_at(header)
     add_ko, ko_lines, edge_lines = store._add_ko, store._ko_lines, store._edge_lines
     sources, targets, types, times = [], [], [], []
-    for chunk, records in _written_chunks(lines[1:]):
+    for chunk in _batches(body):
+        records = _decoded("[" + ",".join(chunk) + "]")
+        if len(records) != len(chunk):
+            raise ValueError("a corpus line holds other than one record")
         kinds = list(map(_KIND, records))
         n = kinds.count("ko")
         if (n and sources) or kinds != ["ko"] * n + ["edge"] * (len(kinds) - n):
@@ -1173,15 +1173,6 @@ def write_checkpoint(log: str | Path, corpus_sha256: str, store: CorpusStore,
     _write_atomic(checkpoint_path(log), [_dump_line(record)])
 
 
-def _verified_text(path: str | Path, sha256: str) -> str:
-    # The text parsed is the very bytes hashed, even if the file is
-    # replaced meanwhile.
-    data = Path(path).read_bytes()
-    if _sha256(data) != sha256:
-        raise CheckpointError("the corpus file changed since the checkpoint")
-    return data.decode("utf-8")
-
-
 def restore_checkpoint(log: str | Path,
                        corpus: str | Path) -> tuple[CorpusStore, LogPosition]:
     """The store as of ``log``'s checkpoint, restored from ``corpus``, and
@@ -1202,14 +1193,18 @@ def restore_checkpoint(log: str | Path,
         if not all(type(v) is int and v > 0 for v in (seq, offset, lines)):
             raise CheckpointError("seq, offset and lines must be positive integers")
         params = EngineParams.from_dict(record["params"])
-        text = _verified_text(corpus, record["corpus_sha256"])
+        # The bytes parsed are the bytes hashed, even if the file is
+        # replaced meanwhile.
+        data = Path(corpus).read_bytes()
+        if _sha256(data) != record["corpus_sha256"]:
+            raise CheckpointError("the corpus file changed since the checkpoint")
         with open(log, "rb") as f:
             line = _line_ending_at(f, offset)
         if not line.endswith(b"\n") or _sha256(line) != record["line_sha256"]:
             raise CheckpointError(f"log line {lines} changed since the checkpoint")
         if _decoded(line, _event_from_dict).seq != seq:
             raise CheckpointError(f"log line {lines} is not event {seq}")
-        store = _restored_store(text, params)
+        store = _restored_store(data, params)
         latest = _check_ts("latest_event_at", record["latest_event_at"])
     except CheckpointError:
         raise

@@ -609,6 +609,7 @@ MALFORMED = {
     "repeated object id": _in_record(3, _set_field("id", "k002")),
     "edge line above the object lines": _move_last_edge_line(0),
     "self-loop edge": _in_record(-1, _self_loop),
+    "empty corpus": lambda corpus: corpus.write_bytes(b""),
 }
 
 
@@ -628,12 +629,12 @@ def test_a_vouched_for_malformed_corpus_falls_back_to_full_replay(
 def test_edges_must_follow_every_object_across_parse_chunks(session, monkeypatch):
     log, corpus = session / "events.jsonl", session / "corpus.jsonl"
     whole, _ = restore_checkpoint(log, corpus)
-    monkeypatch.setattr(store_module, "_RESTORE_CHUNK", 2)
+    monkeypatch.setattr(store_module, "_WRITE_BATCH", 1)
     chunked, _ = restore_checkpoint(log, corpus)
     assert state_of(chunked) == state_of(whole)
     assert chunked._edge_keys == whole._edge_keys
-    # Two lines a parse: the first chunk, an object and the moved edge, is
-    # in order on its own; the objects after it are parsed in later chunks.
+    # One line a parse: the first object, then the moved edge, are each in
+    # order on their own; the objects after it are parsed in later batches.
     _doctor_corpus_and_rehash(session, _move_last_edge_line(1))
     with pytest.raises(CheckpointError, match="object lines, then edge lines"):
         restore_checkpoint(log, corpus)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import shutil
@@ -297,6 +298,13 @@ def test_simulate_writes_file(cli, tmp_path):
     assert len(out_file.read_text().strip().splitlines()) == 9
 
 
+def test_simulate_ends_lines_with_line_feeds(cli, tmp_path):
+    out = cli("simulate", "QUESTION", "2")
+    assert "\r" not in out and out.count("\n") == 4
+    cli("simulate", "QUESTION", "2", "--out", str(tmp_path / "traj.csv"))
+    assert (tmp_path / "traj.csv").read_bytes() == out.encode()
+
+
 def test_simulate_unknown_class(cli):
     cli("simulate", "FACT", "5", expect=1)
 
@@ -364,6 +372,18 @@ def test_query_csv_format(cli, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0].startswith("ko_id,rank_score,hybrid,k_eff")
     assert lines[1].startswith("k000,")
+
+
+def test_query_csv_quotes_ids_a_csv_reader_reads_back(cli, tmp_path):
+    ids = ["a,b", 'q"x', "line\nbreak", "cr\rx"]
+    write_input(tmp_path / "in.jsonl",
+                [{**ko_rec(i), "id": ko_id} for i, ko_id in enumerate(ids)])
+    cli("ingest", str(tmp_path / "in.jsonl"))
+    out = cli("--format", "csv", "query", "x", "--embedding", "1.0,0.0")
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert out.endswith("\n") and "\r\n" not in out
+    assert rows[0][0] == "ko_id" and {len(row) for row in rows} == {11}
+    assert sorted(row[0] for row in rows[1:]) == sorted(ids)
 
 
 def test_set_typed_overrides(cli, tmp_path):

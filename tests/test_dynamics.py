@@ -113,6 +113,18 @@ def test_star8_converges_despite_failing_bound():
     assert report.empirical_converged is True
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_a_never_cycled_graph_converges_alike_at_any_date(seed):
+    # The first window ends one period after the latest time the snapshot
+    # holds, so no edge dated later than 1970 is left pending in the map.
+    reports = [empirical_convergence(random_graph(
+        60, seed=seed, hub_degree=43, negative_fraction=0.3, created_at=at), PROD)
+        for at in (0, 1_700_000_000)]
+    assert all(report.empirical_converged for report in reports)
+    first, shifted = (list(map(float.hex, r.residual_history)) for r in reports)
+    assert first == shifted
+
+
 def test_rejects_non_positive_tolerance():
     with pytest.raises(ValueError):
         empirical_convergence(chain3(), PROD, tol=0.0)
