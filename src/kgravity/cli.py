@@ -1,16 +1,14 @@
 """Command-line surface binding the store, engine, convergence lab, and
 retrieval into reproducible runs.
 
-State lives in the append-only event log (authoritative) and the corpus
-snapshot, which every mutating command exports together with a checkpoint
-file beside the log (``<log>.checkpoint``). Startup restores the corpus the
-checkpoint vouches for and replays only the log's tail after it; if the
-checkpoint is missing or does not match, it replays the whole log.
-``verify-log`` checks that both ways give the same state, or, with no
-checkpoint, that the whole log replays. Every command is a pure function of
-its inputs: same state + same flags gives byte-identical output. No
-interactive mode. The convergence lab (``dynamics``) is imported only by the
-three commands that use it, so every other command starts without it.
+State lives in the append-only event log (authoritative), the corpus
+snapshot and the checkpoint beside the log, which every command opens, and
+every mutating one saves, through :class:`kgravity.store.Workspace`;
+``verify-log`` prints what ``Workspace.verify`` finds. Every command is a
+pure function of its inputs: same state + same flags gives byte-identical
+output. No interactive mode. The convergence lab (``dynamics``) is imported
+only by the three commands that use it, so every other command starts
+without it.
 
 Exit codes: 0 success, 1 contract violation, 2 verification failure.
 """
@@ -23,27 +21,11 @@ import json
 import math
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .engine import EngineError, EngineParams
 from .model import EpistemicClass, ModelError, MemoryZone
 from .retrieval import Query, RetrievalError, RetrievalWeights, rank
-from .store import (
-    CheckpointError,
-    CorpusStore,
-    LogPosition,
-    ReplayError,
-    ValidationError,
-    append_events,
-    checkpoint_path,
-    corpus_lines,
-    read_corpus,
-    read_events,
-    read_events_from,
-    restore_checkpoint,
-    write_checkpoint,
-    write_corpus,
-)
+from .store import ReplayError, ValidationError, Workspace, read_corpus
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -129,63 +111,13 @@ def build_config(preset: str | None, sets: list[str]) -> tuple[EngineParams, Ret
     return params, RetrievalWeights(**weight_kwargs)
 
 
-def _restored(log: Path, corpus) -> tuple[CorpusStore, int, LogPosition]:
-    """The checkpoint beside ``log`` restored from ``corpus`` with the log's
-    tail replayed onto it, the number of tail events and the log's end. An
-    unusable checkpoint raises CheckpointError."""
-    base, start = restore_checkpoint(log, corpus)
-    tail, end = read_events_from(log, start)
-    return CorpusStore.replay(tail, base=base), len(tail), end
-
-
-def _open_store(args, params: EngineParams,
-                params_explicit: bool) -> tuple[CorpusStore, int, LogPosition]:
-    """Load the state the event log defines.
-
-    If the checkpoint beside the log matches the log and the corpus file
-    (see ``restore_checkpoint``), the store is restored from the corpus and
-    only the log's tail after the checkpoint is replayed; otherwise the
-    whole log is. Returns the store, the seq of the last event the log
-    holds (so saves append only the events after it) and the log's end
-    position.
-    """
-    log = Path(args.log)
-    if log.exists():
-        try:
-            store, _, end = _restored(log, args.corpus)
-        except CheckpointError:
-            events, end = read_events_from(log, LogPosition())
-            store = CorpusStore.replay(events)
-        persisted_seq = store.last_seq
-        if params_explicit and store.params.to_dict() != params.to_dict():
-            store.set_params(params)
-        return store, persisted_seq, end
-    store = CorpusStore()
-    if params_explicit:
-        # log the choice so later invocations replay the same parameters
-        store.set_params(params)
-    return store, 0, LogPosition()
-
-
-def _save_store(args, store: CorpusStore, persisted_seq: int,
-                end: LogPosition) -> None:
-    """Append the events after ``persisted_seq``, export the corpus, then
-    write the checkpoint that lets the next command start from the corpus."""
-    new_events = store.events_after(persisted_seq)
-    if new_events:
-        append_events(args.log, new_events)
-        end = LogPosition(Path(args.log).stat().st_size, end.lines + len(new_events))
-    corpus_sha256 = write_corpus(store, args.corpus)
-    if store.last_seq:
-        write_checkpoint(args.log, corpus_sha256, store, end)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args, params, weights, params_explicit) -> int:
-    store, persisted, end = _open_store(args, params, params_explicit)
+def cmd_ingest(args, params, weights) -> int:
+    workspace = Workspace(args.log, args.corpus)
+    store = workspace.open(params)
     _, records, errors = read_corpus(args.path)
     rejections = [(lineno, message) for lineno, message in errors]
     ingested = {"ko": 0, "edge": 0}
@@ -205,7 +137,7 @@ def cmd_ingest(args, params, weights, params_explicit) -> int:
                 print(f"warning: line {lineno}: ignored field(s) {', '.join(ignored)}",
                       file=sys.stderr)
     rejections.sort()
-    _save_store(args, store, persisted, end)
+    workspace.save()
 
     if args.format == "records":
         print(json.dumps({"kos": ingested["ko"], "edges": ingested["edge"],
@@ -219,8 +151,9 @@ def cmd_ingest(args, params, weights, params_explicit) -> int:
     return EXIT_OK
 
 
-def cmd_cycle(args, params, weights, params_explicit) -> int:
-    store, persisted, end = _open_store(args, params, params_explicit)
+def cmd_cycle(args, params, weights) -> int:
+    workspace = Workspace(args.log, args.corpus)
+    store = workspace.open(params)
     summaries = []
     for i in range(args.n):
         snapshot, breakdowns = store.apply_cycle()
@@ -237,7 +170,7 @@ def cmd_cycle(args, params, weights, params_explicit) -> int:
             "top_movers": [{"id": ko_id, "delta_k": round(d, 9)}
                            for d, ko_id in deltas[:3]],
         })
-    _save_store(args, store, persisted, end)
+    workspace.save()
 
     if args.format == "records":
         for s in summaries:
@@ -273,8 +206,8 @@ def _csv_row(fields: list) -> str:
     return buf.getvalue()[:-2]
 
 
-def cmd_query(args, params, weights, params_explicit) -> int:
-    store, _, _ = _open_store(args, params, params_explicit)
+def cmd_query(args, params, weights) -> int:
+    store = Workspace(args.log, args.corpus).open(params)
     anchors = frozenset(a for a in (args.anchors or "").split(",") if a)
     query = Query(text=args.text, embedding=args.embedding,
                   primary_entity=args.entity or "", domain=args.domain or "",
@@ -313,7 +246,7 @@ def cmd_query(args, params, weights, params_explicit) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args, params, weights, params_explicit) -> int:
+def cmd_simulate(args, params, weights) -> int:
     from .dynamics import simulate_trajectory, write_trajectory_csv
 
     try:
@@ -332,10 +265,10 @@ def cmd_simulate(args, params, weights, params_explicit) -> int:
     return EXIT_OK
 
 
-def cmd_check_convergence(args, params, weights, params_explicit) -> int:
+def cmd_check_convergence(args, params, weights) -> int:
     from .dynamics import diagonal_range, empirical_convergence, gershgorin_check
 
-    store, _, _ = _open_store(args, params, params_explicit)
+    store = Workspace(args.log, args.corpus).open(params)
     snapshot = store.snapshot()
     if args.empirical:
         report = empirical_convergence(snapshot, store.params,
@@ -366,7 +299,7 @@ def cmd_check_convergence(args, params, weights, params_explicit) -> int:
     return EXIT_OK
 
 
-def cmd_verify_t2(args, params, weights, params_explicit) -> int:
+def cmd_verify_t2(args, params, weights) -> int:
     from .dynamics import verify_t2
 
     report = verify_t2()
@@ -389,36 +322,9 @@ def cmd_verify_t2(args, params, weights, params_explicit) -> int:
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
-def _restored_state(store: CorpusStore) -> tuple:
-    # Everything a checkpoint restores: the objects and edges, the corpus
-    # bytes, plus the params, last seq and latest event time the corpus does
-    # not carry. A restored store re-emits the line it kept for an object
-    # even if the object built from that line is wrong, so the lines alone
-    # cannot vouch for the objects.
-    snapshot = store.snapshot()
-    return (snapshot.kos, snapshot.edges, corpus_lines(store),
-            store.params.to_dict(), store.last_seq, store.latest_event_at())
-
-
-def cmd_verify_log(args, params, weights, params_explicit) -> int:
-    log = Path(args.log)
-    if not log.exists():
-        print("no checkpoint: nothing to verify")
-        return EXIT_OK
-    events = read_events(log)
-    replayed = CorpusStore.replay(events)
-    if not checkpoint_path(log).exists():
-        print(f"no checkpoint: a full replay of {len(events)} events succeeds")
-        return EXIT_OK
-    try:
-        restored, tail, _ = _restored(log, args.corpus)
-    except CheckpointError as exc:
-        print(f"checkpoint mismatch: {exc}")
-        return EXIT_VERIFICATION
-    same = _restored_state(restored) == _restored_state(replayed)
-    print(f"{'ok' if same else 'checkpoint mismatch'}: the checkpoint at seq "
-          f"{restored.last_seq - tail} plus {tail} tail events "
-          f"{'equals' if same else 'differs from'} a full replay of {len(events)} events")
+def cmd_verify_log(args, params, weights) -> int:
+    same, line = Workspace(args.log, args.corpus).verify()
+    print(line)
     return EXIT_OK if same else EXIT_VERIFICATION
 
 
@@ -496,8 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         params, weights = build_config(args.preset, args.sets)
-        params_explicit = args.preset is not None or bool(args.sets)
-        return args.handler(args, params, weights, params_explicit)
+        # Only params chosen by flag are logged; otherwise the log's hold.
+        explicit = args.preset is not None or bool(args.sets)
+        return args.handler(args, params if explicit else None, weights)
     except (ConfigError, ValidationError, ModelError, EngineError,
             RetrievalError, ReplayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -434,12 +434,3 @@ def write_trajectory_csv(points: Iterable[TrajectoryPoint], out: IO[str]) -> Non
     writer.writerow(["day", "class", "k"])
     for p in points:
         writer.writerow([p.day, p.cls.value, f"{p.k:.9f}"])
-
-
-def write_residuals_csv(runs: Iterable[tuple[str, list[float]]], out: IO[str]) -> None:
-    """Columns: iteration, graph_id, residual."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["iteration", "graph_id", "residual"])
-    for graph_id, residuals in runs:
-        for i, r in enumerate(residuals, start=1):
-            writer.writerow([i, graph_id, f"{r:.3e}"])

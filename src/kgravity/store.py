@@ -40,6 +40,9 @@ Three file formats (all JSON, documented in the README):
   of truth; ``kgravity verify-log`` compares a restore with a full replay,
   object by object and line by line.
 
+:class:`Workspace` is the one place that opens the three files (a restore,
+or a full replay) and orders a save: log append, corpus export, checkpoint.
+
 A restored store keeps the corpus line of each object and edge it parsed:
 those bytes hash to what :func:`write_corpus` wrote. :func:`corpus_lines`
 re-emits the line of an object the store still holds as that very object,
@@ -107,7 +110,8 @@ class ValidationError(ValueError):
 
 
 class ReplayError(ValueError):
-    """Event log corruption: gap, bad seq, or unparseable record."""
+    """Event log corruption: gap, bad seq, or unparseable record; or a save
+    that would append after events it did not read (see :class:`Workspace`)."""
 
 
 class CheckpointError(ValueError):
@@ -1212,3 +1216,98 @@ def restore_checkpoint(log: str | Path,
         raise CheckpointError(f"unusable checkpoint: {exc!r}") from exc
     store._base_seq, store._base_at = seq, latest
     return store, LogPosition(offset, lines)
+
+
+# ---------------------------------------------------------------------------
+# Workspace: the log, the corpus and the checkpoint together
+# ---------------------------------------------------------------------------
+
+def _restored_state(store: CorpusStore) -> tuple:
+    # Everything a checkpoint restores: the objects and edges, the corpus
+    # bytes, plus the params, last seq and latest event time the corpus does
+    # not carry. A restored store re-emits the line it kept for an object
+    # even if the object built from that line is wrong, so the lines alone
+    # cannot vouch for the objects.
+    snapshot = store.snapshot()
+    return (snapshot.kos, snapshot.edges, corpus_lines(store),
+            store.params.to_dict(), store.last_seq, store.latest_event_at())
+
+
+class Workspace:
+    """The event log at ``log``, its corpus export at ``corpus`` and the
+    checkpoint beside the log, opened as one :attr:`store` and saved back.
+    A save onto a log that grew since this workspace read it (a second
+    writer) is refused before any file is written: detection, not a lock.
+    """
+
+    def __init__(self, log: str | Path, corpus: str | Path) -> None:
+        self.log, self.corpus = Path(log), Path(corpus)
+        self.store: CorpusStore | None = None
+        self._saved_seq = 0
+        self._end = LogPosition()  # where the log ended when read or saved
+
+    def _restored(self) -> tuple[CorpusStore, int, LogPosition]:
+        # The checkpoint plus the log's tail, the tail's length and the
+        # log's end; an unusable checkpoint raises CheckpointError.
+        base, start = restore_checkpoint(self.log, self.corpus)
+        tail, end = read_events_from(self.log, start)
+        return CorpusStore.replay(tail, base=base), len(tail), end
+
+    def open(self, params: EngineParams | None = None) -> CorpusStore:
+        """Restore the checkpoint and replay the log's tail, or replay the
+        whole log if the checkpoint is unusable. ``params`` are logged if
+        they differ from the log's, and always on a log that does not exist
+        yet, so later opens replay them. Writes no file."""
+        exists = self.log.exists()
+        if exists:
+            try:
+                store, _, end = self._restored()
+            except CheckpointError:
+                events, end = read_events_from(self.log, LogPosition())
+                store = CorpusStore.replay(events)
+        else:
+            store, end = CorpusStore(), LogPosition()
+        self.store, self._saved_seq, self._end = store, store.last_seq, end
+        if params is not None and (not exists or
+                                   store.params.to_dict() != params.to_dict()):
+            store.set_params(params)
+        return store
+
+    def save(self) -> None:
+        """Append the events the log does not hold yet, export the corpus,
+        then write the checkpoint (see :func:`write_checkpoint` for why in
+        that order). A log of another size than when last read or saved is
+        a ReplayError."""
+        size = self.log.stat().st_size if self.log.exists() else 0
+        if size != self._end.offset:
+            raise ReplayError(f"the event log {self.log} changed since it was opened "
+                              f"({size} bytes, not {self._end.offset}); nothing was saved")
+        store, end = self.store, self._end
+        new_events = store.events_after(self._saved_seq)
+        if new_events:
+            append_events(self.log, new_events)
+            end = LogPosition(self.log.stat().st_size, end.lines + len(new_events))
+        corpus_sha256 = write_corpus(store, self.corpus)
+        if store.last_seq:
+            write_checkpoint(self.log, corpus_sha256, store, end)
+        self._saved_seq, self._end = store.last_seq, end
+
+    def verify(self) -> tuple[bool, str]:
+        """Whether the checkpoint-restored state equals a full replay, run
+        first, of the log (or with no checkpoint, whether the log replays),
+        and a line saying so."""
+        if not self.log.exists():
+            return True, "no checkpoint: nothing to verify"
+        events = read_events(self.log)
+        replayed = CorpusStore.replay(events)
+        if not checkpoint_path(self.log).exists():
+            return True, f"no checkpoint: a full replay of {len(events)} events succeeds"
+        try:
+            restored, tail, _ = self._restored()
+        except CheckpointError as exc:
+            return False, f"checkpoint mismatch: {exc}"
+        same = _restored_state(restored) == _restored_state(replayed)
+        return same, (f"{'ok' if same else 'checkpoint mismatch'}: the checkpoint at seq "
+                      f"{restored.last_seq - tail} plus {tail} tail events "
+                      f"{'equals' if same else 'differs from'} a full replay of "
+                      f"{len(events)} events")

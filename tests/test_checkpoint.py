@@ -34,6 +34,7 @@ from kgravity.store import (
     EventRecord,
     LogPosition,
     ReplayError,
+    Workspace,
     checkpoint_path,
     corpus_lines,
     iso_to_ts,
@@ -122,7 +123,7 @@ def starts(monkeypatch):
     ("replayed", reason, events)."""
     seen: list[tuple] = []
     pending: list[tuple] = []
-    real_restore, real_read = cli.restore_checkpoint, cli.read_events_from
+    real_restore, real_read = store_module.restore_checkpoint, store_module.read_events_from
 
     def restore(log, corpus):
         try:
@@ -139,8 +140,8 @@ def starts(monkeypatch):
             seen.append(pending.pop() + (len(events),))
         return events, end
 
-    monkeypatch.setattr(cli, "restore_checkpoint", restore)
-    monkeypatch.setattr(cli, "read_events_from", read)
+    monkeypatch.setattr(store_module, "restore_checkpoint", restore)
+    monkeypatch.setattr(store_module, "read_events_from", read)
     return seen
 
 
@@ -985,3 +986,106 @@ CheckpointedStore.TestCase.settings = settings(
     max_examples=25, stateful_step_count=20, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 test_live_replay_and_checkpoint_restore_agree = CheckpointedStore.TestCase
+
+
+# ---------------------------------------------------------------------------
+# Workspace: open, change, save
+# ---------------------------------------------------------------------------
+
+def all_files(workdir: Path) -> dict[str, bytes]:
+    """Every file in ``workdir``, the checkpoint among them, by name."""
+    return {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_workspace_reopens_what_it_saved(tmp_path, starts, seed):
+    log, corpus = tmp_path / "events.jsonl", tmp_path / "corpus.jsonl"
+    workspace = Workspace(log, corpus)
+    store = workspace.open()
+    # dated before random_scenario's clock, which starts at 1,700,000,000
+    for i, cls in enumerate(EpistemicClass):
+        store.ingest_ko(cls=cls, koc=make_koc(cls, entity=f"h{i % 3}", variant=f"h{i}"),
+                        content=f"head {i}", created_at=1_690_000_000 + i, stakes=0.5)
+    store.apply_cycle(now=1_690_100_000)
+    workspace.save()
+    random_scenario(store, seed, n_events=store.last_seq + 80)
+    workspace.save()
+    workspace.save()  # nothing new to append
+    assert [e.seq for e in read_events(log)] == list(range(1, store.last_seq + 1))
+
+    reopened = Workspace(log, corpus)
+    restored = reopened.open()
+    assert starts == [("restored", LogPosition(log.stat().st_size, store.last_seq), 0)]
+    full = CorpusStore.replay(read_events(log))
+    assert state_of(restored) == state_of(store) == state_of(full)
+
+    # A restored store's own events are saved after the checkpoint's.
+    restored.record_retrieval(sorted(restored.snapshot().kos)[0],
+                              at=restored.latest_event_at() + 60)
+    restored.apply_cycle()
+    restored.apply_cycle()
+    reopened.save()
+    again = Workspace(log, corpus).open()
+    full = CorpusStore.replay(read_events(log))
+    assert state_of(again) == state_of(restored) == state_of(full)
+    assert Workspace(log, corpus).verify() == (
+        True, f"ok: the checkpoint at seq {again.last_seq} plus 0 tail events "
+              f"equals a full replay of {again.last_seq} events")
+
+
+def test_workspace_logs_params_chosen_for_a_new_log_or_changed(tmp_path):
+    log, corpus = tmp_path / "events.jsonl", tmp_path / "corpus.jsonl"
+    default = EngineParams.production()
+    assert Workspace(log, corpus).open().events == ()
+    workspace = Workspace(log, corpus)
+    store = workspace.open(default)
+    assert [e.kind for e in store.events] == [EventKind.PARAMS_CHANGED]
+    assert all_files(tmp_path) == {}  # open writes no file
+    store.ingest_record(ko_rec(0, "PLAN"))
+    workspace.save()
+    saved = all_files(tmp_path)
+    for params, logged in [(None, 0), (default, 0),
+                           (EngineParams.production(gravity_radius=2), 1),
+                           (EngineParams.simulation(), 1)]:
+        reopened = Workspace(log, corpus).open(params)
+        assert reopened.last_seq == 2 + logged
+        assert reopened.params == (params or default)
+        assert all_files(tmp_path) == saved
+
+
+@pytest.mark.parametrize("saved_first", [False, True])
+def test_a_save_onto_a_log_another_writer_grew_is_refused(tmp_path, saved_first):
+    log, corpus = tmp_path / "events.jsonl", tmp_path / "corpus.jsonl"
+    if saved_first:
+        workspace = Workspace(log, corpus)
+        workspace.open().ingest_record(ko_rec(0, "PLAN"))
+        workspace.save()
+    first, second = Workspace(log, corpus), Workspace(log, corpus)
+    for workspace in (first, second):
+        workspace.open().ingest_record(ko_rec(1, "DECISION"))
+    first.save()
+    saved = all_files(tmp_path)
+    with pytest.raises(ReplayError, match="changed since it was opened"):
+        second.save()
+    assert all_files(tmp_path) == saved
+    seqs = [e.seq for e in read_events(log)]
+    assert seqs == list(range(1, len(seqs) + 1))
+
+
+def test_cli_refuses_a_save_after_another_writer_saved(session, tmp_path, monkeypatch):
+    real_read_corpus = cli.read_corpus
+    saved: dict[str, bytes] = {}
+
+    def another_writer_first(path):
+        assert run(session, "cycle", "1")[0] == 0
+        saved.update(all_files(session))
+        return real_read_corpus(path)
+
+    monkeypatch.setattr(cli, "read_corpus", another_writer_first)
+    code, out, err = run(session, "ingest", str(second_batch(tmp_path / "in2.jsonl")))
+    assert (code, out) == (cli.EXIT_CONTRACT, "")
+    assert err.startswith("error: the event log ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert all_files(session) == saved
+    monkeypatch.undo()
+    assert run(session, "verify-log")[0] == cli.EXIT_OK

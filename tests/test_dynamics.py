@@ -22,7 +22,7 @@ from kgravity import (
     sufficient_condition_sweep,
     verify_t2,
 )
-from kgravity.dynamics import write_residuals_csv, write_trajectory_csv
+from kgravity.dynamics import write_trajectory_csv
 from kgravity.engine import SECONDS_PER_DAY, evidence_force, usage_force
 from tests.conftest import make_ko, make_koc, snapshot_of
 
@@ -319,15 +319,6 @@ def test_trajectory_csv():
     assert len(lines) == 5
     day, cls, k = lines[1].split(",")
     assert (day, cls) == ("0", "QUESTION") and float(k) == 0.5
-
-
-def test_residuals_csv():
-    out = io.StringIO()
-    write_residuals_csv([("g000", [0.1, 0.01]), ("g001", [0.2])], out)
-    lines = out.getvalue().strip().splitlines()
-    assert lines[0] == "iteration,graph_id,residual"
-    assert len(lines) == 4
-    assert lines[1].startswith("1,g000,")
 
 
 def test_random_graph_input_validation():
