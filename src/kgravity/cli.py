@@ -160,8 +160,8 @@ def cmd_cycle(args, params, weights) -> int:
         deltas = sorted(((abs(fb.k_after - fb.k_before), fb.ko_id)
                          for fb in breakdowns), reverse=True)
         zone_counts = {zone.name: 0 for zone in MemoryZone}
-        for ko in snapshot.kos.values():
-            zone_counts[ko.zone.name] += 1
+        for zone in snapshot.zones.values():
+            zone_counts[zone.name] += 1
         summaries.append({
             "cycle": i + 1,
             "at": snapshot.cycle_at,

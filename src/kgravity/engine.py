@@ -42,12 +42,16 @@ holds the usage and evidence of one cycle's breakdowns. The public single-object
 library and the tests.
 
 The neighbourhood mean is ``fsum(ks) / n``, as ``statistics.fmean``
-computes it. Sigma skips the exact ``statistics.pstdev`` when the
-neighbourhood's k values span less than twice ``sigma_floor``: a population
-standard deviation is at most half the span (Popoviciu), so the floor wins;
-under the default floor of 0.5 that holds for every neighbourhood, as
-non-dormant k lies in [0.05, 1], and ``statistics``, whose import costs a
-process about 4 ms, is imported at the first exact call. Each update's
+computes it. Sigma is the floor, without the exact ``statistics.pstdev``,
+when the k values span less than twice ``sigma_floor`` * (1 - 1e-9): a
+population standard deviation is at most half the span (Popoviciu). As
+non-dormant k lies in [``PERIPHERAL_K``, 1], no span exceeds fl(1 - 0.05) =
+0.95; so when 0.95 is below that bound, as under the default floor of 0.5,
+the loop takes the floor for every neighbourhood, decided once per cycle,
+and only otherwise has ``_spread`` test each span. ``statistics``, whose
+import costs a process about 4 ms, is imported at the first exact call. The
+loop writes each object's zone as it computes k, the old zone for an
+unchanged k, into the new snapshot's ``zones``. Each update's
 ``ForceBreakdown`` is built by a trusted constructor that sets its slots
 directly, skipping the frozen dataclass's ``__init__``; updated objects are
 built by ``KnowledgeObject.rescored``, the model's trusted constructor (k
@@ -69,6 +73,7 @@ from .model import (
     CLASS_PROFILES,
     EDGE_COEFFICIENTS,
     NEGATIVE_EDGE_TYPES,
+    PERIPHERAL_K,
     SIMULATION_LAMBDAS,
     ClassProfile,
     Edge,
@@ -79,6 +84,7 @@ from .model import (
     MemoryZone,
     class_profile,
     slot_setters,
+    zone_for,
 )
 
 SECONDS_PER_DAY = 86400
@@ -491,8 +497,9 @@ class EdgeStructure:
         self._horizon = horizon
         pending, self._pending = self._pending, []
         self._admit(pending)
+        dormant_zone = MemoryZone.DORMANT
         dormant = frozenset(ko_id for ko_id, zone in snapshot.zones.items()
-                            if zone is MemoryZone.DORMANT)
+                            if zone is dormant_zone)
         dirty = self._dirty
         for ko_id in dormant ^ self._dormant:
             dirty.update(self._targets.get(ko_id, ()))
@@ -615,17 +622,20 @@ def run_cycle(
     eta, a_u, a_e, a_g, a_c = params.eta, params.a_u, params.a_e, params.a_g, params.a_c
     keep, sigma_recency, g_scale = 1.0 - eta, params.sigma_recency, params.g_scale
     floor, narrow = params.sigma_floor, params.gravity_radius == 1
-    exp, tanh, isfinite = math.exp, math.tanh, math.isfinite
+    floored = 1.0 - PERIPHERAL_K < 2.0 * floor * (1.0 - 1e-9)  # no span reaches _spread's bound
+    exp, tanh, isfinite, fsum = math.exp, math.tanh, math.isfinite, math.fsum
     question = EpistemicClass.QUESTION
 
     new_kos: dict[str, KnowledgeObject] = {}
+    new_zones: dict[str, MemoryZone] = {}
     breakdowns: list[ForceBreakdown] = []
-    for ko_id in snapshot.zones:
+    for ko_id, zone in snapshot.zones.items():
         ko = kos[ko_id]
         retrieved = ko.retrieved_at
         if ko_id in dormant and not any((prev is None or t > prev) and t <= now
                                         for t in retrieved):
             new_kos[ko_id] = ko
+            new_zones[ko_id] = zone
             continue
         sources, coefficients, negatives, supports = inputs.get(ko_id, _NO_INPUTS)
 
@@ -648,7 +658,7 @@ def run_cycle(
             g = 0.0
         else:  # gravity_force at radius 1: the sources, each at distance 1
             ks = [k[j] for j in sources]
-            mu, sigma = _spread(ks, floor)
+            mu, sigma = (fsum(ks) / len(ks), floor) if floored else _spread(ks, floor)
             total = 0.0
             for coeff, kj in zip(coefficients, ks):
                 z = (kj - mu) / sigma
@@ -677,9 +687,12 @@ def run_cycle(
                 resolved=ko.resolved)
         else:
             urgency = 0.0
+        new_zones[ko_id] = zone if k_after == k_before else zone_for(k_after)
         if k_after == k_before and urgency == scores.urgency:
             new_kos[ko_id] = ko
         else:
             new_kos[ko_id] = ko.rescored(k_after, urgency)
 
-    return GraphSnapshot(kos=new_kos, edges=snapshot.edges, cycle_at=now), breakdowns
+    cycled = GraphSnapshot(kos=new_kos, edges=snapshot.edges, cycle_at=now)
+    cycled.__dict__["zones"] = new_zones  # the cached index, as it would read
+    return cycled, breakdowns

@@ -298,6 +298,10 @@ class MemoryZone(IntEnum):
     CORE = 3
 
 
+PERIPHERAL_K = 0.05  #: the least k above DORMANT: non-dormant k lies in [it, 1]
+_DORMANT, _PERIPHERAL, _WORKING, _CORE = MemoryZone  # zone_for reads no attribute
+
+
 def zone_for(k: float) -> MemoryZone:
     """Allocate a k-score to its memory zone.
 
@@ -307,12 +311,12 @@ def zone_for(k: float) -> MemoryZone:
     if not (0.0 <= k <= 1.0):
         raise ModelError(f"k={k!r} outside [0, 1]; scores are clamped upstream")
     if k >= 0.40:
-        return MemoryZone.CORE
+        return _CORE
     if k >= 0.10:
-        return MemoryZone.WORKING
-    if k >= 0.05:
-        return MemoryZone.PERIPHERAL
-    return MemoryZone.DORMANT
+        return _WORKING
+    if k >= PERIPHERAL_K:
+        return _PERIPHERAL
+    return _DORMANT
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +514,12 @@ class GraphSnapshot:
     (None before the first cycle); it is the lower bound of the next cycle's
     "new edge" window.
 
-    The cached properties below form the snapshot's index; ``hop_memo``
-    keeps the hop distances retrieval has computed on it, and
-    ``focus_memo`` the foci it has found by a full scan. Each is built on
-    first use and stored on the instance without being a field, so
-    equality, ``repr`` and ``replace`` ignore it; a snapshot must therefore
-    not be mutated once it has been used.
+    The cached properties below form the snapshot's index; ``hop_memo`` keeps
+    the hop distances retrieval has computed on it, and ``focus_memo`` the
+    foci it has found by a full scan. Each is built on first use and stored on
+    the instance without being a field, so equality, ``repr`` and ``replace``
+    ignore it; a snapshot must therefore not be mutated once it has been used.
+    ``zones`` may come filled in by the cycle or store that made the snapshot.
     """
 
     kos: dict[str, KnowledgeObject] = field(default_factory=dict)

@@ -185,6 +185,10 @@ class EventKind(Enum):
     PARAMS_CHANGED = "PARAMS_CHANGED"
 
 
+(_KO_CREATED, _EDGE_CREATED, _CYCLE_APPLIED, _KO_SUPERSEDED, _QUESTION_RESOLVED,
+ _KO_RETRIEVED, _PARAMS_CHANGED) = EventKind  # in order, bound once for _apply
+
+
 @dataclass(frozen=True, slots=True)
 class EventRecord:
     """One entry in the append-only log. seq is gap-free from 1."""
@@ -351,6 +355,8 @@ class CorpusStore:
         # The cycles' edge structure: built from _edges at the first cycle,
         # then grown by _add_edge, so a store that never cycles pays nothing.
         self._structure: EdgeStructure | None = None
+        # Each id's zone in id order, as the last cycle and later ingests left it.
+        self._zones: dict | None = None
         # The embedding length every object's embedding has, once one has.
         self._embedding_dim: int | None = None
 
@@ -385,8 +391,11 @@ class CorpusStore:
         return self._last_cycle_at
 
     def snapshot(self) -> GraphSnapshot:
-        return GraphSnapshot(kos=dict(self._kos), edges=tuple(self._edges),
-                             cycle_at=self._last_cycle_at)
+        snapshot = GraphSnapshot(kos=dict(self._kos), edges=tuple(self._edges),
+                                 cycle_at=self._last_cycle_at)
+        if self._zones is not None:
+            snapshot.__dict__["zones"] = dict(self._zones)  # its cached index
+        return snapshot
 
     def latest_event_at(self) -> int:
         return self._events[-1].at if self._events else self._base_at
@@ -504,8 +513,7 @@ class CorpusStore:
             base = self._last_cycle_at if self._last_cycle_at is not None \
                 else self.latest_event_at()
             now = base + self._params.cycle_period_s
-        breakdowns = self._append(EventKind.CYCLE_APPLIED, {"at": now}, at=now)
-        return self.snapshot(), breakdowns
+        return self._append(EventKind.CYCLE_APPLIED, {"at": now}, at=now)
 
     # -- event machinery ----------------------------------------------------
 
@@ -515,14 +523,14 @@ class CorpusStore:
         result = self._apply(event)
         # record_retrieval logs {"id": ..., "at": at}: held as a _Retrieval
         self._events.append(_Retrieval(event.seq, at, payload["id"])
-                            if kind is EventKind.KO_RETRIEVED else event)
+                            if kind is _KO_RETRIEVED else event)
         return result
 
     def _apply(self, event: EventRecord):
         # Public ops parse, _apply checks every rule, before any mutation,
         # so live ops and replay reject the same events.
         kind, payload = event.kind, event.payload
-        if kind is EventKind.KO_CREATED:
+        if kind is _KO_CREATED:
             cls = _parse_class(payload["class"])
             urgency = (question_urgency(0.0, 0, _number("stakes", payload["stakes"]))
                        if cls is EpistemicClass.QUESTION else 0.0)
@@ -532,14 +540,14 @@ class CorpusStore:
             return self._add_ko(_ko_from_record(
                 payload, scores, _check_ts("created_at", payload["created_at"])),
                 event.at)
-        if kind is EventKind.EDGE_CREATED:
+        if kind is _EDGE_CREATED:
             return self._add_edge(payload["source"], payload["target"],
                                   _parse_edge_type(payload["type"]),
                                   _check_ts("edge time", payload["at"]), event.at)
-        if kind is EventKind.KO_SUPERSEDED:
+        if kind is _KO_SUPERSEDED:
             return self._add_edge(payload["new"], payload["old"], EdgeType.SUPERSEDES,
                                   _check_ts("supersede time", payload["at"]), event.at)
-        if kind is EventKind.QUESTION_RESOLVED:
+        if kind is _QUESTION_RESOLVED:
             at = _check_ts("resolution time", payload["at"])
             question = self._known(payload["question"])
             if question.cls is not EpistemicClass.QUESTION:
@@ -551,13 +559,13 @@ class CorpusStore:
                                   EdgeType.IMPLEMENTS, at, event.at)
             self._kos[question.id] = replace(question, resolved=True)
             return edge
-        if kind is EventKind.KO_RETRIEVED:
+        if kind is _KO_RETRIEVED:
             at = _check_ts("retrieval time", payload["at"])
             ko = self._known(payload["id"])
             _check_line_at(event.at, at)
             self._kos[ko.id] = ko.with_retrieval(at)
             return None
-        if kind is EventKind.CYCLE_APPLIED:
+        if kind is _CYCLE_APPLIED:
             now = _check_ts("cycle time", payload["at"])
             if self._last_cycle_at is not None and now < self._last_cycle_at:
                 raise ValidationError(
@@ -573,9 +581,10 @@ class CorpusStore:
                 self._structure = None  # it may have advanced to ``now``
                 raise
             self._kos = dict(new_snapshot.kos)
+            self._zones = dict(new_snapshot.zones)
             self._last_cycle_at = now
-            return breakdowns
-        if kind is EventKind.PARAMS_CHANGED:
+            return new_snapshot, breakdowns
+        if kind is _PARAMS_CHANGED:
             params = EngineParams.from_dict(payload["params"])
             _check_line_at(event.at, self.latest_event_at())
             self._params = params
@@ -604,6 +613,10 @@ class CorpusStore:
         if self._embedding_dim is None:
             self._embedding_dim = dim
         self._kos[ko.id] = ko
+        if self._zones is not None and ko.id > next(reversed(self._zones), ""):
+            self._zones[ko.id] = ko.zone  # still in id order
+        else:
+            self._zones = None  # the next snapshot sorts the ids again
         return ko.id
 
     def _add_edge(self, source: str, target: str, edge_type: EdgeType,
@@ -737,8 +750,8 @@ def _edge_record(edge: Edge) -> dict:
             "type": edge.edge_type.value, "created_at": ts_to_iso(edge.created_at)}
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder for every line; ``json.dumps`` with these arguments builds one a call.
+_dump_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def corpus_lines(store: CorpusStore) -> list[str]:
@@ -1061,7 +1074,7 @@ def _event_from_dict(data: dict) -> EventRecord:
     ts = iso_to_ts(at)
     kind = EventKind(data["kind"])
     payload = _interned(payload)
-    same = payload.get("created_at" if kind is EventKind.KO_CREATED else "at")
+    same = payload.get("created_at" if kind is _KO_CREATED else "at")
     if type(same) is int and same == ts:
         ts = same  # one int object for the event's time, not two
     return EventRecord(seq=seq, at=ts, kind=kind, payload=payload)

@@ -28,6 +28,7 @@ from kgravity import (
     read_events,
     write_corpus,
 )
+from kgravity.model import zone_for
 from kgravity.store import (
     CheckpointError,
     EventKind,
@@ -867,10 +868,14 @@ def state_of(store: CorpusStore) -> tuple:
 
 def assert_kept_index_is_fresh(store: CorpusStore) -> None:
     """The store's edge structure, kept across its cycles, reads its last
-    cycle as one built from scratch does."""
+    cycle as one built from scratch does, and the zones its snapshot hands
+    over, carried from its last cycle, are its objects' zones in id order."""
+    snapshot = store.snapshot()
     if store._structure is not None:
-        assert_kept_structure_is_fresh(store._structure, store.snapshot(),
-                                       store.last_cycle_at)
+        assert_kept_structure_is_fresh(store._structure, snapshot, store.last_cycle_at)
+    kos = snapshot.kos
+    assert list(snapshot.zones.items()) == \
+        [(i, zone_for(kos[i].scores.k)) for i in sorted(kos)]
 
 
 class CheckpointedStore(RuleBasedStateMachine):
@@ -912,6 +917,17 @@ class CheckpointedStore(RuleBasedStateMachine):
                                   variant=f"v{n}"),
             content=f"object {n}", created_at=self.clock, stakes=stakes,
             anchors=[f"a{entity}"], embedding=[1.0, entity / 4]))
+
+    @rule(cls=st.sampled_from(CLASSES), advance=st.integers(0, 86400))
+    def ingest_first(self, cls, advance):
+        """An id sorting before every id so far: the store drops the zones
+        its cycles kept, and its next snapshot sorts the ids again."""
+        self.clock += advance
+        n = len(self._ids())
+        self._attempt(lambda: self.store.ingest_ko(
+            cls=cls, koc=make_koc(EpistemicClass(cls), variant=f"v{n}"),
+            content=f"object {n}", ko_id=f"a{999 - n:03d}", created_at=self.clock,
+            embedding=[0.0, 1.0]))
 
     @rule(a=st.integers(0, 50), b=st.integers(0, 50),
           edge_type=st.sampled_from(list(EdgeType)), advance=st.integers(0, 86400))

@@ -17,6 +17,7 @@ import statistics
 
 import pytest
 
+from kgravity import engine
 from kgravity.dynamics import random_graph
 from kgravity.engine import (
     SECONDS_PER_DAY,
@@ -43,6 +44,7 @@ from kgravity.model import (
     ModelError,
     ScoreVector,
     slot_setters,
+    zone_for,
 )
 from kgravity.store import CorpusStore, EventKind, EventRecord
 
@@ -275,6 +277,35 @@ def test_default_floor_never_needs_pstdev(monkeypatch):
     snapshot = churned_graph(9)
     assert count_pstdev_calls(monkeypatch, snapshot, PROD) == 0
     assert_cycles_agree(snapshot, PROD)
+
+
+def zones_of(snapshot: GraphSnapshot) -> list:
+    """Each id in sorted order with the zone of its k, as ``zones`` reads."""
+    return [(i, zone_for(snapshot.kos[i].scores.k)) for i in sorted(snapshot.kos)]
+
+
+@pytest.mark.parametrize("floor, floored", [(0.1, False), (0.3, False), (0.5, True)])
+def test_cycle_matches_oracle_bit_for_bit_on_both_sides_of_the_floor_bound(
+        floor, floored, monkeypatch):
+    """At floors 0.1 and 0.3 a neighbourhood's span, at most 0.95, can reach
+    twice the floor, so the loop sends each through ``_spread``; at the
+    default floor of 0.5 it takes the floor without it. Either way each k,
+    urgency and force is the oracle's, bit for bit, and the zones the cycle
+    writes are those of the new k."""
+    params = EngineParams.production(sigma_floor=floor)
+    snapshot = churned_graph(12)
+    calls, spread = [], engine._spread
+    monkeypatch.setattr(engine, "_spread", lambda ks, f: calls.append(f) or spread(ks, f))
+    now = CYCLE_AT + params.cycle_period_s
+    for _ in range(4):
+        got, got_fb = run_cycle(snapshot, now, params)
+        want, want_fb = oracle_cycle(snapshot, now, params)
+        assert_same_bits(got_fb, want_fb)
+        assert [(i, ko.scores.k.hex(), ko.scores.urgency.hex()) for i, ko in got.kos.items()] \
+            == [(i, ko.scores.k.hex(), ko.scores.urgency.hex()) for i, ko in want.kos.items()]
+        assert list(got.zones.items()) == zones_of(want)
+        snapshot, now = got, now + params.cycle_period_s
+    assert bool(calls) is not floored
 
 
 def test_cycle_matches_oracle_under_simulation_preset():
@@ -560,6 +591,37 @@ def test_store_cycles_match_oracle_across_params_changes():
         want = oracle_cycle(before, now, store.params)
         assert store.apply_cycle(now=now) == want
         assert_kept_structure_is_fresh(store._structure, before, now)
+
+
+def test_store_hands_over_the_zones_its_cycle_made():
+    """The cycle's own snapshot and the store's next ones carry the zones
+    the cycle wrote; an ingested id that sorts last joins them, any other
+    drops them until the next cycle, and a snapshot handed out keeps its
+    own."""
+    store = CorpusStore()
+    for n in range(1, 7):
+        cls = list(EpistemicClass)[n]
+        store.ingest_ko(cls=cls, koc=make_koc(cls, entity=f"e{n}"), content=f"object {n}",
+                        ko_id=f"m{n}", created_at=0)
+    store.add_edge("m1", "m2", EdgeType.CONTRADICTS, at=0)
+    assert "zones" not in vars(store.snapshot())
+    cycled, _ = store.apply_cycle(now=DAY)
+    assert cycled == store.snapshot() and "zones" in vars(store.snapshot())
+    assert list(cycled.zones.items()) == zones_of(cycled)
+    store.ingest_ko(cls="PLAN", koc=make_koc(EpistemicClass.PLAN), content="last",
+                    ko_id="z1", created_at=DAY)
+    joined = store.snapshot()
+    assert "zones" in vars(joined) and list(joined.zones.items()) == zones_of(joined)
+    assert "z1" not in cycled.zones
+    store.ingest_ko(cls="PLAN", koc=make_koc(EpistemicClass.PLAN), content="first",
+                    ko_id="a1", created_at=DAY)
+    dropped = store.snapshot()
+    assert "zones" not in vars(dropped) and list(dropped.zones.items()) == zones_of(dropped)
+    assert "a1" not in joined.zones
+    for now in (2 * DAY, 3 * DAY):
+        cycled, _ = store.apply_cycle(now=now)
+        assert list(store.snapshot().zones.items()) == zones_of(cycled)
+        assert list(cycled.zones.items()) == zones_of(cycled)
 
 
 def test_a_failed_store_cycle_drops_the_structure_it_advanced(monkeypatch):
