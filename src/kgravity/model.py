@@ -396,9 +396,9 @@ class KnowledgeObject:
 # running its ``__post_init__`` checks. Each caller vouches for the values:
 # the engine's cycle and a retrieval (``rescored``, ``with_retrieval``)
 # change only fields whose rules hold by construction, and a checkpoint
-# restore rebuilds the values from corpus bytes whose SHA-256 matches what
-# ``write_corpus`` wrote from validated objects. Every other caller builds
-# through the validating constructors.
+# restore rebuilds the values from an image whose SHA-256 matches what
+# ``write_checkpoint`` wrote from validated objects. Every other caller
+# builds through the validating constructors.
 
 _new = object.__new__
 

@@ -24,30 +24,30 @@ Three file formats (all JSON, documented in the README):
   and per edge; scores are serialized as fixed 9-digit decimal strings so a
   save/load/save round trip is byte-identical. It is written atomically.
   Every reader splits it by one rule (:func:`_split_corpus`), and its lines
-  are written, and parsed by a checkpoint restore, in the same batches
-  (:func:`_batches`).
+  are written in batches (:func:`_batches`).
 * event log file - one EventRecord per line in seq order.
 * checkpoint file - ``<log>.checkpoint``, one object naming the last log
-  line whose state the corpus file holds. :func:`restore_checkpoint` checks
-  it cheaply against both files and rebuilds the store from the corpus
-  bytes it vouches for through the model's trusted constructors, without
-  :func:`load_corpus`'s per-field checks, so only the log's tail after that
-  line needs replaying. The edge rules (no self-loop, both ends known, no
-  edge twice) are checked once, over the restored edge list, so a corpus
-  with an object line after an edge line is unusable; any mismatch, or
-  vouched-for bytes that do not parse, raises :class:`CheckpointError`,
-  and the caller replays the whole log instead. The log stays the source
-  of truth; ``kgravity verify-log`` compares a restore with a full replay,
-  object by object and line by line.
+  line whose state the corpus file holds, with that state as a marshal
+  image and the image's SHA-256. :func:`restore_checkpoint` checks it
+  cheaply against both files, splits the corpus into lines without
+  parsing them, and rebuilds the store from the image through the model's
+  trusted constructors, without :func:`load_corpus`'s per-field checks, so
+  only the log's tail after that line needs replaying. The edge rules (no
+  self-loop, both ends known, no edge twice) are checked once, over the
+  restored edge list; any mismatch, or an image that does not hash, decode
+  or match the corpus lines, raises :class:`CheckpointError`, and the
+  caller replays the whole log instead. The log stays the source of truth;
+  ``kgravity verify-log`` compares a restore with a full replay, object by
+  object and line by line.
 
 :class:`Workspace` is the one place that opens the three files (a restore,
 or a full replay) and orders a save: log append, corpus export, checkpoint.
 
-A restored store keeps the corpus line of each object and edge it parsed:
+A restored store keeps the corpus line of each object and edge beside it:
 those bytes hash to what :func:`write_corpus` wrote. :func:`corpus_lines`
 re-emits the line of an object the store still holds as that very object,
 and of every restored edge (edges are never replaced). An object a cycle
-rescored shares every other field with the object parsed from its line,
+rescored shares every other field with the object restored beside its line,
 so its line is the kept one with a fresh score tail (scores, stakes and
 zone, the last keys), once the kept line is checked to end with the old
 object's tail. Only the rest is serialized, so an export costs in
@@ -61,8 +61,10 @@ a store that only ingests, restores or answers queries never builds it.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import marshal
 import math
 import os
 import re
@@ -72,8 +74,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta
 from enum import Enum
-from itertools import accumulate, chain, repeat
-from operator import add, attrgetter, eq, getitem, is_, itemgetter, mul, sub
+from itertools import accumulate, repeat
+from operator import attrgetter, eq, is_
 from pathlib import Path
 
 from .engine import (
@@ -187,6 +189,7 @@ class EventKind(Enum):
 
 (_KO_CREATED, _EDGE_CREATED, _CYCLE_APPLIED, _KO_SUPERSEDED, _QUESTION_RESOLVED,
  _KO_RETRIEVED, _PARAMS_CHANGED) = EventKind  # in order, bound once for _apply
+_KINDS = {kind.value: kind for kind in EventKind}  # the log parse's lookup
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,6 +303,9 @@ def _anchors(ko_id, value) -> tuple[str, ...]:
     return tuple(sorted(set(anchors)))
 
 
+_PLAIN_NUMBERS = frozenset((int, float, bool))
+
+
 def _embedding(ko_id, value) -> tuple[float, ...] | None:
     """An embedding as a tuple of finite numbers whose norm is finite too."""
     if value is None:
@@ -317,6 +323,11 @@ def _embedding(ko_id, value) -> tuple[float, ...] | None:
             raise ValidationError(non_finite)
         raise ValidationError(
             f"embedding for {ko_id!r} has a norm too large to compute")
+    if not _PLAIN_NUMBERS.issuperset(map(type, embedding)):
+        # A subclass's value (numpy's float64, say) as the float or int the
+        # log gives back; marshal would write a buffer-like float as bytes.
+        embedding = tuple(v if type(v) in _PLAIN_NUMBERS else
+                          float(v) if isinstance(v, float) else int(v) for v in embedding)
     return embedding
 
 
@@ -348,8 +359,8 @@ class CorpusStore:
         self._base_at = 0
         self._last_cycle_at: int | None = None
         # The corpus lines a checkpoint restore verified, which
-        # corpus_lines re-emits: each object's line with the object parsed
-        # from it, and the lines of the first len(_edge_lines) edges.
+        # corpus_lines re-emits: each object's line with the object restored
+        # beside it, and the lines of the first len(_edge_lines) edges.
         self._ko_lines: dict[str, tuple[KnowledgeObject, str]] = {}
         self._edge_lines: list[str] = []
         # The cycles' edge structure: built from _edges at the first cycle,
@@ -758,8 +769,8 @@ def corpus_lines(store: CorpusStore) -> list[str]:
     """The corpus file's lines: the header, each object in id order, then
     each edge in creation order. A line a checkpoint restore verified is
     re-emitted as it is for each restored edge and, through ``_ko_line``,
-    for an object the store still holds unchanged (the very object parsed
-    from it), or with a new score tail for one a cycle rescored."""
+    for an object the store still holds unchanged (the very object restored
+    beside it), or with a new score tail for one a cycle rescored."""
     header = {
         "kind": "header",
         "format_version": CORPUS_FORMAT_VERSION,
@@ -778,11 +789,8 @@ def corpus_lines(store: CorpusStore) -> list[str]:
 
 
 # Characters of corpus lines (newlines aside) in one batch: what
-# _write_atomic encodes, writes and hashes at a time, and what a restore
-# parses with one json.loads call, unless a single line is longer. The
-# records of a 16 KiB batch, about 50 object lines, stay under the 700 new
-# containers that start a garbage collection on Python 3.10 to 3.12; with
-# 64 KiB batches a restore ran twice as many collections.
+# _write_atomic encodes, writes and hashes at a time, unless a single line
+# is longer, so that an export never builds one buffer of the whole file.
 _WRITE_BATCH = 16 * 1024
 
 
@@ -961,101 +969,6 @@ def _corpus_ko(record: dict) -> KnowledgeObject:
         bool(record["resolved"]))
 
 
-_ISO_SECONDS = slice(19)  # a canonical timestamp but for its "Z"
-_DAYS, _SECONDS = attrgetter("days"), attrgetter("seconds")
-
-
-def _written_times(texts: Iterable[str]) -> tuple[int, ...]:
-    """UTC seconds of timestamps in the canonical form ``write_corpus``
-    writes: :func:`iso_to_ts` without its guard for other forms, through
-    chains of maps over C functions, so no Python frame runs per timestamp.
-    A whole-second timedelta is ``days * 86400 + seconds`` seconds (its
-    ``seconds`` lie in [0, 86400)), which is its floor division by
-    ``_SECOND`` at about half the cost."""
-    deltas = list(map(sub, map(datetime.fromisoformat,
-                               map(getitem, texts, repeat(_ISO_SECONDS))),
-                      repeat(_EPOCH)))
-    return tuple(map(add, map(mul, map(_DAYS, deltas), repeat(86400)),
-                     map(_SECONDS, deltas)))
-
-
-_KIND, _CREATED_AT, _RETRIEVED_AT = (itemgetter("kind"), itemgetter("created_at"),
-                                     itemgetter("retrieved_at"))
-_SOURCE, _TARGET, _TYPE = itemgetter("source"), itemgetter("target"), itemgetter("type")
-
-
-def _restored_store(data: bytes, params: EngineParams) -> CorpusStore:
-    """The store a corpus file's bytes hold, through the trusted constructors.
-
-    Only for the very bytes a :func:`write_corpus` wrote (their SHA-256 is
-    the checkpoint's): every value was validated before it was written, so
-    no field is checked again, though the store's own rules are still
-    applied: ``_add_ko``'s to each object, and the edge rules of
-    ``_add_edge`` once, over the whole restored edge list (no self-loop,
-    both ends known, no edge twice). Every object line must come before
-    every edge line, the order :func:`corpus_lines` writes, so an edge's
-    ends are known when it is. The body is parsed in :func:`_batches`, as
-    :func:`_write_atomic` writes it, each as one JSON array whose times are
-    converted by one :func:`_written_times` call; each record's line is
-    kept for :func:`corpus_lines` to re-emit. Malformed bytes raise a
-    KeyError, TypeError, ValueError or AttributeError, which
-    :func:`restore_checkpoint` reports as a CheckpointError.
-    """
-    header, body = _split_corpus(data)
-    if header.get("params_fingerprint") != params.fingerprint():
-        raise CheckpointError("the corpus was written under other params")
-    store = CorpusStore(params=params)
-    store._last_cycle_at = _header_cycle_at(header)
-    add_ko, ko_lines, edge_lines = store._add_ko, store._ko_lines, store._edge_lines
-    sources, targets, types, times = [], [], [], []
-    for chunk in _batches(body):
-        records = _decoded("[" + ",".join(chunk) + "]")
-        if len(records) != len(chunk):
-            raise ValueError("a corpus line holds other than one record")
-        kinds = list(map(_KIND, records))
-        n = kinds.count("ko")
-        if (n and sources) or kinds != ["ko"] * n + ["edge"] * (len(kinds) - n):
-            raise ValueError("corpus lines must be object lines, then edge lines")
-        kos = records[:n]
-        retrieved = list(map(_RETRIEVED_AT, kos))
-        # The chunk's created_at times, in line order, then each object's
-        # retrieval times: those of ``kos[i]`` are ts[ends[i]:ends[i + 1]].
-        ts = _written_times(chain(map(_CREATED_AT, records),
-                                  chain.from_iterable(retrieved)))
-        ends = list(accumulate(map(len, retrieved), initial=len(records)))
-        for record, line, created_at, start, end in zip(kos, chunk, ts, ends, ends[1:]):
-            koc, scores, embedding = record["koc"], record["scores"], record["embedding"]
-            ko = trusted_ko(
-                record["id"],
-                trusted_koc(koc["entity"], koc["domain"], _CLASSES[koc["class"]],
-                            koc["epoch"], koc["depth"], koc["author"], koc["variant"]),
-                _CLASSES[record["class"]], record["content"],
-                trusted_scores(float(scores["k"]), float(scores["confidence"]),
-                               float(scores["freshness"]), float(scores["urgency"]),
-                               float(scores["contradiction"])),
-                created_at, ts[start:end], bool(record["resolved"]),
-                float(record["stakes"]), frozenset(record["anchors"]),
-                tuple(embedding) if embedding is not None else None)
-            add_ko(ko)
-            ko_lines[ko.id] = (ko, line)
-        edges = records[n:]
-        sources += map(_SOURCE, edges)
-        targets += map(_TARGET, edges)
-        types += map(_EDGE_TYPES.__getitem__, map(_TYPE, edges))
-        times += ts[n:len(records)]
-        edge_lines += chunk[n:]
-    keys = set(zip(sources, targets, types))
-    if any(map(eq, sources, targets)):
-        raise ValueError("a self-loop edge")
-    if not store._kos.keys() >= {*sources, *targets}:
-        raise ValueError("an edge to an unknown knowledge object")
-    if len(keys) != len(sources):
-        raise ValueError("a repeated edge")
-    store._edges = list(map(trusted_edge, sources, targets, types, times))
-    store._edge_keys = keys
-    return store
-
-
 # ---------------------------------------------------------------------------
 # Event log file format
 # ---------------------------------------------------------------------------
@@ -1072,7 +985,8 @@ def _event_from_dict(data: dict) -> EventRecord:
     if type(seq) is not int or not isinstance(at, str) or not isinstance(payload, dict):
         raise ValueError("seq must be an integer, at a string and payload an object")
     ts = iso_to_ts(at)
-    kind = EventKind(data["kind"])
+    kind = _KINDS.get(data["kind"]) if type(data["kind"]) is str else None
+    kind = kind or EventKind(data["kind"])  # raises the ValueError a bad line reports
     payload = _interned(payload)
     same = payload.get("created_at" if kind is _KO_CREATED else "at")
     if type(same) is int and same == ts:
@@ -1166,11 +1080,80 @@ def _line_ending_at(f, offset: int) -> bytes:
         window *= 2
 
 
+# An object's row in a checkpoint image: these fields (the coordinate's
+# seven axes second to eighth, the scores from the eleventh in ScoreVector
+# order), then its anchors sorted, as a frozenset's order varies with the
+# string hash seed, and its embedding.
+_IMAGE_ROW = attrgetter(
+    "id", "koc.entity", "koc.domain", "koc.cls.value", "koc.epoch", "koc.depth",
+    "koc.author", "koc.variant", "cls.value", "content", "scores.k",
+    "scores.confidence", "scores.freshness", "scores.urgency",
+    "scores.contradiction", "created_at", "retrieved_at", "resolved", "stakes")
+_EDGE_COLUMNS = tuple(map(attrgetter, ("source_id", "target_id", "edge_type.value",
+                                       "created_at")))
+
+
+def _image(store: CorpusStore, corpus_sha256: str) -> bytes:
+    """``store``'s state as plain values, marshalled: the corpus hash, one
+    row per object in id order (its corpus lines' order), then the edges as
+    parallel tuples of source, target, type and time. Marshal version 2
+    writes no back-references or interned-string flags, which later
+    versions take from reference counts, so the bytes depend on the state
+    alone. A value marshal cannot hold (a ``str`` subclass) is a ValueError."""
+    kos, edges = store._kos, store._edges
+    rows = tuple(_IMAGE_ROW(ko) + (tuple(sorted(ko.anchors)), ko.embedding)
+                 for ko in map(kos.__getitem__, sorted(kos)))
+    return marshal.dumps((corpus_sha256, rows,
+                          *(tuple(map(column, edges)) for column in _EDGE_COLUMNS)), 2)
+
+
+def _image_store(image, corpus_sha256: str, body: list[str], cycle_at: int | None,
+                 params: EngineParams) -> CorpusStore:
+    """The store an unmarshalled :func:`_image` holds, through the trusted
+    constructors, each line of ``body`` (the lines of the corpus hashing to
+    ``corpus_sha256``) kept beside its object or edge for :func:`corpus_lines`.
+    Its values are trusted as a hash-checked ``.pyc`` is: they were validated
+    before the image was written. The store's own rules still run:
+    ``_add_ko``'s on each object, ``_add_edge``'s once over all the edges."""
+    named, rows, sources, targets, types, times = image
+    if named != corpus_sha256:
+        raise CheckpointError("the checkpoint image was saved with another corpus")
+    n = len(rows)
+    if {len(sources), len(targets), len(types), len(times)} != {len(body) - n}:
+        raise CheckpointError(f"the checkpoint image holds other than the "
+                              f"{len(body)} objects and edges of the corpus lines")
+    store = CorpusStore(params=params)
+    store._last_cycle_at = cycle_at
+    add_ko, ko_lines = store._add_ko, store._ko_lines
+    for (ko_id, entity, domain, koc_cls, epoch, depth, author, variant, cls, content,
+         k, confidence, freshness, urgency, contradiction, created_at, retrieved_at,
+         resolved, stakes, anchors, embedding), line in zip(rows, body):
+        koc = trusted_koc(entity, domain, _CLASSES[koc_cls], epoch, depth, author, variant)
+        scores = trusted_scores(k, confidence, freshness, urgency, contradiction)
+        ko = trusted_ko(ko_id, koc, _CLASSES[cls], content, scores, created_at,
+                        retrieved_at, resolved, stakes, frozenset(anchors), embedding)
+        add_ko(ko)
+        ko_lines[ko_id] = (ko, line)
+    store._edge_lines = body[n:]
+    types = list(map(_EDGE_TYPES.__getitem__, types))
+    keys = set(zip(sources, targets, types))
+    if any(map(eq, sources, targets)):
+        raise ValueError("a self-loop edge")
+    if not store._kos.keys() >= {*sources, *targets}:
+        raise ValueError("an edge to an unknown knowledge object")
+    if len(keys) != len(sources):
+        raise ValueError("a repeated edge")
+    store._edges = list(map(trusted_edge, sources, targets, types, times))
+    store._edge_keys = keys
+    return store
+
+
 def write_checkpoint(log: str | Path, corpus_sha256: str, store: CorpusStore,
                      position: LogPosition) -> None:
     """Record, atomically, that the corpus file hashing to ``corpus_sha256``
-    (as returned by :func:`write_corpus`) holds ``store``'s state after the
-    log line ending at ``position``, the line of event ``last_seq``.
+    (as returned by :func:`write_corpus`) holds ``store``'s state, whose
+    :func:`_image` it keeps, after the log line ending at ``position``, the
+    line of event ``last_seq``.
 
     Write it after the log append and the corpus write: a crash between
     them leaves a checkpoint that no longer matches the corpus, or one whose
@@ -1187,22 +1170,28 @@ def write_checkpoint(log: str | Path, corpus_sha256: str, store: CorpusStore,
         "params": store.params.to_dict(),
         "corpus_sha256": corpus_sha256,
     }
+    try:
+        image = _image(store, corpus_sha256)
+        record.update(image=base64.b64encode(image).decode("ascii"),
+                      image_sha256=_sha256(image))
+    except ValueError:
+        pass  # no image: the next open replays the whole log
     _write_atomic(checkpoint_path(log), [_dump_line(record)])
 
 
 def restore_checkpoint(log: str | Path,
                        corpus: str | Path) -> tuple[CorpusStore, LogPosition]:
-    """The store as of ``log``'s checkpoint, restored from ``corpus``, and
-    the log position its tail starts at.
+    """The store as of ``log``'s checkpoint, built by :func:`_image_store`
+    from its image and the lines of ``corpus``, and the log position its
+    tail starts at.
 
     The checks are cheap: the corpus hashes to the recorded value; the log
     line ending at the recorded offset (a shorter log has none) hashes to
     the recorded value and carries the recorded seq; the corpus header's
-    params fingerprint is that of the recorded params. Anything else, a
-    missing or unreadable checkpoint, or a corpus that hashes right but is
-    not of :func:`write_corpus`'s form, raises CheckpointError. The store
-    is built by :func:`_restored_store` and keeps the corpus lines it
-    parsed, for :func:`corpus_lines` to re-emit.
+    params fingerprint is that of the recorded params; the image hashes to
+    the recorded value. Anything else, a missing or unreadable checkpoint,
+    one with no image (from before checkpoints held one), or an image that
+    does not decode or match the corpus, raises CheckpointError.
     """
     try:
         record = _decoded(checkpoint_path(log).read_bytes())
@@ -1210,10 +1199,11 @@ def restore_checkpoint(log: str | Path,
         if not all(type(v) is int and v > 0 for v in (seq, offset, lines)):
             raise CheckpointError("seq, offset and lines must be positive integers")
         params = EngineParams.from_dict(record["params"])
-        # The bytes parsed are the bytes hashed, even if the file is
+        # The bytes split are the bytes hashed, even if the file is
         # replaced meanwhile.
         data = Path(corpus).read_bytes()
-        if _sha256(data) != record["corpus_sha256"]:
+        corpus_sha256 = _sha256(data)
+        if corpus_sha256 != record["corpus_sha256"]:
             raise CheckpointError("the corpus file changed since the checkpoint")
         with open(log, "rb") as f:
             line = _line_ending_at(f, offset)
@@ -1221,11 +1211,21 @@ def restore_checkpoint(log: str | Path,
             raise CheckpointError(f"log line {lines} changed since the checkpoint")
         if _decoded(line, _event_from_dict).seq != seq:
             raise CheckpointError(f"log line {lines} is not event {seq}")
-        store = _restored_store(data, params)
+        header, body = _split_corpus(data)
+        if header.get("params_fingerprint") != params.fingerprint():
+            raise CheckpointError("the corpus was written under other params")
+        image = base64.b64decode(record.pop("image"), validate=True)
+        if _sha256(image) != record["image_sha256"]:
+            raise CheckpointError("the checkpoint image does not match its SHA-256")
+        # The build is the peak of a restore's memory: the base64 text, the
+        # image bytes and the corpus bytes (its lines are split) go first.
+        image = marshal.loads(image)
+        del data
+        store = _image_store(image, corpus_sha256, body, _header_cycle_at(header), params)
         latest = _check_ts("latest_event_at", record["latest_event_at"])
     except CheckpointError:
         raise
-    except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (OSError, EOFError, KeyError, TypeError, AttributeError, ValueError) as exc:
         raise CheckpointError(f"unusable checkpoint: {exc!r}") from exc
     store._base_seq, store._base_at = seq, latest
     return store, LogPosition(offset, lines)

@@ -3,6 +3,7 @@ log's tail must be indistinguishable from replaying the whole log."""
 
 from __future__ import annotations
 
+import base64
 import io
 import json
 import random
@@ -628,18 +629,104 @@ def test_a_vouched_for_malformed_corpus_falls_back_to_full_replay(
     assert starts[-1][0] == "replayed"
 
 
-def test_edges_must_follow_every_object_across_parse_chunks(session, monkeypatch):
-    log, corpus = session / "events.jsonl", session / "corpus.jsonl"
-    whole, _ = restore_checkpoint(log, corpus)
-    monkeypatch.setattr(store_module, "_WRITE_BATCH", 1)
-    chunked, _ = restore_checkpoint(log, corpus)
-    assert state_of(chunked) == state_of(whole)
-    assert chunked._edge_keys == whole._edge_keys
-    # One line a parse: the first object, then the moved edge, are each in
-    # order on their own; the objects after it are parsed in later batches.
-    _doctor_corpus_and_rehash(session, _move_last_edge_line(1))
-    with pytest.raises(CheckpointError, match="object lines, then edge lines"):
+def _edit_checkpoint(edit):
+    """A checkpoint edit: ``edit`` applied to the checkpoint's record."""
+    def doctor(workdir: Path) -> None:
+        path = checkpoint_path(workdir / "events.jsonl")
+        record = json.loads(path.read_text())
+        edit(record, workdir)
+        path.write_text(json.dumps(record) + "\n")
+    return doctor
+
+
+def _truncate_image(record: dict, workdir: Path) -> None:
+    # Whole base64 groups, rehashed: the marshal data itself ends early.
+    record["image"] = record["image"][:len(record["image"]) // 8 * 4]
+    record["image_sha256"] = store_module._sha256(base64.b64decode(record["image"]))
+
+
+def _change_image_character(record: dict, workdir: Path) -> None:
+    image, middle = record["image"], len(record["image"]) // 2
+    swapped = "B" if image[middle] == "A" else "A"
+    record["image"] = image[:middle] + swapped + image[middle + 1:]
+
+
+def _image_of(grow: bool, corpus_sha256: str | None = None):
+    """A checkpoint edit: the image, with its SHA-256, of the restored store,
+    grown by one object if ``grow``, naming ``corpus_sha256`` if given."""
+    def edit(record: dict, workdir: Path) -> None:
+        store, _ = restore_checkpoint(workdir / "events.jsonl", workdir / "corpus.jsonl")
+        if grow:
+            store.ingest_record(ko_rec(40, "EVIDENCE", day=20))
+        image = store_module._image(store, corpus_sha256 or record["corpus_sha256"])
+        record["image"] = base64.b64encode(image).decode("ascii")
+        record["image_sha256"] = store_module._sha256(image)
+    return edit
+
+
+BROKEN_IMAGES = {
+    "no image": _edit_checkpoint(lambda record, _: record.pop("image")),
+    "truncated base64": _edit_checkpoint(_truncate_image),
+    "one base64 character changed": _edit_checkpoint(_change_image_character),
+    "wrong image_sha256": _edit_checkpoint(
+        lambda record, _: record.update(image_sha256="0" * 64)),
+    "image of another corpus": _edit_checkpoint(_image_of(False, "0" * 64)),
+    "one object more than the corpus lines": _edit_checkpoint(_image_of(True)),
+}
+
+
+@pytest.mark.parametrize("doctor", sorted(BROKEN_IMAGES))
+def test_a_broken_checkpoint_image_falls_back_to_full_replay(
+        session, tmp_path, starts, doctor):
+    query = ("--format", "records", "query", "x", "--entity", "e2", "--top-k", "20")
+    before = run(without_checkpoint(session, tmp_path), *query)
+    BROKEN_IMAGES[doctor](session)
+    with pytest.raises(CheckpointError):
+        restore_checkpoint(session / "events.jsonl", session / "corpus.jsonl")
+    code, out, err = run(session, *query)
+    assert (code, out, err) == before and code == 0 and out
+    assert starts[-1][0] == "replayed"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_live_replayed_and_restored_stores_write_the_same_checkpoint(tmp_path, seed):
+    store = varied_store(seed)
+    log, corpus = checkpointed(store, tmp_path)
+    written = checkpoint_path(log).read_bytes()
+    assert {"image", "image_sha256"} <= json.loads(written).keys()
+    replayed = CorpusStore.replay(read_events(log))
+    restored, end = restore_checkpoint(log, corpus)
+    assert state_of(restored) == state_of(replayed) == state_of(store)
+    for other in (replayed, restored):
+        write_checkpoint(log, write_corpus(other, corpus), other, end)
+        assert checkpoint_path(log).read_bytes() == written
+
+
+def test_a_state_marshal_cannot_hold_is_saved_without_an_image(tmp_path, starts):
+    class Number(float):
+        pass
+
+    class Text(str):
+        pass
+
+    log, corpus = tmp_path / "events.jsonl", tmp_path / "corpus.jsonl"
+    workspace = Workspace(log, corpus)
+    store = workspace.open()
+    cls = EpistemicClass.EVIDENCE
+    a = store.ingest_ko(cls=cls, koc=make_koc(cls, variant="a"), content="a",
+                        created_at=1_700_000_000, embedding=[Number(0.5), 1, True])
+    # a float subclass is held as the float the log gives back
+    assert list(map(type, store.snapshot().kos[a].embedding)) == [float, int, bool]
+    workspace.save()
+    assert "image" in json.loads(checkpoint_path(log).read_text())
+    store.ingest_ko(cls=cls, koc=make_koc(cls, variant="b"), content=Text("b"),
+                    created_at=1_700_000_000)
+    workspace.save()
+    assert "image" not in json.loads(checkpoint_path(log).read_text())
+    with pytest.raises(CheckpointError, match=r"KeyError\('image'\)"):
         restore_checkpoint(log, corpus)
+    assert state_of(Workspace(log, corpus).open()) == state_of(store)
+    assert [s[0] for s in starts] == ["replayed"]
 
 
 def test_a_restored_store_rejects_an_edge_it_holds(session):
@@ -812,8 +899,8 @@ def test_a_rescored_object_keeps_its_line_but_for_a_new_score_tail(
 
 
 def _shorten_confidence(record: dict) -> None:
-    # The same value as a shorter decimal: a restore reads it, but the line
-    # no longer ends with the tail its object formats.
+    # The same value as a shorter decimal: the line no longer ends with the
+    # tail its object formats.
     assert record["kind"] == "ko" and record["scores"]["confidence"] == "1.000000000"
     record["scores"]["confidence"] = "1"
 
@@ -825,10 +912,14 @@ def test_a_kept_line_whose_tail_was_edited_is_serialized_afresh(
     store.apply_cycle()
     index = next(i for i, (ko_id, (ko, _)) in enumerate(sorted(store._ko_lines.items()))
                  if store._kos[ko_id] is not ko)  # the first object the cycle rescores
-    _doctor_corpus_and_rehash(
-        session, lambda corpus: _edit_corpus_record(corpus, index, _shorten_confidence))
+    # A doctored and rehashed corpus no longer matches the checkpoint image,
+    # so the edited line is planted in the restored store itself.
     store, _ = restore_checkpoint(log, corpus)
     ko_id = sorted(store._kos)[index]
+    ko, line = store._ko_lines[ko_id]
+    record = json.loads(line)
+    _shorten_confidence(record)
+    store._ko_lines[ko_id] = (ko, store_module._dump_line(record))
     assert '"scores":{"confidence":"1",' in store._ko_lines[ko_id][1]
     store.apply_cycle()
     serialized = []
