@@ -29,8 +29,6 @@ _EXPORTS = {
         "PairAdequacy",
         "ScoreVector",
         "class_profile",
-        "edge_coefficient",
-        "koc_similarity",
         "simulation_profile",
         "taxonomy_adequacy_report",
         "zone_for",
@@ -68,12 +66,8 @@ _EXPORTS = {
         "RetrievalError",
         "RetrievalWeights",
         "contextual_attention",
-        "hybrid_score",
         "k_eff",
         "rank",
-        "semantic_sim",
-        "structural_sim",
-        "topological_sim",
     ),
     "store": (
         "CorpusStore",

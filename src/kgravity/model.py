@@ -164,19 +164,12 @@ class Koc:
                 self.epoch, self.depth, self.author, self.variant)
 
 
-def koc_similarity(a: Koc, b: Koc, weights: Sequence[float] | None = None) -> float:
-    """Weighted sum of exact axis matches, normalized to [0, 1].
-
-    Uniform weights (1/7 each) by default. O(1): no store access, symmetric,
-    and exactly 1.0 for identical coordinates (the matched weight is divided
-    by the total weight, sidestepping float drift in the weight sum).
-    """
-    return koc_matcher(a, weights)(b)
-
-
 def koc_matcher(anchor: Koc, weights: Sequence[float] | None = None) -> Callable[[Koc], float]:
-    """``koc_similarity(anchor, b, weights)`` as a function of ``b``, with the
-    weights checked and summed and the anchor's axes taken once."""
+    """The similarity of ``anchor`` to ``b``, as a function of ``b``: the
+    weighted sum of exact axis matches divided by the total weight, in [0,
+    1], uniform weights (1/7 each) by default. Symmetric, and exactly 1.0
+    for identical coordinates. The weights are checked and summed and the
+    anchor's axes taken once."""
     if weights is None:
         weights = UNIFORM_KOC_WEIGHTS
     elif len(weights) != 7:
@@ -238,10 +231,6 @@ EDGE_COEFFICIENTS: dict[EdgeType, float] = {
 NEGATIVE_EDGE_TYPES = frozenset(t for t, c in EDGE_COEFFICIENTS.items() if c < 0)
 
 
-def edge_coefficient(edge_type: EdgeType) -> float:
-    return EDGE_COEFFICIENTS[edge_type]
-
-
 @dataclass(frozen=True, slots=True)
 class Edge:
     """Directed typed relationship: source acts on target.
@@ -258,10 +247,6 @@ class Edge:
     def __post_init__(self) -> None:
         if self.source_id == self.target_id:
             raise ModelError(f"self-loop edge on {self.source_id!r}")
-
-    @property
-    def coefficient(self) -> float:
-        return EDGE_COEFFICIENTS[self.edge_type]
 
 
 # ---------------------------------------------------------------------------

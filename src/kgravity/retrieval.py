@@ -143,7 +143,10 @@ class Query:
 
 @dataclass(frozen=True)
 class RankedResult:
-    """One ranked object with its full score breakdown for auditability."""
+    """One ranked object with its full score breakdown for auditability:
+    where one object's S_struct, S_sem, S_topo, H, phi and K_eff are read.
+    S_topo is 1 / (1 + h) at h hops from the query's focus, and 0 for an
+    object the focus does not reach."""
 
     ko_id: str
     hybrid: float
@@ -159,19 +162,11 @@ class RankedResult:
     degraded: bool
 
 
-def structural_sim(q: Query, ko: KnowledgeObject,
-                   koc_weights: Sequence[float] | None = None) -> float:
-    """Coordinate alignment in O(1).
-
-    With an anchor coordinate this is the full seven-axis similarity;
-    otherwise only the entity and domain axes are compared, uniformly.
-    """
-    return _structural(q, koc_weights)(ko)
-
-
 def _structural(q: Query, koc_weights: Sequence[float] | None
                 ) -> Callable[[KnowledgeObject], float]:
-    """``structural_sim`` for one query, with its per-query work done once."""
+    """S_struct for one query, as a function of the object, with its
+    per-query work done once: with an anchor coordinate, the seven-axis
+    ``koc_matcher``; otherwise the entity and domain axes, uniformly."""
     if q.anchor_koc is not None:
         similarity = koc_matcher(q.anchor_koc, koc_weights)
         return lambda ko: similarity(ko.koc)
@@ -192,15 +187,6 @@ def _rescaled_cosine(a: tuple[float, ...], na: float,
 def _mismatch(query_dim: int, ko_id: str, ko_dim: int) -> RetrievalError:
     return RetrievalError(
         f"embedding dimension mismatch: query {query_dim} vs ko {ko_id!r} {ko_dim}")
-
-
-def semantic_sim(q: Query, ko: KnowledgeObject) -> float:
-    """Cosine similarity rescaled to [0, 1]; 0 when either embedding is
-    missing (the caller flags the result degraded)."""
-    if q.embedding is None or ko.embedding is None:
-        return 0.0
-    return _rescaled_cosine(q.embedding, embedding_norm(q.embedding),
-                            ko, embedding_norm(ko.embedding))
 
 
 def resolve_focus(q: Query, snapshot: GraphSnapshot,
@@ -318,8 +304,7 @@ def _scorer(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
     qn = None if qe is None else embedding_norm(qe)
 
     def topological(ko: KnowledgeObject) -> float:
-        i = position.get(ko.id)
-        v = 0 if i is None else hops[i]  # h + 1, so 1.0 / v == 1.0 / (1.0 + h)
+        v = hops[position[ko.id]]  # h + 1, so 1.0 / v == 1.0 / (1.0 + h)
         return 1.0 / v if v else 0.0
 
     def score(ko: KnowledgeObject, nb: float | None, zone: MemoryZone) -> tuple:
@@ -336,29 +321,6 @@ def _scorer(q: Query, snapshot: GraphSnapshot, w: RetrievalWeights,
     def hybrid_cap(ko: KnowledgeObject, s_sem: float) -> float:
         return w.alpha * structural(ko) + w.beta * s_sem + w.gamma * topological(ko)
     return focus, score, hybrid_cap
-
-
-def _score_one(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot,
-               w: RetrievalWeights) -> RankedResult:
-    nb = None if ko.embedding is None else embedding_norm(ko.embedding)
-    _, score, _ = _scorer(q, snapshot, w, None)
-    return RankedResult(*score(ko, nb, ko.zone))
-
-
-def topological_sim(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot) -> float:
-    """Inverse hop distance from the query's focus node: 1 / (1 + h).
-
-    Unreachable objects score 0; the focus itself scores 1. The distances
-    come from the snapshot's hop memo, which ``rank`` shares: a BFS runs
-    only for a focus the snapshot has not met yet.
-    """
-    return _score_one(q, ko, snapshot, RetrievalWeights()).s_topo
-
-
-def hybrid_score(q: Query, ko: KnowledgeObject, snapshot: GraphSnapshot,
-                 w: RetrievalWeights) -> float:
-    """alpha * S_struct + beta * S_sem + gamma * S_topo, as ``rank`` scores it."""
-    return _score_one(q, ko, snapshot, w).hybrid
 
 
 #: No computed cosine exceeds this for embeddings of at most 2**20 dimensions

@@ -250,10 +250,10 @@ def _parse_koc(data: Koc | dict) -> Koc:
     if not isinstance(data, dict):
         raise ValidationError(f"koc must be an object, got {data!r}")
     try:
-        return Koc(entity=data["entity"], domain=data["domain"],
-                   cls=_parse_class(data["class"]), epoch=data["epoch"],
-                   depth=data["depth"], author=data["author"],
-                   variant=data["variant"])
+        return Koc(entity=_plain(data["entity"]), domain=_plain(data["domain"]),
+                   cls=_parse_class(data["class"]), epoch=_plain(data["epoch"]),
+                   depth=_plain(data["depth"]), author=_plain(data["author"]),
+                   variant=_plain(data["variant"]))
     except KeyError as missing:
         raise ValidationError(f"koc missing axis {missing}") from None
     except ModelError as exc:
@@ -286,11 +286,20 @@ def _number(name: str, value) -> float:
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
 
 
+def _plain(value):
+    """A ``str`` subclass's text as the plain ``str`` the log gives back, as
+    ``_embedding`` does for numbers, so marshal can write every state;
+    anything else as it is."""
+    if type(value) is str or not isinstance(value, str):
+        return value
+    return str.__str__(value)
+
+
 def _text(record: dict, name: str) -> str:
     value = record[name]
     if not isinstance(value, str):
         raise ValidationError(f"{name} must be a string, got {value!r}")
-    return value
+    return _plain(value)
 
 
 def _anchors(ko_id, value) -> tuple[str, ...]:
@@ -300,7 +309,7 @@ def _anchors(ko_id, value) -> tuple[str, ...]:
     anchors = tuple(value)
     if not all(isinstance(a, str) and a for a in anchors):
         raise ValidationError(f"anchors for {ko_id!r} must be non-empty strings")
-    return tuple(sorted(set(anchors)))
+    return tuple(sorted(set(map(_plain, anchors))))
 
 
 _PLAIN_NUMBERS = frozenset((int, float, bool))
@@ -440,8 +449,7 @@ class CorpusStore:
             "confidence": quantize(_number("confidence", confidence)),
             "freshness": quantize(_number("freshness", freshness)),
         }
-        self._append(EventKind.KO_CREATED, payload, at=created_at)
-        return ko_id
+        return self._append(EventKind.KO_CREATED, payload, at=created_at)
 
     def ingest_record(self, record: dict) -> str | Edge:
         """Ingest a parsed corpus-file record (see README for the schema): an
@@ -637,8 +645,7 @@ class CorpusStore:
         does."""
         if source == target:
             raise ValidationError(f"self-loop edge on {source!r}")
-        self._known(source)
-        self._known(target)
+        source, target = self._known(source).id, self._known(target).id
         key = (source, target, edge_type)
         if key in self._edge_keys:
             raise ValidationError(
@@ -805,32 +812,33 @@ def _batches(lines: Sequence[str]) -> Iterator[Sequence[str]]:
         start = stop
 
 
-def _write_atomic(path: str | Path, lines: Sequence[str]) -> str:
+def _write_atomic(path: str | Path, lines: Sequence[str], digest=None) -> None:
     """Replace ``path`` with ``lines``, each ended by a newline, through a
     temporary file in the same directory, so a reader, or a crash, sees the
     old file or the new one and never a torn one. The lines go out in
-    :func:`_batches`, three calls a batch and never one buffer of them all.
-    Returns the SHA-256 of the bytes written."""
+    :func:`_batches`, three calls a batch and never one buffer of them all,
+    each batch's bytes fed to ``digest``, a ``hashlib`` object, if given."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as f:
             for batch in _batches(lines):
                 data = ("\n".join(batch) + "\n").encode("utf-8")
                 f.write(data)
-                digest.update(data)
+                if digest is not None:
+                    digest.update(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return digest.hexdigest()
 
 
 def write_corpus(store: CorpusStore, path: str | Path) -> str:
     """Export the store's state as a corpus file, atomically. Returns the
     SHA-256 of the file's bytes."""
-    return _write_atomic(path, corpus_lines(store))
+    digest = hashlib.sha256()
+    _write_atomic(path, corpus_lines(store), digest)
+    return digest.hexdigest()
 
 
 def _decoded(text: str | bytes, build=None):
@@ -1099,7 +1107,7 @@ def _image(store: CorpusStore, corpus_sha256: str) -> bytes:
     parallel tuples of source, target, type and time. Marshal version 2
     writes no back-references or interned-string flags, which later
     versions take from reference counts, so the bytes depend on the state
-    alone. A value marshal cannot hold (a ``str`` subclass) is a ValueError."""
+    alone."""
     kos, edges = store._kos, store._edges
     rows = tuple(_IMAGE_ROW(ko) + (tuple(sorted(ko.anchors)), ko.embedding)
                  for ko in map(kos.__getitem__, sorted(kos)))
@@ -1170,12 +1178,8 @@ def write_checkpoint(log: str | Path, corpus_sha256: str, store: CorpusStore,
         "params": store.params.to_dict(),
         "corpus_sha256": corpus_sha256,
     }
-    try:
-        image = _image(store, corpus_sha256)
-        record.update(image=base64.b64encode(image).decode("ascii"),
-                      image_sha256=_sha256(image))
-    except ValueError:
-        pass  # no image: the next open replays the whole log
+    image = _image(store, corpus_sha256)
+    record.update(image=base64.b64encode(image).decode("ascii"), image_sha256=_sha256(image))
     _write_atomic(checkpoint_path(log), [_dump_line(record)])
 
 

@@ -27,7 +27,6 @@ from kgravity import (
     fixed_point,
     gershgorin_check,
     kge_update,
-    koc_similarity,
     rank,
     run_cycle,
     simulate_trajectory,
@@ -37,6 +36,7 @@ from kgravity import (
     zone_for,
 )
 from kgravity.dynamics import random_graph
+from kgravity.model import koc_matcher
 from tests.conftest import (
     SECONDS_PER_DAY,
     make_ko,
@@ -246,8 +246,8 @@ def test_criterion_7_property_suite():
                      domain=f"d{rng.randint(0, 3)}", epoch=f"t{rng.randint(0, 3)}")
         b = make_koc(rng.choice(classes), entity=f"e{rng.randint(0, 3)}",
                      domain=f"d{rng.randint(0, 3)}", epoch=f"t{rng.randint(0, 3)}")
-        assert koc_similarity(a, b) == koc_similarity(b, a)
-        assert koc_similarity(a, a) == 1.0
+        assert koc_matcher(a)(b) == koc_matcher(b)(a)
+        assert koc_matcher(a)(a) == 1.0
     details.append("koc symmetry/identity")
 
     # taxonomy adequacy: every pair distinguishable on >= 2 features

@@ -702,31 +702,52 @@ def test_live_replayed_and_restored_stores_write_the_same_checkpoint(tmp_path, s
         assert checkpoint_path(log).read_bytes() == written
 
 
-def test_a_state_marshal_cannot_hold_is_saved_without_an_image(tmp_path, starts):
+def test_str_subclass_text_is_held_plain_and_saved_with_an_image(tmp_path, starts):
+    """Text given as a ``str`` subclass, in every field that holds text, is
+    held as the plain ``str`` the log gives back: the live store saves an
+    image, and the replayed and restored stores save the same bytes."""
     class Number(float):
         pass
 
     class Text(str):
-        pass
+        def __str__(self):  # not the text, which is what the log holds
+            return "elsewhere"
 
     log, corpus = tmp_path / "events.jsonl", tmp_path / "corpus.jsonl"
     workspace = Workspace(log, corpus)
     store = workspace.open()
-    cls = EpistemicClass.EVIDENCE
+    cls, at = EpistemicClass.EVIDENCE, 1_700_000_000
     a = store.ingest_ko(cls=cls, koc=make_koc(cls, variant="a"), content="a",
-                        created_at=1_700_000_000, embedding=[Number(0.5), 1, True])
+                        created_at=at, embedding=[Number(0.5), 1, True])
     # a float subclass is held as the float the log gives back
     assert list(map(type, store.snapshot().kos[a].embedding)) == [float, int, bool]
+    koc = make_koc(cls, entity=Text("acme"), domain=Text("ops"), epoch=Text("q1"),
+                   depth=Text("l1"), author=Text("ana"), variant=Text("b"))
+    b = store.ingest_ko(cls=cls, koc=koc, content=Text("b"), ko_id=Text("b"),
+                        anchors=[Text("m"), Text("m"), "n"], created_at=at)
+    store.add_edge(Text(a), Text(b), EdgeType.SUPPORTS, at=at)
+    store.supersede(Text(b), Text(a), at=at)
+    store.record_retrieval(Text(b), at=at)
+    store.apply_cycle(now=at + 86400)
+    snapshot = store.snapshot()
+    held = [text for ko in snapshot.kos.values()
+            for text in (ko.id, ko.content, *ko.anchors, *ko.koc.axes())]
+    held += [text for e in snapshot.edges for text in (e.source_id, e.target_id)]
+    assert {type(text) for text in held} == {str}
+    assert (snapshot.kos["b"].content, sorted(snapshot.kos["b"].anchors)) == ("b", ["m", "n"])
+    assert snapshot.kos["b"].koc == make_koc(cls, variant="b")
+
     workspace.save()
-    assert "image" in json.loads(checkpoint_path(log).read_text())
-    store.ingest_ko(cls=cls, koc=make_koc(cls, variant="b"), content=Text("b"),
-                    created_at=1_700_000_000)
-    workspace.save()
-    assert "image" not in json.loads(checkpoint_path(log).read_text())
-    with pytest.raises(CheckpointError, match=r"KeyError\('image'\)"):
-        restore_checkpoint(log, corpus)
+    written = checkpoint_path(log).read_bytes()
+    assert {"image", "image_sha256"} <= json.loads(written).keys()
+    replayed = CorpusStore.replay(read_events(log))
+    restored, end = restore_checkpoint(log, corpus)
+    assert state_of(restored) == state_of(replayed) == state_of(store)
+    for other in (replayed, restored):
+        write_checkpoint(log, write_corpus(other, corpus), other, end)
+        assert checkpoint_path(log).read_bytes() == written
     assert state_of(Workspace(log, corpus).open()) == state_of(store)
-    assert [s[0] for s in starts] == ["replayed"]
+    assert [s[0] for s in starts] == ["restored"]
 
 
 def test_a_restored_store_rejects_an_edge_it_holds(session):

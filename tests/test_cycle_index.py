@@ -35,6 +35,7 @@ from kgravity.engine import (
     usage_force,
 )
 from kgravity.model import (
+    EDGE_COEFFICIENTS,
     Edge,
     EdgeType,
     EpistemicClass,
@@ -79,7 +80,8 @@ def oracle_neighborhood(ko_id, inbound, snapshot, radius):
             for e in edges:
                 if snapshot.kos[e.source_id].dormant:
                     continue
-                by_source[e.source_id] = by_source.get(e.source_id, 0.0) + e.coefficient
+                by_source[e.source_id] = (by_source.get(e.source_id, 0.0)
+                                          + EDGE_COEFFICIENTS[e.edge_type])
             for src in sorted(by_source):
                 if src in seen:
                     continue

@@ -8,6 +8,7 @@ import pytest
 
 import kgravity.dynamics as dynamics
 from kgravity import (
+    EDGE_COEFFICIENTS,
     CorpusStore,
     Edge,
     EdgeType,
@@ -242,7 +243,7 @@ def test_random_graph_hub_degree():
 
 def test_random_graph_mixed_signs():
     snapshot = random_graph(56, seed=3, hub_degree=43, negative_fraction=0.3)
-    signs = {e.coefficient > 0 for e in snapshot.edges}
+    signs = {EDGE_COEFFICIENTS[e.edge_type] > 0 for e in snapshot.edges}
     assert signs == {True, False}
 
 

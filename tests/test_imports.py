@@ -21,8 +21,8 @@ EXPORTED = {
         "CLASS_PROFILES", "EDGE_COEFFICIENTS", "SIMULATION_LAMBDAS", "ClassProfile",
         "DecayKind", "Edge", "EdgeType", "EpistemicClass", "GraphSnapshot",
         "KnowledgeObject", "Koc", "MemoryZone", "ModelError", "PairAdequacy",
-        "ScoreVector", "class_profile", "edge_coefficient", "koc_similarity",
-        "simulation_profile", "taxonomy_adequacy_report", "zone_for"],
+        "ScoreVector", "class_profile", "simulation_profile",
+        "taxonomy_adequacy_report", "zone_for"],
     "engine": [
         "EngineError", "EngineParams", "ForceBreakdown", "contradiction_penalty",
         "evidence_force", "fixed_point", "gravity_force", "kge_step", "kge_update",
@@ -33,8 +33,7 @@ EXPORTED = {
         "simulate_trajectory", "sufficient_condition_sweep", "verify_t2"],
     "retrieval": [
         "Query", "RankedResult", "RetrievalError", "RetrievalWeights",
-        "contextual_attention", "hybrid_score", "k_eff", "rank", "semantic_sim",
-        "structural_sim", "topological_sim"],
+        "contextual_attention", "k_eff", "rank"],
     "store": [
         "CorpusStore", "EventKind", "EventRecord", "ReplayError", "ValidationError",
         "append_events", "load_corpus", "read_corpus", "read_events", "write_corpus"],
@@ -79,6 +78,7 @@ print(json.dumps(found))
 """
     found = fresh_python(code)
     assert found == {name: True for names in EXPORTED.values() for name in names}
+    assert kgravity.__all__ == sorted(found)
 
 
 def test_the_submodules_are_attributes_of_a_bare_package_import():

@@ -20,8 +20,6 @@ from kgravity import (
     MemoryZone,
     ModelError,
     ScoreVector,
-    edge_coefficient,
-    koc_similarity,
     taxonomy_adequacy_report,
     zone_for,
 )
@@ -84,20 +82,20 @@ def test_simulation_lambdas_reference_values():
 
 def test_koc_similarity_identical():
     a = make_koc(EpistemicClass.DECISION)
-    assert koc_similarity(a, a) == 1.0
+    assert koc_matcher(a)(a) == 1.0
 
 
 def test_koc_similarity_disjoint():
     a = make_koc(EpistemicClass.DECISION)
     b = Koc(entity="x", domain="y", cls=EpistemicClass.QUESTION, epoch="z",
             depth="w", author="u", variant="t")
-    assert koc_similarity(a, b) == 0.0
+    assert koc_matcher(a)(b) == 0.0
 
 
 def test_koc_similarity_four_of_seven():
     a = make_koc(EpistemicClass.DECISION)
     b = dataclasses.replace(a, entity="other", domain="other2", epoch="other3")
-    assert koc_similarity(a, b) == pytest.approx(4 / 7)
+    assert koc_matcher(a)(b) == pytest.approx(4 / 7)
 
 
 @pytest.mark.parametrize("weights", [
@@ -107,7 +105,7 @@ def test_koc_similarity_four_of_seven():
 def test_koc_similarity_rejects_weights_without_a_positive_finite_sum(weights):
     a = make_koc(EpistemicClass.DECISION)
     with pytest.raises(ModelError, match="positive finite sum"):
-        koc_similarity(a, a, weights)
+        koc_matcher(a, weights)(a)
 
 
 def test_koc_rejects_empty_axis():
@@ -125,7 +123,7 @@ def test_koc_is_immutable():
 def test_koc_axes_are_case_sensitive():
     a = make_koc(EpistemicClass.PLAN, entity="Acme")
     b = make_koc(EpistemicClass.PLAN, entity="acme")
-    assert koc_similarity(a, b) == pytest.approx(6 / 7)
+    assert koc_matcher(a)(b) == pytest.approx(6 / 7)
 
 
 def test_koc_matcher_equals_the_direct_sum_for_every_match_pattern():
@@ -146,7 +144,7 @@ def test_koc_matcher_equals_the_direct_sum_for_every_match_pattern():
             direct = math.fsum(w for w, x, y in zip(weights, anchor.axes(), b.axes())
                                if x == y) / math.fsum(weights)
             assert similarity(b).hex() == direct.hex()
-            assert koc_similarity(anchor, b, weights).hex() == direct.hex()
+            assert koc_matcher(anchor, weights)(b).hex() == direct.hex()
 
 
 _token = st.text(alphabet="abcdef", min_size=1, max_size=3)
@@ -162,12 +160,12 @@ def kocs(draw):
 
 @given(kocs(), kocs())
 def test_koc_similarity_symmetric(a, b):
-    assert koc_similarity(a, b) == koc_similarity(b, a)
+    assert koc_matcher(a)(b) == koc_matcher(b)(a)
 
 
 @given(kocs())
 def test_koc_similarity_self_is_one(a):
-    assert koc_similarity(a, a) == 1.0
+    assert koc_matcher(a)(a) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +173,16 @@ def test_koc_similarity_self_is_one(a):
 # ---------------------------------------------------------------------------
 
 def test_edge_coefficient_table():
-    assert edge_coefficient(EdgeType.SUPPORTS) == 1.0
-    assert edge_coefficient(EdgeType.BASED_ON) == 0.8
-    assert edge_coefficient(EdgeType.IMPLEMENTS) == 0.7
-    assert edge_coefficient(EdgeType.SUPERSEDES) == 0.6
-    assert edge_coefficient(EdgeType.REFINES) == 0.5
-    assert edge_coefficient(EdgeType.DERIVES_FROM) == 0.5
-    assert edge_coefficient(EdgeType.ENABLES) == 0.4
-    assert edge_coefficient(EdgeType.PRECEDES) == 0.3
-    assert edge_coefficient(EdgeType.BLOCKS) == -0.4
-    assert edge_coefficient(EdgeType.CONTRADICTS) == -0.6
+    assert EDGE_COEFFICIENTS[EdgeType.SUPPORTS] == 1.0
+    assert EDGE_COEFFICIENTS[EdgeType.BASED_ON] == 0.8
+    assert EDGE_COEFFICIENTS[EdgeType.IMPLEMENTS] == 0.7
+    assert EDGE_COEFFICIENTS[EdgeType.SUPERSEDES] == 0.6
+    assert EDGE_COEFFICIENTS[EdgeType.REFINES] == 0.5
+    assert EDGE_COEFFICIENTS[EdgeType.DERIVES_FROM] == 0.5
+    assert EDGE_COEFFICIENTS[EdgeType.ENABLES] == 0.4
+    assert EDGE_COEFFICIENTS[EdgeType.PRECEDES] == 0.3
+    assert EDGE_COEFFICIENTS[EdgeType.BLOCKS] == -0.4
+    assert EDGE_COEFFICIENTS[EdgeType.CONTRADICTS] == -0.6
     assert len(EDGE_COEFFICIENTS) == 10
     assert max(EDGE_COEFFICIENTS.values()) == 1.0
     assert min(EDGE_COEFFICIENTS.values()) == -0.6

@@ -29,11 +29,8 @@ from kgravity import (
     RetrievalWeights,
     ScoreVector,
     contextual_attention,
-    hybrid_score,
     k_eff,
     rank,
-    structural_sim,
-    topological_sim,
 )
 from kgravity import retrieval
 from kgravity.dynamics import random_graph
@@ -55,7 +52,7 @@ def oracle_rank(q, snapshot, w=W, koc_weights=None):
     if focus is None:
         best = -1.0
         for ko_id in ids:
-            sim = structural_sim(q, kos[ko_id], koc_weights)
+            sim = _structural(q, kos[ko_id], koc_weights)
             if sim > best:
                 focus, best = ko_id, sim
     adjacency: dict[str, set[str]] = {}
@@ -78,7 +75,7 @@ def oracle_rank(q, snapshot, w=W, koc_weights=None):
             continue
         if ko.zone is MemoryZone.PERIPHERAL and q.exclude_peripheral:
             continue
-        s_struct = structural_sim(q, ko, koc_weights)
+        s_struct = _structural(q, ko, koc_weights)
         degraded = q.embedding is None or ko.embedding is None
         s_sem = 0.0
         if not degraded:
@@ -103,6 +100,17 @@ def oracle_rank(q, snapshot, w=W, koc_weights=None):
             degraded=degraded))
     results.sort(key=lambda r: (-r.rank_score, r.ko_id))
     return results[:q.top_k]
+
+
+def _structural(q, ko, koc_weights):
+    """S_struct by its definition: with an anchor coordinate, the weighted
+    ``fsum`` of the matched axes over the weights' ``fsum``; without one,
+    the entity and domain matches averaged."""
+    if q.anchor_koc is None:
+        return ((q.primary_entity == ko.koc.entity) + (q.domain == ko.koc.domain)) / 2.0
+    weights = (1.0 / 7.0,) * 7 if koc_weights is None else koc_weights
+    return math.fsum(w for w, x, y in zip(weights, q.anchor_koc.axes(), ko.koc.axes())
+                     if x == y) / math.fsum(weights)
 
 
 def _plain_sum(values):
@@ -752,13 +760,10 @@ def test_topological_sim_and_hybrid_score_read_the_memo(monkeypatch):
     for q in seeded_queries(3, snapshot)[:10]:
         everything = dataclasses.replace(q, top_k=len(snapshot.kos), include_dormant=True,
                                          exclude_peripheral=False)
-        for r in oracle_rank(everything, snapshot):
-            ko = snapshot.kos[r.ko_id]
-            assert topological_sim(q, ko, snapshot) == r.s_topo
-            assert hybrid_score(q, ko, snapshot, W) == r.hybrid
+        rows = rank(everything, snapshot)  # every object's S_topo and H
+        assert len(rows) == len(snapshot.kos)
+        assert rows == oracle_rank(everything, snapshot)
         assert rank(q, snapshot) == oracle_rank(q, snapshot)
-        outsider = dataclasses.replace(ko, id="not-in-snapshot")
-        assert topological_sim(q, outsider, snapshot) == 0.0
     assert sorted(foci) == sorted(snapshot.hop_memo)  # one BFS per focus
 
 

@@ -12,12 +12,8 @@ from kgravity import (
     RetrievalError,
     RetrievalWeights,
     contextual_attention,
-    hybrid_score,
     k_eff,
     rank,
-    semantic_sim,
-    structural_sim,
-    topological_sim,
 )
 from tests.conftest import make_ko, make_koc, snapshot_of
 
@@ -56,35 +52,45 @@ def test_top_k_must_be_an_int(top_k):
 # Similarity layers
 # ---------------------------------------------------------------------------
 
+def scored(q, snapshot, w=W):
+    """Every object's ``rank`` row, by id: each object eligible, and the top
+    k wide enough for all of them."""
+    everything = dataclasses.replace(q, top_k=len(snapshot.kos), include_dormant=True,
+                                     exclude_peripheral=False)
+    return {r.ko_id: r for r in rank(everything, snapshot, w)}
+
+
 def test_structural_with_anchor():
     ko = make_ko("a", EpistemicClass.EVIDENCE)
-    assert structural_sim(Query(anchor_koc=ko.koc), ko) == 1.0
+    assert scored(Query(anchor_koc=ko.koc), snapshot_of([ko]))["a"].s_struct == 1.0
 
 
 def test_structural_fallback_two_axes():
     ko = make_ko("a", EpistemicClass.EVIDENCE,
                  koc=make_koc(EpistemicClass.EVIDENCE, entity="vesta", domain="ops"))
-    assert structural_sim(Query(primary_entity="vesta", domain="elsewhere"), ko) == 0.5
-    assert structural_sim(Query(primary_entity="x", domain="y"), ko) == 0.0
-    assert structural_sim(Query(primary_entity="vesta", domain="ops"), ko) == 1.0
+    snapshot = snapshot_of([ko])
+    assert scored(Query(primary_entity="vesta", domain="elsewhere"),
+                  snapshot)["a"].s_struct == 0.5
+    assert scored(Query(primary_entity="x", domain="y"), snapshot)["a"].s_struct == 0.0
+    assert scored(Query(primary_entity="vesta", domain="ops"), snapshot)["a"].s_struct == 1.0
 
 
 def test_semantic_endpoints():
-    ko = make_ko("a", EpistemicClass.EVIDENCE, embedding=(1.0, 0.0))
-    assert semantic_sim(Query(embedding=(1.0, 0.0)), ko) == pytest.approx(1.0)
-    assert semantic_sim(Query(embedding=(0.0, 1.0)), ko) == pytest.approx(0.5)
-    assert semantic_sim(Query(embedding=(-1.0, 0.0)), ko) == pytest.approx(0.0)
+    snapshot = snapshot_of([make_ko("a", EpistemicClass.EVIDENCE, embedding=(1.0, 0.0))])
+    assert scored(Query(embedding=(1.0, 0.0)), snapshot)["a"].s_sem == pytest.approx(1.0)
+    assert scored(Query(embedding=(0.0, 1.0)), snapshot)["a"].s_sem == pytest.approx(0.5)
+    assert scored(Query(embedding=(-1.0, 0.0)), snapshot)["a"].s_sem == pytest.approx(0.0)
 
 
 def test_semantic_missing_embedding_contributes_zero():
-    ko = make_ko("a", EpistemicClass.EVIDENCE)
-    assert semantic_sim(Query(embedding=(1.0, 0.0)), ko) == 0.0
+    snapshot = snapshot_of([make_ko("a", EpistemicClass.EVIDENCE)])
+    assert scored(Query(embedding=(1.0, 0.0)), snapshot)["a"].s_sem == 0.0
 
 
 def test_semantic_dimension_mismatch_rejected():
-    ko = make_ko("a", EpistemicClass.EVIDENCE, embedding=(1.0, 0.0, 0.0))
+    snapshot = snapshot_of([make_ko("a", EpistemicClass.EVIDENCE, embedding=(1.0, 0.0, 0.0))])
     with pytest.raises(RetrievalError):
-        semantic_sim(Query(embedding=(1.0, 0.0)), ko)
+        scored(Query(embedding=(1.0, 0.0)), snapshot)
 
 
 def test_topological_distances():
@@ -95,21 +101,20 @@ def test_topological_distances():
     snapshot = snapshot_of([a, b, c, island],
                            [Edge("a", "b", EdgeType.SUPPORTS, 0),
                             Edge("b", "c", EdgeType.REFINES, 0)])
-    q = Query(anchor_koc=a.koc)
-    assert topological_sim(q, a, snapshot) == 1.0
-    assert topological_sim(q, b, snapshot) == 0.5
-    assert topological_sim(q, c, snapshot) == pytest.approx(1 / 3)
-    assert topological_sim(q, island, snapshot) == 0.0
+    rows = scored(Query(anchor_koc=a.koc), snapshot)
+    assert rows["a"].s_topo == 1.0
+    assert rows["b"].s_topo == 0.5
+    assert rows["c"].s_topo == pytest.approx(1 / 3)
+    assert rows["island"].s_topo == 0.0
 
 
 def test_hybrid_blend_perfect_match():
     ko = make_ko("a", EpistemicClass.EVIDENCE, embedding=(1.0, 0.0))
     snapshot = snapshot_of([ko])
     q = Query(anchor_koc=ko.koc, embedding=(1.0, 0.0))
-    assert hybrid_score(q, ko, snapshot, W) == pytest.approx(1.0)
-    assert hybrid_score(Query(primary_entity="zz", domain="zz"),
-                        make_ko("b", EpistemicClass.PLAN),
-                        snapshot_of([make_ko("b", EpistemicClass.PLAN)]), W) \
+    assert scored(q, snapshot)["a"].hybrid == pytest.approx(1.0)
+    assert scored(Query(primary_entity="zz", domain="zz"),
+                  snapshot_of([make_ko("b", EpistemicClass.PLAN)]))["b"].hybrid \
         == pytest.approx(0.2)  # only self-topology survives
 
 
@@ -129,10 +134,11 @@ def test_hybrid_blend_frozen_example():
         [Edge("f", "a", EdgeType.PRECEDES, 0), Edge("a", "b", EdgeType.PRECEDES, 0),
          Edge("b", "t", EdgeType.PRECEDES, 0)])
     q = Query(primary_entity="vesta", domain="ops", embedding=(1.0, 0.0))
-    assert structural_sim(q, target) == pytest.approx(0.5)
-    assert semantic_sim(q, target) == pytest.approx(0.8)
-    assert topological_sim(q, target, snapshot) == pytest.approx(0.25)
-    assert hybrid_score(q, target, snapshot, W) == pytest.approx(0.60)
+    row = scored(q, snapshot)["t"]
+    assert row.s_struct == pytest.approx(0.5)
+    assert row.s_sem == pytest.approx(0.8)
+    assert row.s_topo == pytest.approx(0.25)
+    assert row.hybrid == pytest.approx(0.60)
 
 
 def test_attention_values():
