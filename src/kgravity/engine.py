@@ -83,7 +83,7 @@ from .model import (
     KnowledgeObject,
     MemoryZone,
     class_profile,
-    slot_setters,
+    trusted_constructor,
     zone_for,
 )
 
@@ -154,11 +154,10 @@ class EngineParams:
         for name in ("a_u", "a_e", "a_g"):
             if getattr(self, name) < 0:
                 raise EngineError(f"{name} must be non-negative")
-        for name in ("gravity_radius", "cycle_period_s"):
-            if type(getattr(self, name)) is not int:
-                raise EngineError(f"{name}={getattr(self, name)!r} must be an integer")
-        if self.gravity_radius < 1:
-            raise EngineError("gravity_radius must be >= 1")
+        for name, least in (("gravity_radius", 1), ("cycle_period_s", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise EngineError(f"{name}={value!r} must be an integer >= {least}")
         if self.lambda_profile not in ("operational", "simulation"):
             raise EngineError(f"unknown lambda_profile {self.lambda_profile!r}")
         weights = self.koc_axis_weights
@@ -230,29 +229,7 @@ class ForceBreakdown:
     k_after: float
 
 
-_new = object.__new__
-(_fb_ko_id, _fb_seed, _fb_usage, _fb_evidence, _fb_gravity, _fb_decay_term,
- _fb_contradiction, _fb_k_before, _fb_k_after) = slot_setters(
-    ForceBreakdown, "ko_id", "seed", "usage", "evidence", "gravity",
-    "decay_term", "contradiction", "k_before", "k_after")
-
-
-def _trusted_breakdown(ko_id: str, seed: float, usage: float, evidence: float,
-                       gravity: float, decay_term: float, contradiction: float,
-                       k_before: float, k_after: float) -> ForceBreakdown:
-    """``ForceBreakdown(...)`` without the dataclass ``__init__``, which
-    sets each of the nine fields through the frozen ``__setattr__``."""
-    fb = _new(ForceBreakdown)
-    _fb_ko_id(fb, ko_id)
-    _fb_seed(fb, seed)
-    _fb_usage(fb, usage)
-    _fb_evidence(fb, evidence)
-    _fb_gravity(fb, gravity)
-    _fb_decay_term(fb, decay_term)
-    _fb_contradiction(fb, contradiction)
-    _fb_k_before(fb, k_before)
-    _fb_k_after(fb, k_after)
-    return fb
+_trusted_breakdown = trusted_constructor(ForceBreakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +527,8 @@ def gravity_neighborhood(ko_id: str, edges: EdgeStructure,
     frontier: list[tuple[str, float]] = [(ko_id, 1.0)]
     seen = {ko_id}
     for depth in range(1, radius + 1):
+        if not frontier:  # nothing deeper: a radius past it costs nothing
+            break
         nxt: list[tuple[str, float]] = []
         for node, path_coeff in frontier:
             sources, coefficients, _, _ = edges.inputs.get(node, _NO_INPUTS)

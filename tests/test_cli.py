@@ -537,7 +537,7 @@ def test_verify_log_replays_the_log_when_no_checkpoint_is_beside_it(cli, tmp_pat
 
 
 @pytest.mark.parametrize("change", [{"gravity_radius": 1.5}, {"gravity_radius": True},
-                                    {"cycle_period_s": 21600.0}])
+                                    {"cycle_period_s": 21600.0}, {"cycle_period_s": -1}])
 def test_a_logged_non_integer_radius_or_period_is_a_corrupt_event(cli, tmp_path, change):
     write_input(tmp_path / "in.jsonl", [ko_rec(0), ko_rec(1)])
     cli("ingest", str(tmp_path / "in.jsonl"))

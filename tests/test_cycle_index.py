@@ -10,6 +10,7 @@ snapshots and force breakdowns are compared with ``==``, never ``approx``.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import random
 import re
@@ -18,7 +19,7 @@ import statistics
 import pytest
 
 from kgravity import engine
-from kgravity.dynamics import random_graph
+from kgravity.dynamics import gershgorin_check, random_graph
 from kgravity.engine import (
     SECONDS_PER_DAY,
     EdgeStructure,
@@ -44,7 +45,10 @@ from kgravity.model import (
     Koc,
     ModelError,
     ScoreVector,
-    slot_setters,
+    trusted_edge,
+    trusted_ko,
+    trusted_koc,
+    trusted_scores,
     zone_for,
 )
 from kgravity.store import CorpusStore, EventKind, EventRecord
@@ -335,6 +339,23 @@ def test_gravity_force_view_matches_oracle(radius):
             oracle_neighborhood(ko_id, inbound, snapshot, radius)
         assert gravity_force(ko_id, snapshot, params) == \
             oracle_gravity(ko_id, snapshot, params, inbound)
+
+
+def test_a_radius_past_the_graph_depth_equals_radius_n():
+    # A neighborhood stops where its frontier empties, so a cycle at radius
+    # 10**9 returns at once, with the bits of radius n on an n-object graph.
+    snapshot = random_graph(40, seed=3, edge_factor=2.0)
+    rows = {}
+    for radius in (1, 40, 10**9):
+        params = EngineParams.production(gravity_radius=radius)
+        cycled, got = snapshot, []
+        for step in (1, 2):
+            cycled, breakdowns = run_cycle(cycled, step * params.cycle_period_s, params)
+            got += [(fb.ko_id, *map(float.hex, (fb.gravity, fb.k_after))) for fb in breakdowns]
+        got += [(ko_id, float.hex(ko.scores.k), float.hex(ko.scores.urgency))
+                for ko_id, ko in sorted(cycled.kos.items())]
+        rows[radius] = (got, gershgorin_check(snapshot, params))
+    assert rows[10**9] == rows[40] != rows[1]
 
 
 # ---------------------------------------------------------------------------
@@ -729,21 +750,35 @@ def test_slotted_dataclasses_keep_their_behaviour(cls):
         setattr(value, first, getattr(value, first))
 
 
-def test_slot_setters_are_looked_up_by_name():
-    # A trusted builder names each field it sets, so its setters do not
-    # depend on the order of the class's fields, and it must name all.
-    set_target, set_source, set_type, set_at = slot_setters(
-        Edge, "target_id", "source_id", "edge_type", "created_at")
-    edge = object.__new__(Edge)
-    set_target(edge, "b")
-    set_source(edge, "a")
-    set_type(edge, EdgeType.SUPPORTS)
-    set_at(edge, 3)
-    assert edge == Edge("a", "b", EdgeType.SUPPORTS, 3)
-    with pytest.raises(TypeError, match="Edge fields are"):
-        slot_setters(Edge, "source_id", "target_id", "edge_type")
-    with pytest.raises(TypeError, match="Edge fields are"):
-        slot_setters(Edge, "source_id", "target_id", "edge_type", "created")
+def test_trusted_constructors_take_the_fields_and_skip_the_checks():
+    # Each builder is generated from its class's fields: the same names in
+    # the same order, so a positional or a keyword call fills every slot as
+    # the validating constructor does. Every field of each value differs,
+    # so a value sent to another slot would show.
+    koc = Koc("e", "d", EpistemicClass.QUESTION, "q1", "l1", "ana", "v1")
+    scores = ScoreVector(0.1, 0.2, 0.3, 0.4, 0.5)
+    values = {
+        Koc: koc,
+        Edge: Edge("a", "b", EdgeType.SUPPORTS, 3),
+        ScoreVector: scores,
+        KnowledgeObject: KnowledgeObject("q", koc, EpistemicClass.QUESTION, "is x?", scores,
+                                         5, (6, 7), True, 0.7, frozenset({"x"}), (1.0, 0.0)),
+        ForceBreakdown: ForceBreakdown("a", 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
+    }
+    builders = {Koc: trusted_koc, Edge: trusted_edge, ScoreVector: trusted_scores,
+                KnowledgeObject: trusted_ko, ForceBreakdown: engine._trusted_breakdown}
+    for cls, build in builders.items():
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        assert tuple(inspect.signature(build).parameters) == names
+        args = [getattr(values[cls], name) for name in names]
+        positional, keyword = build(*args), build(**dict(zip(names, args)))
+        assert type(positional) is type(keyword) is cls
+        assert positional == keyword == cls(*args)
+    # No __post_init__ runs: a self-loop, which Edge refuses, is built.
+    with pytest.raises(ModelError, match="self-loop"):
+        Edge("a", "a", EdgeType.SUPPORTS, 3)
+    loop = trusted_edge("a", "a", EdgeType.SUPPORTS, 3)
+    assert (loop.source_id, loop.target_id) == ("a", "a")
 
 
 def test_replace_still_validates_slotted_values():
