@@ -10,12 +10,24 @@ output. No interactive mode. The convergence lab (``dynamics``) is imported
 only by the three commands that use it, so every other command starts
 without it.
 
+:func:`main` pauses Python's cyclic garbage collector while the command
+runs. A command builds a store that lives until the command ends, and
+reference counting frees the rest, so the collector's passes find nothing
+to free: at 20k objects a ``query`` ran 518 young, 47 middle and 4 full
+collections (0.24 s of its 0.97 s), and a ``verify-log`` 1,117, 101 and 7
+(0.61 s of 4.1 s). The only cycles are the argument parser's. If the
+collector was running, :func:`main` resumes it and collects the youngest
+generation, which holds the parser and little else once the store is freed
+(about 0.3 ms): a parser left for a later pass would keep its memory
+through the next command run in the same process.
+
 Exit codes: 0 success, 1 contract violation, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -399,6 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()  # for the command only (see the module docstring)
     try:
         args = build_parser().parse_args(argv)
         params, weights = build_config(args.preset, args.sets)
@@ -409,6 +423,10 @@ def main(argv: list[str] | None = None) -> int:
             RetrievalError, ReplayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect(0)
 
 
 if __name__ == "__main__":

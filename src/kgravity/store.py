@@ -23,36 +23,39 @@ Three file formats (all JSON, documented in the README):
 * corpus file - a header line followed by one record per knowledge object
   and per edge; scores are serialized as fixed 9-digit decimal strings so a
   save/load/save round trip is byte-identical. It is written atomically.
-  Every reader splits it by one rule (:func:`_split_corpus`), and its lines
+  Every reader splits it by one rule (:func:`_split_corpus`), which a
+  restore counts by without splitting (:func:`_corpus_head`), and its lines
   are written in batches (:func:`_batches`).
 * event log file - one EventRecord per line in seq order.
 * checkpoint file - ``<log>.checkpoint``, one object naming the last log
   line whose state the corpus file holds, with that state as a marshal
   image and the image's SHA-256. :func:`restore_checkpoint` checks it
-  cheaply against both files, splits the corpus into lines without
-  parsing them, and rebuilds the store from the image through the model's
-  trusted constructors, without :func:`load_corpus`'s per-field checks, so
-  only the log's tail after that line needs replaying. The edge rules (no
-  self-loop, both ends known, no edge twice) are checked once, over the
-  restored edge list; any mismatch, or an image that does not hash, decode
-  or match the corpus lines, raises :class:`CheckpointError`, and the
-  caller replays the whole log instead. The log stays the source of truth;
-  ``kgravity verify-log`` compares a restore with a full replay, object by
-  object and line by line.
+  cheaply against both files, decodes the corpus and counts its lines
+  without splitting them, and rebuilds the store from the image through
+  the model's trusted constructors, without :func:`load_corpus`'s
+  per-field checks, so only the log's tail after that line needs
+  replaying. The edge rules (no self-loop, both ends known, no edge twice)
+  are checked once, over the restored edge list; any mismatch, or an image
+  that does not hash, decode or match the corpus lines, raises
+  :class:`CheckpointError`, and the caller replays the whole log instead.
+  The log stays the source of truth; ``kgravity verify-log`` compares a
+  restore with a full replay, object by object and line by line.
 
 :class:`Workspace` is the one place that opens the three files (a restore,
 or a full replay) and orders a save: log append, corpus export, checkpoint.
 
-A restored store keeps the corpus line of each object and edge beside it:
-those bytes hash to what :func:`write_corpus` wrote. :func:`corpus_lines`
-re-emits the line of an object the store still holds as that very object,
-and of every restored edge (edges are never replaced). An object a cycle
-rescored shares every other field with the object restored beside its line,
-so its line is the kept one with a fresh score tail (scores, stakes and
-zone, the last keys), once the kept line is checked to end with the old
-object's tail. Only the rest is serialized, so an export costs in
-proportion to what changed other than scores since the restore, and its
-bytes are those of a fresh serialization.
+A restored store keeps the corpus text, and splits it on the first export
+into the line of each object and edge, kept beside it: those bytes hash to
+what :func:`write_corpus` wrote, and a command that never exports never
+splits them. :func:`corpus_lines` re-emits the line of an object the store
+still holds as that very object, and of every restored edge (edges are
+never replaced). An object a cycle rescored shares every other field with
+the object restored beside its line, so its line is the kept one with a
+fresh score tail (scores, stakes and zone, the last keys), once the kept
+line is checked to end with the old object's tail. Only the rest is
+serialized, so an export costs in proportion to what changed other than
+scores since the restore, and its bytes are those of a fresh
+serialization.
 
 For its cycles the store keeps an :class:`~kgravity.engine.EdgeStructure`:
 built from its edges at its first cycle and then grown by each new edge, so
@@ -367,11 +370,12 @@ class CorpusStore:
         self._base_seq = 0
         self._base_at = 0
         self._last_cycle_at: int | None = None
-        # The corpus lines a checkpoint restore verified, which
-        # corpus_lines re-emits: each object's line with the object restored
-        # beside it, and the lines of the first len(_edge_lines) edges.
-        self._ko_lines: dict[str, tuple[KnowledgeObject, str]] = {}
-        self._edge_lines: list[str] = []
+        # A checkpoint restore's corpus text and its objects in line order,
+        # until _ko_lines or _edge_lines first splits the text into them.
+        self._kept_text: str | None = None
+        self._restored_kos: tuple[KnowledgeObject, ...] = ()
+        self._kept_ko_lines: dict[str, tuple[KnowledgeObject, str]] = {}
+        self._kept_edge_lines: list[str] = []
         # The cycles' edge structure: built from _edges at the first cycle,
         # then grown by _add_edge, so a store that never cycles pays nothing.
         self._structure: EdgeStructure | None = None
@@ -419,6 +423,28 @@ class CorpusStore:
 
     def latest_event_at(self) -> int:
         return self._events[-1].at if self._events else self._base_at
+
+    @property
+    def _ko_lines(self) -> dict[str, tuple[KnowledgeObject, str]]:
+        """The corpus lines a checkpoint restore verified, which
+        :func:`corpus_lines` re-emits: each object's line, with the object
+        restored beside it."""
+        self._split_kept()
+        return self._kept_ko_lines
+
+    @property
+    def _edge_lines(self) -> list[str]:
+        """The verified lines of the first ``len(_edge_lines)`` edges."""
+        self._split_kept()
+        return self._kept_edge_lines
+
+    def _split_kept(self) -> None:
+        # Split on first read, so a command that never exports never splits.
+        if self._kept_text is not None:
+            body = _text_lines(self._kept_text)[1:]
+            restored, self._kept_text, self._restored_kos = self._restored_kos, None, ()
+            self._kept_ko_lines = {ko.id: (ko, line) for ko, line in zip(restored, body)}
+            self._kept_edge_lines = body[len(restored):]
 
     # -- operations ---------------------------------------------------------
 
@@ -870,22 +896,46 @@ def read_corpus(path: str | Path) -> tuple[dict, list[tuple[int, dict]], list[tu
 
 def _split_corpus(data: bytes) -> tuple[dict, list[str]]:
     """A corpus file's header and its body lines, for every reader. A file
-    that is not UTF-8 is a ValidationError naming the first bad line. Only
-    a line feed ends a line, as JSON allows other line separators raw
-    inside a string; a carriage return before it is dropped. An empty file
-    has the default header and no body."""
+    that is not UTF-8 is a ValidationError naming the first bad line. An
+    empty file has the default header and no body."""
+    lines = _text_lines(_corpus_text(data))
+    if not lines:
+        return _empty_header(), []
+    return _corpus_header(lines[0]), lines[1:]
+
+
+def _corpus_text(data: bytes) -> str:
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"line {lineno}: not UTF-8: {exc.reason}") from None
+
+
+def _text_lines(text: str) -> list[str]:
+    """A corpus text's lines. Only a line feed ends a line, as JSON allows
+    other line separators raw inside a string; a carriage return before it
+    is dropped."""
     lines = [line.removesuffix("\r") for line in text.split("\n")]
     if lines[-1] == "":
         lines.pop()  # the file's final newline ends a line, it does not start one
+    return lines
+
+
+def _corpus_head(text: str) -> tuple[dict, int]:
+    """The header of a corpus text and its number of body lines, as
+    :func:`_split_corpus` splits it, without splitting the body: each line
+    feed ends a line, and what follows the last one is a line unless it is
+    empty or a lone carriage return."""
+    lines = text.count("\n") + (text[text.rfind("\n") + 1:] not in ("", "\r"))
     if not lines:
-        return {"kind": "header", "format_version": CORPUS_FORMAT_VERSION,
-                "embedding_dim": None}, []
-    return _corpus_header(lines[0]), lines[1:]
+        return _empty_header(), 0
+    end = text.find("\n")
+    return _corpus_header(text[:end if end >= 0 else None].removesuffix("\r")), lines - 1
+
+
+def _empty_header() -> dict:
+    return {"kind": "header", "format_version": CORPUS_FORMAT_VERSION, "embedding_dim": None}
 
 
 def _corpus_header(line: str) -> dict:
@@ -1115,34 +1165,35 @@ def _image(store: CorpusStore, corpus_sha256: str) -> bytes:
                           *(tuple(map(column, edges)) for column in _EDGE_COLUMNS)), 2)
 
 
-def _image_store(image, corpus_sha256: str, body: list[str], cycle_at: int | None,
-                 params: EngineParams) -> CorpusStore:
+def _image_store(image, corpus_sha256: str, text: str, body_lines: int,
+                 cycle_at: int | None, params: EngineParams) -> CorpusStore:
     """The store an unmarshalled :func:`_image` holds, through the trusted
-    constructors, each line of ``body`` (the lines of the corpus hashing to
-    ``corpus_sha256``) kept beside its object or edge for :func:`corpus_lines`.
-    Its values are trusted as a hash-checked ``.pyc`` is: they were validated
-    before the image was written. The store's own rules still run:
-    ``_add_ko``'s on each object, ``_add_edge``'s once over all the edges."""
+    constructors. It keeps ``text``, the corpus hashing to ``corpus_sha256``
+    with ``body_lines`` body lines, to split into each object's and edge's
+    line when :func:`corpus_lines` first reads them. Its values are trusted
+    as a hash-checked ``.pyc`` is: they were validated before the image was
+    written. The store's own rules still run: ``_add_ko``'s on each object,
+    which also zones the id-ordered rows, and ``_add_edge``'s once over all
+    the edges."""
     named, rows, sources, targets, types, times = image
     if named != corpus_sha256:
         raise CheckpointError("the checkpoint image was saved with another corpus")
     n = len(rows)
-    if {len(sources), len(targets), len(types), len(times)} != {len(body) - n}:
+    if {len(sources), len(targets), len(types), len(times)} != {body_lines - n}:
         raise CheckpointError(f"the checkpoint image holds other than the "
-                              f"{len(body)} objects and edges of the corpus lines")
+                              f"{body_lines} objects and edges of the corpus lines")
     store = CorpusStore(params=params)
     store._last_cycle_at = cycle_at
-    add_ko, ko_lines = store._add_ko, store._ko_lines
+    store._zones = {}  # which _add_ko fills, as the rows come in id order
+    add_ko = store._add_ko
     for (ko_id, entity, domain, koc_cls, epoch, depth, author, variant, cls, content,
          k, confidence, freshness, urgency, contradiction, created_at, retrieved_at,
-         resolved, stakes, anchors, embedding), line in zip(rows, body):
+         resolved, stakes, anchors, embedding) in rows:
         koc = trusted_koc(entity, domain, _CLASSES[koc_cls], epoch, depth, author, variant)
         scores = trusted_scores(k, confidence, freshness, urgency, contradiction)
-        ko = trusted_ko(ko_id, koc, _CLASSES[cls], content, scores, created_at,
-                        retrieved_at, resolved, stakes, frozenset(anchors), embedding)
-        add_ko(ko)
-        ko_lines[ko_id] = (ko, line)
-    store._edge_lines = body[n:]
+        add_ko(trusted_ko(ko_id, koc, _CLASSES[cls], content, scores, created_at,
+                          retrieved_at, resolved, stakes, frozenset(anchors), embedding))
+    store._kept_text, store._restored_kos = text, tuple(store._kos.values())
     types = list(map(_EDGE_TYPES.__getitem__, types))
     keys = set(zip(sources, targets, types))
     if any(map(eq, sources, targets)):
@@ -1186,15 +1237,17 @@ def write_checkpoint(log: str | Path, corpus_sha256: str, store: CorpusStore,
 def restore_checkpoint(log: str | Path,
                        corpus: str | Path) -> tuple[CorpusStore, LogPosition]:
     """The store as of ``log``'s checkpoint, built by :func:`_image_store`
-    from its image and the lines of ``corpus``, and the log position its
+    from its image and the text of ``corpus``, and the log position its
     tail starts at.
 
     The checks are cheap: the corpus hashes to the recorded value; the log
     line ending at the recorded offset (a shorter log has none) hashes to
-    the recorded value and carries the recorded seq; the corpus header's
-    params fingerprint is that of the recorded params; the image hashes to
-    the recorded value. Anything else, a missing or unreadable checkpoint,
-    one with no image (from before checkpoints held one), or an image that
+    the recorded value and carries the recorded seq; the corpus is UTF-8,
+    and its header's params fingerprint is that of the recorded params; the
+    image hashes to the recorded value and holds as many objects and edges
+    as the corpus has body lines, counted by :func:`_corpus_head` without
+    splitting them. Anything else, a missing or unreadable checkpoint, one
+    with no image (from before checkpoints held one), or an image that
     does not decode or match the corpus, raises CheckpointError.
     """
     try:
@@ -1215,17 +1268,20 @@ def restore_checkpoint(log: str | Path,
             raise CheckpointError(f"log line {lines} changed since the checkpoint")
         if _decoded(line, _event_from_dict).seq != seq:
             raise CheckpointError(f"log line {lines} is not event {seq}")
-        header, body = _split_corpus(data)
+        text = _corpus_text(data)
+        header, body_lines = _corpus_head(text)
         if header.get("params_fingerprint") != params.fingerprint():
             raise CheckpointError("the corpus was written under other params")
         image = base64.b64decode(record.pop("image"), validate=True)
         if _sha256(image) != record["image_sha256"]:
             raise CheckpointError("the checkpoint image does not match its SHA-256")
         # The build is the peak of a restore's memory: the base64 text, the
-        # image bytes and the corpus bytes (its lines are split) go first.
+        # image bytes and the corpus bytes go first. The decoded text stays,
+        # for an export to split.
         image = marshal.loads(image)
         del data
-        store = _image_store(image, corpus_sha256, body, _header_cycle_at(header), params)
+        store = _image_store(image, corpus_sha256, text, body_lines,
+                             _header_cycle_at(header), params)
         latest = _check_ts("latest_event_at", record["latest_event_at"])
     except CheckpointError:
         raise

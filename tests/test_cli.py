@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import shutil
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import kgravity.cli as cli_module
 from kgravity.cli import main
 from kgravity.engine import EngineParams
 
@@ -652,3 +654,59 @@ def test_commands_after_arbitrary_bytes_appended_to_the_log_exit_0_or_1(
         with open(workdir / "events.jsonl", "ab") as f:
             f.write(tail)
         assert run_main(workdir, *command)[0] in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def gc_state():
+    """Sets the collector on or off for one test, and back as it was."""
+    was = gc.isenabled()
+
+    def set_to(enabled: bool) -> None:
+        (gc.enable if enabled else gc.disable)()
+    yield set_to
+    set_to(was)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_leaves_it_as_it_found_it(
+        cli, tmp_path, gc_state, monkeypatch, enabled):
+    write_input(tmp_path / "in.jsonl", [ko_rec(0)])
+    gc_state(enabled)
+    seen, collections, ended = [], [], []
+    real = cli_module.cmd_ingest
+
+    def ingest(*args):
+        seen.append(gc.isenabled())
+        start = len(collections)
+        code = real(*args)
+        seen.append(len(collections) - start)  # none ran during the command
+        ended.append(len(collections))
+        return code
+
+    def count(phase, info):
+        if phase == "stop":
+            collections.append(info["generation"])
+    monkeypatch.setattr(cli_module, "cmd_ingest", ingest)
+    gc.callbacks.append(count)
+    try:
+        cli("ingest", str(tmp_path / "in.jsonl"))  # exit 0
+    finally:
+        gc.callbacks.remove(count)
+    # the young generation, with the parser, is collected once it resumes
+    assert seen == [False, 0]
+    assert collections[ended[0]:ended[0] + 1] == ([0] if enabled else [])
+    assert gc.isenabled() is enabled
+    cli("cycle", "abc", expect=1)  # a ConfigError
+    assert gc.isenabled() is enabled
+
+    def fail(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("a handler that raises")
+    monkeypatch.setattr(cli_module, "cmd_query", fail)
+    with pytest.raises(RuntimeError, match="a handler that raises"):
+        cli("query", "x")
+    assert seen[-1] is False and gc.isenabled() is enabled
